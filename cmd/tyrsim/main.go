@@ -130,6 +130,10 @@ func main() {
 		SkipCheck:  *globalTags > 0, // a deadlocked run has no output to validate
 		Cache:      cacheFlags.Spec(),
 	}
+	if *plot {
+		// The live-state trace is opt-in in tyr-api/v1.
+		req.TracePoints = metrics.DefaultTracePoints
+	}
 	plan, err := req.Plan()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)

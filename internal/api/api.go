@@ -29,6 +29,11 @@ import (
 // Version is the schema identifier stamped on every request and result.
 const Version = "tyr-api/v1"
 
+// MaxTracePoints is the largest accepted trace_points. The engines hold
+// every trace point for the whole run, so an unbounded value would let one
+// request make the server keep memory proportional to its simulated cycles.
+const MaxTracePoints = 65536
+
 // Scales lists the accepted workload scales.
 var Scales = []string{"tiny", "small", "medium"}
 
@@ -136,9 +141,13 @@ type Request struct {
 	QueueCap    int            `json:"queue_cap,omitempty"`
 	LoadLatency int            `json:"load_latency,omitempty"`
 	Cache       *CacheSpec     `json:"cache,omitempty"`
-	TracePoints int            `json:"trace_points,omitempty"`
-	SkipCheck   bool           `json:"skip_check,omitempty"`
-	Sanitize    bool           `json:"sanitize,omitempty"`
+	// TracePoints opts in to the live-state trace (stats.trace): a positive
+	// value returns at most that many {cycle, live} points (at most
+	// MaxTracePoints; the run's final point always survives, so 1 may
+	// return two). Zero or negative, the default, samples nothing.
+	TracePoints int  `json:"trace_points,omitempty"`
+	SkipCheck   bool `json:"skip_check,omitempty"`
+	Sanitize    bool `json:"sanitize,omitempty"`
 	// MaxCycles overrides the engine's runaway budget.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 
@@ -286,6 +295,9 @@ func (r *Request) Validate() error {
 		fields["exec.deadline_ms"] = r.Exec.DeadlineMS
 	}
 	checkNonNegative(&errs, fields)
+	if r.TracePoints > MaxTracePoints {
+		errs = append(errs, FieldError{"trace_points", fmt.Sprintf("must be <= %d (got %d)", MaxTracePoints, r.TracePoints)})
+	}
 	var notes []string
 	if r.Shards != 0 {
 		notes = append(notes, `top-level "shards" is deprecated; use exec.shards`)
@@ -337,6 +349,12 @@ func (r *Request) Plan() (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The live-state trace is opt-in: without a positive trace_points the
+	// engines sample nothing, rather than their default series.
+	tracePoints := r.TracePoints
+	if tracePoints <= 0 {
+		tracePoints = -1
+	}
 	return &Plan{
 		Cfg: harness.SysConfig{
 			IssueWidth:  r.IssueWidth,
@@ -346,7 +364,7 @@ func (r *Request) Plan() (*Plan, error) {
 			QueueCap:    r.QueueCap,
 			LoadLatency: r.LoadLatency,
 			Cache:       cc,
-			TracePoints: r.TracePoints,
+			TracePoints: tracePoints,
 			SkipCheck:   r.SkipCheck,
 			Sanitize:    r.Sanitize,
 			Shards:      r.ExecShards(),

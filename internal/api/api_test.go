@@ -164,6 +164,36 @@ func TestPlanConversion(t *testing.T) {
 	}
 }
 
+// TestTracePointsOptIn pins the live-state trace contract: an omitted or
+// non-positive trace_points plans no engine sampling (clients sending -1
+// keep working), a positive one passes through up to MaxTracePoints, and
+// anything larger is a structured error on trace_points.
+func TestTracePointsOptIn(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{
+		{0, -1}, {-1, -1}, {-4096, -1}, {1, 1}, {64, 64}, {MaxTracePoints, MaxTracePoints},
+	} {
+		r := Request{App: "dmv", System: "tyr", TracePoints: tc.in}
+		plan, err := r.Plan()
+		if err != nil {
+			t.Errorf("trace_points=%d rejected: %v", tc.in, err)
+			continue
+		}
+		if plan.Cfg.TracePoints != tc.want {
+			t.Errorf("trace_points=%d planned %d engine points, want %d", tc.in, plan.Cfg.TracePoints, tc.want)
+		}
+	}
+
+	r := Request{App: "dmv", System: "tyr", TracePoints: MaxTracePoints + 1}
+	err := r.Validate()
+	var ve *ValidationError
+	if !errors.As(err, &ve) {
+		t.Fatalf("trace_points above the cap: err = %v, want *ValidationError", err)
+	}
+	if len(ve.Fields) != 1 || ve.Fields[0].Field != "trace_points" {
+		t.Errorf("want a single trace_points error, got %v", ve)
+	}
+}
+
 // TestExecBackCompat pins the deprecated top-level spellings: they still
 // decode and resolve, and the exec block wins whenever both are set.
 func TestExecBackCompat(t *testing.T) {

@@ -41,6 +41,7 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/dfg"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -123,7 +124,7 @@ type Config struct {
 
 	// TracePoints caps the state-over-time trace length (points are
 	// decimated by doubling the stride when the cap is hit). Zero selects
-	// a default of 4096; negative disables tracing.
+	// metrics.DefaultTracePoints; negative disables tracing.
 	TracePoints int
 
 	// CheckInvariants enables per-token accounting that verifies the free
@@ -182,7 +183,6 @@ const (
 	defaultIssueWidth   = 128
 	defaultTagsPerBlock = 64
 	defaultMaxCycles    = int64(1) << 34
-	defaultTracePoints  = 4096
 )
 
 func (c Config) withDefaults() Config {
@@ -196,7 +196,7 @@ func (c Config) withDefaults() Config {
 		c.MaxCycles = defaultMaxCycles
 	}
 	if c.TracePoints == 0 {
-		c.TracePoints = defaultTracePoints
+		c.TracePoints = metrics.DefaultTracePoints
 	}
 	return c
 }

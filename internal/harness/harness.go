@@ -52,7 +52,8 @@ type SysConfig struct {
 	// run's cache counters land in RunStats.Cache. Nil keeps the ideal
 	// flat memory, bit-identical to the pre-cache behavior.
 	Cache *cache.Config
-	// TracePoints caps state traces (0 = engine default).
+	// TracePoints caps state traces (0 = metrics.DefaultTracePoints,
+	// negative = no trace).
 	TracePoints int
 	// SkipCheck disables output validation (only for deadlock demos,
 	// where there is no output to validate).

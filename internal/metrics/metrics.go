@@ -11,6 +11,11 @@ import (
 	"strings"
 )
 
+// DefaultTracePoints is the live-state trace cap every engine applies when
+// its config leaves TracePoints at zero: at most this many {cycle, live}
+// points, decimated max-preservingly as the run grows.
+const DefaultTracePoints = 4096
+
 // TracePoint is one sample of a live-state-over-time trace.
 type TracePoint struct {
 	Cycle int64 `json:"cycle"`

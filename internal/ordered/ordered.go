@@ -19,6 +19,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/dfg"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -37,7 +38,8 @@ type Config struct {
 	Memory mem.AccessModel
 	// MaxCycles aborts runaway simulations.
 	MaxCycles int64
-	// TracePoints caps the live-state trace (0 = default, negative = off).
+	// TracePoints caps the live-state trace (0 =
+	// metrics.DefaultTracePoints, negative = off).
 	TracePoints int
 	// Tracer, when non-nil, receives the run's event stream (fires, token
 	// emit/deliver, memory ops). Tags are always zero on this machine:
@@ -49,10 +51,9 @@ type Config struct {
 }
 
 const (
-	defaultIssueWidth  = 128
-	defaultQueueCap    = 4
-	defaultMaxCycles   = int64(1) << 34
-	defaultTracePoints = 4096
+	defaultIssueWidth = 128
+	defaultQueueCap   = 4
+	defaultMaxCycles  = int64(1) << 34
 )
 
 func (c Config) withDefaults() Config {
@@ -66,7 +67,7 @@ func (c Config) withDefaults() Config {
 		c.MaxCycles = defaultMaxCycles
 	}
 	if c.TracePoints == 0 {
-		c.TracePoints = defaultTracePoints
+		c.TracePoints = metrics.DefaultTracePoints
 	}
 	return c
 }

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/cancel"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/prog"
 	"repro/internal/trace"
 )
@@ -72,7 +73,8 @@ type Config struct {
 	// memory-hierarchy timing model (see internal/cache); its per-access
 	// latency supersedes LoadLatency. Nil keeps the ideal flat memory.
 	Memory mem.AccessModel
-	// TracePoints caps the live-state trace length (0 = default 4096).
+	// TracePoints caps the live-state trace length (0 =
+	// metrics.DefaultTracePoints, negative = off).
 	TracePoints int
 	// Tracer, when non-nil, receives one KindFire event per dynamic
 	// instruction (Val = instruction class) and a KindBoundary event per
@@ -329,7 +331,7 @@ func Run(p *prog.Program, im *mem.Image, cfg Config) (Result, error) {
 		rec:         cfg.Tracer,
 	}
 	if m.tracePoints == 0 {
-		m.tracePoints = 4096
+		m.tracePoints = metrics.DefaultTracePoints
 	}
 	res, err := prog.Run(p, im, prog.RunConfig{Args: cfg.Args, MaxSteps: cfg.MaxSteps, Model: m, Stop: cfg.Stop})
 	if err != nil {

@@ -84,6 +84,9 @@ func TestDistributedSweepMatchesLocal(t *testing.T) {
 			t.Errorf("cell %d (%s/%s) differs:\ndistributed: %s\nlocal:       %s",
 				i, wantN[i].App, wantN[i].System, a, b)
 		}
+		if gotN[i].Trace != nil {
+			t.Errorf("cell %d (%s/%s) carries a live-state trace through the fleet", i, wantN[i].App, wantN[i].System)
+		}
 	}
 
 	if got := coord.Metrics().fleetPartials.Load(); got == 0 {

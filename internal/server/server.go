@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"strconv"
 	"time"
 
 	"repro/internal/api"
@@ -249,12 +250,26 @@ func (s *Server) endStage(t *obs.RequestTrace, id obs.SpanID, stage string) {
 	}
 }
 
+// writeJSON writes v as one line of compact JSON. It marshals before the
+// status goes out, so a value that cannot be encoded becomes a 500 carrying
+// the request's trace ID instead of a 200 with a truncated body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		// ErrorBody holds only strings, so this marshal cannot fail.
+		body, _ = json.Marshal(api.ErrorBody{
+			Version: api.Version,
+			Error:   "encoding reply: " + err.Error(),
+			TraceID: w.Header().Get("Tyr-Trace-Id"),
+		})
+	}
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body)
 }
 
 // writeError emits the structured tyr-api/v1 error body; validation errors
@@ -564,6 +579,21 @@ func sweepGrid(req *api.SweepRequest, scale apps.Scale) (cells []sweepCell, syst
 	return cells, systems
 }
 
+// cellConfig is the harness configuration of one sweep cell. Cells never
+// sample the live-state trace: the tyr-bench/v1 summary does not read it,
+// and fleet partials would carry it over the wire for nothing.
+func (s *Server) cellConfig(t *obs.RequestTrace, flag *cancel.Flag, req *api.SweepRequest, cc *cache.Config) harness.SysConfig {
+	return harness.SysConfig{
+		IssueWidth:  req.IssueWidth,
+		Tags:        req.Tags,
+		Cache:       cc,
+		TracePoints: -1,
+		Stop:        flag,
+		Compiler:    s.spanGraphs(t),
+		TraceID:     t.ID(),
+	}
+}
+
 // runSweepCells executes a slice of grid cells sequentially on the calling
 // goroutine (a pool worker), returning one RunStats per cell in order.
 // With coalescing enabled, cells sharing a compiled graph (the same
@@ -581,15 +611,8 @@ func (s *Server) runSweepCells(t *obs.RequestTrace, flag *cancel.Flag, req *api.
 		if flag.Stopped() {
 			return nil, cancel.ErrStopped
 		}
-		sc := harness.SysConfig{
-			IssueWidth: req.IssueWidth,
-			Tags:       req.Tags,
-			Cache:      cc,
-			Stop:       flag,
-			Compiler:   s.spanGraphs(t),
-			Tracer:     tracer,
-			TraceID:    t.ID(),
-		}
+		sc := s.cellConfig(t, flag, req, cc)
+		sc.Tracer = tracer
 		// One capture ring, reset per cell: a retained sweep keeps
 		// the engine trace of its final (or failing) cell rather
 		// than an unreadable splice of every cell's tail.
@@ -633,14 +656,7 @@ func (s *Server) runSweepCellsBatched(t *obs.RequestTrace, flag *cancel.Flag, re
 		}
 		items := make([]harness.BatchItem, len(group))
 		for j, i := range group {
-			items[j] = harness.BatchItem{App: cells[i].app, System: cells[i].sys, Cfg: harness.SysConfig{
-				IssueWidth: req.IssueWidth,
-				Tags:       req.Tags,
-				Cache:      cc,
-				Stop:       flag,
-				Compiler:   s.spanGraphs(t),
-				TraceID:    t.ID(),
-			}}
+			items[j] = harness.BatchItem{App: cells[i].app, System: cells[i].sys, Cfg: s.cellConfig(t, flag, req, cc)}
 		}
 		label := cells[group[0]].app.Name + "/" + cells[group[0]].sys
 		run := t.StartSpan(fmt.Sprintf("run %s x%d", label, len(group)), obs.RootSpan)

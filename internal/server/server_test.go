@@ -285,6 +285,7 @@ func TestMalformedRequests(t *testing.T) {
 	// A decodable but invalid request reports every bad field.
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{
 		System: "riscv", App: "dmv", Scale: "huge", IssueWidth: -1,
+		TracePoints: api.MaxTracePoints + 1,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
@@ -297,7 +298,7 @@ func TestMalformedRequests(t *testing.T) {
 	for _, f := range eb.Fields {
 		got[f.Field] = true
 	}
-	for _, want := range []string{"system", "scale", "issue_width"} {
+	for _, want := range []string{"system", "scale", "issue_width", "trace_points"} {
 		if !got[want] {
 			t.Errorf("missing field error %q in %+v", want, eb)
 		}
@@ -411,6 +412,11 @@ func TestSweepEndpoint(t *testing.T) {
 	for _, sys := range sr.Systems {
 		if sys.GmeanCycles <= 0 {
 			t.Errorf("system %s has gmean_cycles %v", sys.System, sys.GmeanCycles)
+		}
+	}
+	for _, run := range sr.Runs {
+		if run.Trace != nil {
+			t.Errorf("sweep cell %s/%s carries %d live-state trace points", run.App, run.System, len(run.Trace))
 		}
 	}
 	if sr.Scale != "tiny" || sr.Version != api.Version {
