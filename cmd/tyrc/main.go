@@ -158,15 +158,10 @@ func main() {
 	// simulation. The source was already parsed (and optionally optimized)
 	// above for the emit/vet paths, so resolve the app from p directly
 	// rather than re-parsing through the plan's ResolveApp.
-	shards, err := machine.ShardCount()
-	if err != nil {
-		fail(err)
-	}
 	req := api.Request{
 		System:     machine.System,
 		IssueWidth: machine.Width,
 		Tags:       machine.Tags,
-		Exec:       &api.ExecSpec{Shards: shards},
 		Source:     string(src),
 		Args:       args,
 		Cache:      cacheFlags.Spec(),
@@ -186,11 +181,7 @@ func main() {
 		rec = trace.NewRecorder(0)
 		cfg.Tracer = rec
 	}
-	// tyrc always ran the core with invariant checking — but the sanitizer
-	// forces sharded runs serial (core.Config), so an explicit -shards N>1
-	// opts out of it. The harness still validates the result against the
-	// reference interpreter either way.
-	cfg.Sanitize = shards <= 1
+	cfg.Sanitize = true // tyrc always runs the core with invariant checking
 
 	rs, err := harness.Run(app, req.System, cfg)
 	if err != nil {

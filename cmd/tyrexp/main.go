@@ -6,7 +6,7 @@
 //	tyrexp [-exp fig12] [-scale small] [-width 128] [-tags 64] [-json out.json]
 //	tyrexp trace -app dmv -system tyr [-trace trace.json] [-profile]
 //	tyrexp trace -validate trace.json
-//	tyrexp bench [-scale small] [-shards 1,2,4,8] [-out BENCH_pr4.json]
+//	tyrexp bench [-scale small] [-batch 1,4,16] [-out BENCH.json]
 //	tyrexp benchdiff [-tolerance 1.15] old.json new.json
 //	tyrexp locality [-scale small] [-csv dir] [-json out.json] [-assert]
 //	tyrexp flight [-id trace_id] [-validate] dump.json
@@ -26,8 +26,8 @@
 // structurally checks the dump including every embedded Chrome trace.
 // The bench subcommand times every kernel on every system and writes a
 // machine-readable benchmark summary (gmean cycles and wall-clock per
-// system); -shards additionally sweeps the tagged engines at each listed
-// worker-shard count, recorded as extra sys@sN entries plus a speedup
+// system); -batch additionally sweeps the graph engines at each listed
+// lockstep batch width, recorded as extra sys@bN entries plus a speedup
 // table. benchdiff compares two summaries and exits nonzero when any
 // system's wall-clock regressed past the tolerance (the CI perf gate).
 //
@@ -298,27 +298,23 @@ func runLocality(args []string) {
 	}
 }
 
-// shardedSystems is the slice of harness.Systems the -shards sweep
-// applies to: the two engines that accept core.Config.Shards.
-var shardedSystems = []string{harness.SysUnordered, harness.SysTyr}
-
 // batchedSystems is the slice the -batch sweep applies to: the graph
 // engines with a lockstep batcher (harness.RunBatch).
 var batchedSystems = []string{harness.SysOrdered, harness.SysUnordered, harness.SysTyr}
 
 // runBench times every kernel on every system and writes the summary
-// (schema: internal/benchreg). With -shards, the tagged engines are
-// additionally swept at each listed worker-shard count and recorded
-// under their own summary names (sys@sN); with -batch, the graph engines
-// are swept at each listed lockstep width and recorded as sys@bN with
-// requests/sec (N duplicate runs over the batch's wall-clock) — benchdiff
-// against an older baseline still gates the plain entries, since the
-// comparator ignores systems with no baseline.
+// (schema: internal/benchreg). With -batch, the graph engines are
+// additionally swept at each listed lockstep width and recorded as sys@bN
+// with requests/sec (N duplicate runs over the batch's wall-clock) —
+// benchdiff against an older baseline still gates the plain entries,
+// since the comparator ignores systems with no baseline.
 func runBench(args []string) {
 	fs := flag.NewFlagSet("tyrexp bench", flag.ExitOnError)
 	scale := cliflags.RegisterScale(fs, "small")
 	machine := cliflags.RegisterMachine(fs, "")
-	out := fs.String("out", "BENCH_pr4.json", "write the benchmark summary JSON to this path")
+	var batch cliflags.BatchList
+	fs.Var(&batch, "batch", "comma list of lockstep batch widths to sweep on the graph engines, bit-identical per instance")
+	out := fs.String("out", "BENCH.json", "write the benchmark summary JSON to this path")
 	prof := profflag.Register(fs)
 	fs.Parse(args)
 	startProfiling(prof)
@@ -345,54 +341,21 @@ func runBench(args []string) {
 		}
 	}
 
-	// The shard sweep detaches the cache: an attached memory model forces
-	// the engine serial (see core.Config.Shards), which would make the
-	// sweep a no-op. The plain entries above use a passthrough hierarchy
-	// with zero timing impact, so gmean cycles stay comparable anyway —
-	// and the strict-cycles benchdiff gate checks exactly that.
-	var shardRuns []metrics.RunStats
-	var shardNames []string
-	if len(machine.Shards) > 0 {
-		fmt.Println()
-		for _, app := range suite {
-			for _, sys := range shardedSystems {
-				for _, n := range machine.Shards {
-					rs, err := harness.Run(app, sys, harness.SysConfig{
-						IssueWidth: machine.Width, Tags: machine.Tags, Shards: n,
-					})
-					if err != nil {
-						fatalf("%s/%s shards=%d: %v", app.Name, sys, n, err)
-					}
-					rs.System = fmt.Sprintf("%s@s%d", sys, n)
-					rs.Trace = nil // dropped like harness.Telemetry.Record does, to keep the file compact
-					shardRuns = append(shardRuns, rs)
-					fmt.Printf("%-8s %-14s %10s cycles  %8.2fms\n", app.Name, rs.System,
-						metrics.FormatCount(rs.Cycles), float64(rs.WallNS)/1e6)
-				}
-			}
-		}
-		for _, sys := range shardedSystems {
-			for _, n := range machine.Shards {
-				shardNames = append(shardNames, fmt.Sprintf("%s@s%d", sys, n))
-			}
-		}
-	}
-
 	// The batch sweep runs B duplicate instances of each kernel in one
 	// lockstep batch (harness.RunBatch) — the duplicate-workload serving
 	// scenario — and records every instance under sys@bN, so Summarize's
 	// req/s for that entry is B instances over the batch's wall-clock.
 	var batchRuns []metrics.RunStats
 	var batchNames []string
-	if len(machine.Batch) > 0 {
+	if len(batch) > 0 {
 		fmt.Println()
 		for _, app := range suite {
 			for _, sys := range batchedSystems {
-				for _, b := range machine.Batch {
+				for _, b := range batch {
 					items := make([]harness.BatchItem, b)
 					for i := range items {
 						items[i] = harness.BatchItem{App: app, System: sys, Cfg: harness.SysConfig{
-							IssueWidth: machine.Width, Tags: machine.Tags, Batch: b,
+							IssueWidth: machine.Width, Tags: machine.Tags,
 						}}
 					}
 					outs, err := harness.RunBatch(items)
@@ -417,24 +380,18 @@ func runBench(args []string) {
 			}
 		}
 		for _, sys := range batchedSystems {
-			for _, b := range machine.Batch {
+			for _, b := range batch {
 				batchNames = append(batchNames, fmt.Sprintf("%s@b%d", sys, b))
 			}
 		}
 	}
 
-	names := append(append([]string(nil), harness.Systems...), shardNames...)
-	names = append(names, batchNames...)
-	doc := benchreg.Summarize(*scale, names,
-		append(append(tel.Snapshot(), shardRuns...), batchRuns...))
+	names := append(append([]string(nil), harness.Systems...), batchNames...)
+	doc := benchreg.Summarize(*scale, names, append(tel.Snapshot(), batchRuns...))
 	doc.Note = fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d", runtime.GOMAXPROCS(0), runtime.NumCPU())
-	if len(machine.Shards) > 0 {
-		doc.Note += fmt.Sprintf("; shard sweep -shards %s on the tagged engines (sys@sN entries, cache detached)",
-			machine.Shards.String())
-	}
-	if len(machine.Batch) > 0 {
+	if len(batch) > 0 {
 		doc.Note += fmt.Sprintf("; lockstep batch sweep -batch %s on the graph engines (sys@bN entries, req/s = N duplicates / batch wall)",
-			machine.Batch.String())
+			batch.String())
 	}
 	f, err := os.Create(*out)
 	if err != nil {
@@ -461,29 +418,7 @@ func runBench(args []string) {
 	}
 	fmt.Print(tb.String())
 
-	if len(machine.Shards) > 0 {
-		wall := make(map[string]int64, len(doc.Systems))
-		for _, s := range doc.Systems {
-			wall[s.System] = s.WallNS
-		}
-		fmt.Println()
-		st := &metrics.Table{Headers: []string{"system", "shards", "wall-clock", "speedup vs @s1"}}
-		for _, sys := range shardedSystems {
-			base := wall[sys+"@s1"]
-			for _, n := range machine.Shards {
-				w := wall[fmt.Sprintf("%s@s%d", sys, n)]
-				speedup := "n/a"
-				if base > 0 && w > 0 {
-					speedup = fmt.Sprintf("%.2fx", float64(base)/float64(w))
-				}
-				st.Add(sys, strconv.Itoa(n), fmt.Sprintf("%.1fms", float64(w)/1e6), speedup)
-			}
-		}
-		fmt.Print(st.String())
-		fmt.Printf("(%s)\n", doc.Note)
-	}
-
-	if len(machine.Batch) > 0 {
+	if len(batch) > 0 {
 		rps := make(map[string]float64, len(doc.Systems))
 		for _, s := range doc.Systems {
 			rps[s.System] = s.ReqPerSec
@@ -492,7 +427,7 @@ func runBench(args []string) {
 		bt := &metrics.Table{Headers: []string{"system", "batch", "req/s", "speedup vs @b1"}}
 		for _, sys := range batchedSystems {
 			base := rps[sys+"@b1"]
-			for _, b := range machine.Batch {
+			for _, b := range batch {
 				r := rps[fmt.Sprintf("%s@b%d", sys, b)]
 				speedup := "n/a"
 				if base > 0 && r > 0 {

@@ -110,12 +110,6 @@ func main() {
 		return
 	}
 
-	shards, err := machine.ShardCount()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)
-		os.Exit(2)
-	}
-
 	// The flags assemble a tyr-api/v1 request — the same surface a curl
 	// against tyrd speaks — and the request's Plan resolves the workload
 	// and the harness configuration.
@@ -125,7 +119,6 @@ func main() {
 		System:     machine.System,
 		IssueWidth: machine.Width,
 		Tags:       machine.Tags,
-		Exec:       &api.ExecSpec{Shards: shards},
 		GlobalTags: *globalTags,
 		SkipCheck:  *globalTags > 0, // a deadlocked run has no output to validate
 		Cache:      cacheFlags.Spec(),

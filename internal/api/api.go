@@ -94,10 +94,10 @@ func (s *CacheSpec) Config() (*cache.Config, error) {
 // scheduling knobs land here rather than growing top-level scalars one
 // PR at a time.
 type ExecSpec struct {
-	// Shards splits the tagged engines (tyr/unordered) across worker
-	// goroutines; results are bit-identical to the sequential run. Other
-	// systems, and runs with a tracer, sanitizer, or cache attached, are
-	// serial regardless. 0 or 1 = sequential.
+	// Shards is retired: sharded execution was removed (DESIGN.md §11).
+	// It still decodes so old clients get a structured answer. 0 or 1,
+	// which always meant one goroutine, is accepted; anything above 1 is
+	// a field error with a migration note.
 	Shards int `json:"shards,omitempty"`
 	// Batch is the lockstep batch width B: the server may coalesce up to
 	// B queued requests that share this request's compiled graph into one
@@ -151,27 +151,23 @@ type Request struct {
 	// MaxCycles overrides the engine's runaway budget.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 
-	// Exec groups the scheduling knobs (shards, batch, deadline_ms).
+	// Exec groups the scheduling knobs (batch, deadline_ms).
 	Exec *ExecSpec `json:"exec,omitempty"`
 
-	// Shards is the deprecated top-level spelling of exec.shards; it
-	// still decodes (a validation failure's 400 body carries a
+	// Shards is the old top-level spelling of exec.shards, retired with
+	// it under the same rules.
+	Shards int `json:"shards,omitempty"`
+	// TimeoutMS is the deprecated top-level spelling of exec.deadline_ms;
+	// it still decodes (a validation failure's 400 body carries a
 	// deprecation note), but setting both to different values is an
 	// error.
-	Shards int `json:"shards,omitempty"`
-	// TimeoutMS is the deprecated top-level spelling of exec.deadline_ms,
-	// under the same back-compat rules as Shards.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// ExecShards resolves the effective shard count across the exec block and
-// the deprecated top-level field (Validate rejects a conflict).
-func (r *Request) ExecShards() int {
-	if r.Exec != nil && r.Exec.Shards != 0 {
-		return r.Exec.Shards
-	}
-	return r.Shards
-}
+// shardsRemovedNote is the migration note a 400 carries when a request
+// still asks for more than one shard.
+const shardsRemovedNote = `exec.shards is retired: sharded execution ran slower than one goroutine and was removed; ` +
+	`drop the field (every run uses one goroutine, and tyrd runs requests in parallel across its worker pool)`
 
 // ExecBatch resolves the effective lockstep batch width (exec block only;
 // batch never had a top-level spelling).
@@ -245,6 +241,16 @@ func checkNonNegative(errs *[]FieldError, fields map[string]int64) {
 	}
 }
 
+// checkRetiredShards rejects a shard count above 1 on field, reporting
+// whether it did.
+func checkRetiredShards(errs *[]FieldError, field string, n int) bool {
+	if n <= 1 {
+		return false
+	}
+	*errs = append(*errs, FieldError{field, fmt.Sprintf("sharded execution was removed; only 0 or 1 is accepted (got %d)", n)})
+	return true
+}
+
 // KnownSystem reports whether name is one of the five simulated systems.
 func KnownSystem(name string) bool {
 	for _, s := range harness.Systems {
@@ -299,11 +305,12 @@ func (r *Request) Validate() error {
 		errs = append(errs, FieldError{"trace_points", fmt.Sprintf("must be <= %d (got %d)", MaxTracePoints, r.TracePoints)})
 	}
 	var notes []string
-	if r.Shards != 0 {
-		notes = append(notes, `top-level "shards" is deprecated; use exec.shards`)
-		if r.Exec != nil && r.Exec.Shards != 0 && r.Exec.Shards != r.Shards {
-			errs = append(errs, FieldError{"shards", fmt.Sprintf("conflicts with exec.shards (%d vs %d)", r.Shards, r.Exec.Shards)})
-		}
+	retired := checkRetiredShards(&errs, "shards", r.Shards)
+	if r.Exec != nil && checkRetiredShards(&errs, "exec.shards", r.Exec.Shards) {
+		retired = true
+	}
+	if retired {
+		notes = append(notes, shardsRemovedNote)
 	}
 	if r.TimeoutMS != 0 {
 		notes = append(notes, `top-level "timeout_ms" is deprecated; use exec.deadline_ms`)
@@ -326,13 +333,11 @@ func (r *Request) Validate() error {
 // workload resolvers — replacing the former SysConfig()/ResolveApp()
 // bridge sprawl so new exec knobs surface in exactly one place.
 type Plan struct {
-	// Cfg is the harness configuration (exec.shards and exec.batch
-	// resolved into Cfg.Shards/Cfg.Batch). Per-call plumbing (Stop,
+	// Cfg is the harness configuration. Per-call plumbing (Stop,
 	// Telemetry, Tracer, Compiler) is left for the caller to attach.
 	Cfg harness.SysConfig
-	// Shards, Batch, and DeadlineMS are the resolved exec knobs;
-	// DeadlineMS zero means the server or CLI default.
-	Shards     int
+	// Batch and DeadlineMS are the resolved exec knobs; DeadlineMS zero
+	// means the server or CLI default.
 	Batch      int
 	DeadlineMS int64
 
@@ -367,11 +372,8 @@ func (r *Request) Plan() (*Plan, error) {
 			TracePoints: tracePoints,
 			SkipCheck:   r.SkipCheck,
 			Sanitize:    r.Sanitize,
-			Shards:      r.ExecShards(),
-			Batch:       r.ExecBatch(),
 			MaxCycles:   r.MaxCycles,
 		},
-		Shards:     r.ExecShards(),
 		Batch:      r.ExecBatch(),
 		DeadlineMS: r.ExecDeadlineMS(),
 		req:        r,

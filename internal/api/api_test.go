@@ -36,7 +36,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		Cache:       &CacheSpec{L1: "sets=16,ways=2,line=4,lat=1", MSHRs: 4, Passthrough: true},
 		TracePoints: -1,
 		Sanitize:    true,
-		Exec:        &ExecSpec{Shards: 4, Batch: 8, DeadlineMS: 5000},
+		Exec:        &ExecSpec{Batch: 8, DeadlineMS: 5000},
 		MaxCycles:   1 << 20,
 	}
 	data, err := json.Marshal(in)
@@ -138,7 +138,7 @@ func TestPlanConversion(t *testing.T) {
 		App: "dmv", System: "tyr",
 		IssueWidth: 32, Tags: 4, GlobalTags: 8, QueueCap: 2,
 		LoadLatency: 7, TracePoints: 128, SkipCheck: true, Sanitize: true,
-		Exec:      &ExecSpec{Shards: 4, Batch: 16, DeadlineMS: 2500},
+		Exec:      &ExecSpec{Batch: 16, DeadlineMS: 2500},
 		MaxCycles: 999,
 		Cache:     &CacheSpec{MemLatency: 50, MSHRs: 2},
 	}
@@ -150,7 +150,7 @@ func TestPlanConversion(t *testing.T) {
 	want := harness.SysConfig{
 		IssueWidth: 32, Tags: 4, GlobalTags: 8, QueueCap: 2,
 		LoadLatency: 7, TracePoints: 128, SkipCheck: true, Sanitize: true,
-		Shards: 4, Batch: 16, MaxCycles: 999, Cache: sc.Cache,
+		MaxCycles: 999, Cache: sc.Cache,
 	}
 	if sc.Cache == nil || sc.Cache.MemLatency != 50 || sc.Cache.MSHRs != 2 {
 		t.Errorf("cache spec not applied: %+v", sc.Cache)
@@ -158,9 +158,8 @@ func TestPlanConversion(t *testing.T) {
 	if !reflect.DeepEqual(sc, want) {
 		t.Errorf("conversion mismatch:\n got %+v\nwant %+v", sc, want)
 	}
-	if plan.Shards != 4 || plan.Batch != 16 || plan.DeadlineMS != 2500 {
-		t.Errorf("exec knobs not resolved: shards=%d batch=%d deadline=%d",
-			plan.Shards, plan.Batch, plan.DeadlineMS)
+	if plan.Batch != 16 || plan.DeadlineMS != 2500 {
+		t.Errorf("exec knobs not resolved: batch=%d deadline=%d", plan.Batch, plan.DeadlineMS)
 	}
 }
 
@@ -194,50 +193,86 @@ func TestTracePointsOptIn(t *testing.T) {
 	}
 }
 
-// TestExecBackCompat pins the deprecated top-level spellings: they still
-// decode and resolve, and the exec block wins whenever both are set.
+// TestExecBackCompat pins the deprecated top-level timeout_ms: it still
+// decodes and resolves, the exec block wins whenever both are set, and a
+// conflict is a structured error carrying the deprecation note.
 func TestExecBackCompat(t *testing.T) {
 	var r Request
-	if err := json.Unmarshal([]byte(`{"system":"tyr","app":"dmv","shards":4,"timeout_ms":100}`), &r); err != nil {
+	if err := json.Unmarshal([]byte(`{"system":"tyr","app":"dmv","timeout_ms":100}`), &r); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Validate(); err != nil {
-		t.Fatalf("deprecated spellings must stay valid: %v", err)
+		t.Fatalf("deprecated spelling must stay valid: %v", err)
 	}
-	if r.ExecShards() != 4 || r.ExecDeadlineMS() != 100 {
-		t.Errorf("top-level fields did not resolve: shards=%d deadline=%d",
-			r.ExecShards(), r.ExecDeadlineMS())
+	if r.ExecDeadlineMS() != 100 {
+		t.Errorf("top-level timeout_ms did not resolve: deadline=%d", r.ExecDeadlineMS())
 	}
 
 	// Agreeing values coexist; the exec block is simply authoritative.
-	r.Exec = &ExecSpec{Shards: 4, DeadlineMS: 100}
+	r.Exec = &ExecSpec{DeadlineMS: 100}
 	if err := r.Validate(); err != nil {
 		t.Fatalf("agreeing exec and top-level values rejected: %v", err)
 	}
 
 	// Conflicting nonzero values are a hard 400, not a silent pick.
-	r.Exec = &ExecSpec{Shards: 8}
+	r.Exec = &ExecSpec{DeadlineMS: 200}
 	err := r.Validate()
 	var ve *ValidationError
 	if !errors.As(err, &ve) {
-		t.Fatalf("conflicting shards: err = %v, want *ValidationError", err)
+		t.Fatalf("conflicting timeout_ms: err = %v, want *ValidationError", err)
 	}
-	fields := map[string]bool{}
-	for _, f := range ve.Fields {
-		fields[f.Field] = true
-	}
-	if !fields["shards"] {
-		t.Errorf("conflict error missing shards field: %v", ve)
+	if len(ve.Fields) != 1 || ve.Fields[0].Field != "timeout_ms" {
+		t.Errorf("want a single timeout_ms conflict error, got %v", ve)
 	}
 	// The rejection carries the migration guidance as notes.
 	found := false
 	for _, n := range ve.Notes {
-		if strings.Contains(n, "exec.shards") {
+		if strings.Contains(n, "exec.deadline_ms") {
 			found = true
 		}
 	}
 	if !found {
 		t.Errorf("validation error carries no deprecation note: %v", ve.Notes)
+	}
+}
+
+// TestShardsRetired pins the answer old clients get now that sharded
+// execution is gone: both spellings still decode, 0 or 1 stays valid, a
+// count above 1 is a field error carrying the migration note, and a
+// negative count still fails the >= 0 check.
+func TestShardsRetired(t *testing.T) {
+	decode := func(body string) Request {
+		t.Helper()
+		var r Request
+		if err := json.Unmarshal([]byte(`{"system":"tyr","app":"dmv",`+body+`}`), &r); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return r
+	}
+	for _, body := range []string{`"exec":{"shards":1}`, `"exec":{"shards":0}`, `"shards":0`, `"shards":1`} {
+		r := decode(body)
+		if _, err := r.Plan(); err != nil {
+			t.Errorf("%s: one goroutine must stay valid: %v", body, err)
+		}
+	}
+	for _, tc := range []struct{ body, field, msg string }{
+		{`"exec":{"shards":2}`, "exec.shards", "removed"},
+		{`"shards":2`, "shards", "removed"},
+		{`"exec":{"shards":-1}`, "exec.shards", ">= 0"},
+		{`"shards":-3`, "shards", ">= 0"},
+	} {
+		r := decode(tc.body)
+		var ve *ValidationError
+		if err := r.Validate(); !errors.As(err, &ve) {
+			t.Fatalf("%s: err = %v, want *ValidationError", tc.body, err)
+		}
+		if len(ve.Fields) != 1 || ve.Fields[0].Field != tc.field || !strings.Contains(ve.Fields[0].Message, tc.msg) {
+			t.Errorf("%s: want a single %s error mentioning %q, got %v", tc.body, tc.field, tc.msg, ve)
+		}
+		wantNote := tc.msg == "removed"
+		if gotNote := len(ve.Notes) == 1 && ve.Notes[0] == shardsRemovedNote; gotNote != wantNote {
+			t.Errorf("%s: migration note present = %v, want %v (notes %q)", tc.body, gotNote, wantNote, ve.Notes)
+		}
 	}
 }
 
@@ -351,7 +386,6 @@ func FuzzRequestDecodeValidate(f *testing.F) {
 		}
 		// Validate, the exec resolvers, and Plan must never panic on any
 		// decodable request; a valid request must plan cleanly.
-		_ = r.ExecShards()
 		_ = r.ExecBatch()
 		_ = r.ExecDeadlineMS()
 		if err := r.Validate(); err != nil {

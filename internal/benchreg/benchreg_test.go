@@ -97,7 +97,7 @@ func TestCompareScaleMismatch(t *testing.T) {
 
 func TestLoadRoundTrip(t *testing.T) {
 	d := doc("small", sys("a", 100e6, 500))
-	d.Note = "GOMAXPROCS=8; shard sweep -shards 1,2,4,8"
+	d.Note = "GOMAXPROCS=8; lockstep batch sweep -batch 1,4,16"
 	data, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		t.Fatal(err)

@@ -64,34 +64,8 @@ func DeprecatedAlias(fs *flag.FlagSet, old, canonical string) {
 		old, fmt.Sprintf("deprecated alias for -%s", canonical))
 }
 
-// ShardList is the -shards value: one or more worker-shard counts. Tools
-// that run a single simulation (tyrsim, tyrc) take one count via
-// ShardCount; tyrexp bench sweeps the whole list. The zero value means
-// "unset" — one shard, sequential execution.
-type ShardList []int
-
-func (s *ShardList) String() string {
-	parts := make([]string, len(*s))
-	for i, n := range *s {
-		parts[i] = strconv.Itoa(n)
-	}
-	return strings.Join(parts, ",")
-}
-
-// Set parses a comma-separated list of positive shard counts.
-func (s *ShardList) Set(v string) error {
-	out, err := parsePosList(v, "shard count")
-	if err != nil {
-		return err
-	}
-	*s = out
-	return nil
-}
-
-// BatchList is the -batch value: one or more lockstep batch widths.
-// Tools that run a single simulation take one width via BatchWidth;
-// tyrexp bench sweeps the whole list. The zero value means "unset" — no
-// batching.
+// BatchList is the value of tyrexp bench's -batch: one or more lockstep
+// batch widths to sweep. The zero value means "unset" — no batching.
 type BatchList []int
 
 func (b *BatchList) String() string {
@@ -104,84 +78,29 @@ func (b *BatchList) String() string {
 
 // Set parses a comma-separated list of positive batch widths.
 func (b *BatchList) Set(v string) error {
-	out, err := parsePosList(v, "batch width")
-	if err != nil {
-		return err
-	}
-	*b = out
-	return nil
-}
-
-func parsePosList(v, what string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(v, ",") {
 		f = strings.TrimSpace(f)
 		n, err := strconv.Atoi(f)
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("%s %q: want a positive integer", what, f)
+			return fmt.Errorf("batch width %q: want a positive integer", f)
 		}
 		out = append(out, n)
 	}
-	return out, nil
+	*b = out
+	return nil
 }
 
-// Machine groups the system-selection flags: -width, -tags, -shards, and
-// -batch, plus -system (with the deprecated -sys alias) when defSystem is
-// non-empty.
+// Machine groups the system-selection flags: -width and -tags, plus
+// -system (with the deprecated -sys alias) when defSystem is non-empty.
 type Machine struct {
 	System string
 	Width  int
 	Tags   int
-	Shards ShardList
-	Batch  BatchList
-}
-
-// ShardCount resolves -shards for tools that run one simulation: the
-// single listed count, 1 when the flag was not used, and an error when a
-// sweep list was given.
-func (m *Machine) ShardCount() (int, error) {
-	switch len(m.Shards) {
-	case 0:
-		return 1, nil
-	case 1:
-		return m.Shards[0], nil
-	}
-	return 0, fmt.Errorf("-shards takes a single count here (got %s); lists are for tyrexp bench sweeps", m.Shards.String())
-}
-
-// BatchWidth resolves -batch for tools that run one simulation: the
-// single listed width, 1 when the flag was not used, and an error when a
-// sweep list was given.
-func (m *Machine) BatchWidth() (int, error) {
-	switch len(m.Batch) {
-	case 0:
-		return 1, nil
-	case 1:
-		return m.Batch[0], nil
-	}
-	return 0, fmt.Errorf("-batch takes a single width here (got %s); lists are for tyrexp bench sweeps", m.Batch.String())
-}
-
-// ExecSpec converts the scheduling flags into the request's exec block:
-// nil when neither -shards nor -batch was used.
-func (m *Machine) ExecSpec() (*api.ExecSpec, error) {
-	shards, err := m.ShardCount()
-	if err != nil {
-		return nil, err
-	}
-	batch, err := m.BatchWidth()
-	if err != nil {
-		return nil, err
-	}
-	if shards <= 1 && batch <= 1 {
-		return nil, nil
-	}
-	return &api.ExecSpec{Shards: shards, Batch: batch}, nil
 }
 
 // RegisterMachine registers the machine group on fs. Tools that sweep all
-// systems (tyrexp experiments) pass defSystem "" to get only
-// -width/-tags/-shards/-batch.
+// systems (tyrexp experiments) pass defSystem "" to get only -width/-tags.
 func RegisterMachine(fs *flag.FlagSet, defSystem string) *Machine {
 	m := &Machine{}
 	if defSystem != "" {
@@ -190,8 +109,6 @@ func RegisterMachine(fs *flag.FlagSet, defSystem string) *Machine {
 	}
 	fs.IntVar(&m.Width, "width", 128, "issue width")
 	fs.IntVar(&m.Tags, "tags", 64, "TYR tags per local tag space")
-	fs.Var(&m.Shards, "shards", "worker shards for the tagged engines, bit-identical to sequential (default 1; tyrexp bench takes a comma list to sweep)")
-	fs.Var(&m.Batch, "batch", "lockstep batch width for duplicate-workload runs, bit-identical per instance (default 1; tyrexp bench takes a comma list to sweep)")
 	return m
 }
 

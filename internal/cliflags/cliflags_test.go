@@ -49,53 +49,42 @@ func TestCanonicalSpellingDoesNotWarn(t *testing.T) {
 	}
 }
 
-func TestShardList(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	m := RegisterMachine(fs, "")
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := m.ShardCount(); err != nil || n != 1 {
-		t.Errorf("unset -shards: ShardCount() = %d, %v; want 1, nil", n, err)
-	}
-
-	fs = flag.NewFlagSet("t", flag.ContinueOnError)
-	m = RegisterMachine(fs, "")
-	if err := fs.Parse([]string{"-shards", "4"}); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := m.ShardCount(); err != nil || n != 4 {
-		t.Errorf("-shards 4: ShardCount() = %d, %v; want 4, nil", n, err)
-	}
-
-	fs = flag.NewFlagSet("t", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	m = RegisterMachine(fs, "")
-	if err := fs.Parse([]string{"-shards", "1, 2,4,8"}); err != nil {
-		t.Fatal(err)
-	}
-	want := ShardList{1, 2, 4, 8}
-	if len(m.Shards) != len(want) {
-		t.Fatalf("sweep list = %v, want %v", m.Shards, want)
-	}
-	for i := range want {
-		if m.Shards[i] != want[i] {
-			t.Fatalf("sweep list = %v, want %v", m.Shards, want)
+// TestRegisterMachineOmitsBatchAndShards pins that the shared machine
+// group defines only flags every tool reads: -shards is gone with sharded
+// execution, and -batch belongs to tyrexp bench alone.
+func TestRegisterMachineOmitsBatchAndShards(t *testing.T) {
+	for _, def := range []string{"", "tyr"} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		RegisterMachine(fs, def)
+		for _, name := range []string{"batch", "shards"} {
+			if fs.Lookup(name) != nil {
+				t.Errorf("RegisterMachine(%q) defines -%s", def, name)
+			}
 		}
 	}
-	if m.Shards.String() != "1,2,4,8" {
-		t.Errorf("String() = %q, want %q", m.Shards.String(), "1,2,4,8")
-	}
-	if _, err := m.ShardCount(); err == nil {
-		t.Error("ShardCount() on a sweep list must error for single-run tools")
-	}
+}
 
+func TestBatchList(t *testing.T) {
+	var b BatchList
+	if err := b.Set("1, 2,4,16"); err != nil {
+		t.Fatal(err)
+	}
+	want := BatchList{1, 2, 4, 16}
+	if len(b) != len(want) {
+		t.Fatalf("sweep list = %v, want %v", b, want)
+	}
+	for i := range want {
+		if b[i] != want[i] {
+			t.Fatalf("sweep list = %v, want %v", b, want)
+		}
+	}
+	if b.String() != "1,2,4,16" {
+		t.Errorf("String() = %q, want %q", b.String(), "1,2,4,16")
+	}
 	for _, bad := range []string{"0", "-1", "x", "2,,4", "2,zero"} {
-		fs = flag.NewFlagSet("t", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		m = RegisterMachine(fs, "")
-		if err := fs.Parse([]string{"-shards", bad}); err == nil {
-			t.Errorf("-shards %q: expected a parse error, got %v", bad, m.Shards)
+		var b BatchList
+		if err := b.Set(bad); err == nil {
+			t.Errorf("-batch %q: expected a parse error, got %v", bad, b)
 		}
 	}
 }

@@ -13,12 +13,12 @@ import (
 // tag pools and maps, calendar queues, ready deques, counters — already
 // lives on the per-instance machine struct, so instances are isolated by
 // construction and each one's Result is bit-identical to a serial run of
-// that instance alone (the same equivalence discipline as sharding,
-// enforced by the differential suite and committed golden digests). What
-// the batch shares is everything read-only: the graph itself and the
-// graphPlan's firing metadata (constant prefills, bitset widths,
-// reserves, region indices), so graph traversal and dispatch state stay
-// hot across instances the way vector lanes amortize instruction fetch.
+// that instance alone (enforced by the differential suite and committed
+// golden digests). What the batch shares is everything read-only: the
+// graph itself and the graphPlan's firing metadata (constant prefills,
+// bitset widths, reserves, region indices), so graph traversal and
+// dispatch state stay hot across instances the way vector lanes amortize
+// instruction fetch.
 //
 // Instances retire independently: a finished (or failed, or cancelled)
 // instance clears its bit in the active-instance bitset and the batch
@@ -59,9 +59,8 @@ const maxBatch = 1024
 // instances, mismatched memory layouts, invalid policy configuration) and
 // nothing ran.
 //
-// Instances run their sequential cycle loops interleaved one cycle at a
-// time; Shards is ignored inside a batch (each instance runs the
-// single-goroutine loop, which sharding is bit-identical to).
+// Instances run the machine's one cycle loop (stepCycle) interleaved one
+// cycle at a time.
 func RunBatch(g *dfg.Graph, insts []BatchInstance) ([]BatchOutcome, error) {
 	if len(insts) == 0 {
 		return nil, fmt.Errorf("core: empty batch")

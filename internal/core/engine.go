@@ -149,12 +149,6 @@ type machine struct {
 	// san is the runtime sanitizer, nil unless Config.Sanitize is set.
 	san *sanitizer
 
-	// sh is the shard coordinator, nil on the sequential path. When set,
-	// emit and emitAllDelayed route through keyed mailboxes instead of
-	// the outbox/delayed queue (see shard.go); everything else the
-	// scheduling walk reuses from this file runs unchanged.
-	sh *sharder
-
 	done      bool
 	resultVal int64
 }
@@ -199,9 +193,6 @@ func Run(g *dfg.Graph, im *mem.Image, cfg Config) (Result, error) {
 	m, err := newMachine(g, im, cfg)
 	if err != nil {
 		return Result{}, err
-	}
-	if s := cfg.effectiveShards(len(g.Blocks)); s > 1 {
-		return m.runSharded(s)
 	}
 	return m.run()
 }
@@ -554,11 +545,7 @@ func (m *machine) pendingIndex(space dfg.BlockID) dfg.BlockID {
 //
 //tyr:hotpath
 func (m *machine) emit(src dfg.NodeID, to dfg.Port, tag uint64, val int64) {
-	if m.sh != nil {
-		m.sh.route(src, to, tag, val)
-	} else {
-		m.outbox = append(m.outbox, token{to: to, src: src, tag: tag, val: val})
-	}
+	m.outbox = append(m.outbox, token{to: to, src: src, tag: tag, val: val})
 	m.live++
 	blk := m.g.Nodes[to.Node].Block
 	m.liveByBlock[blk]++
@@ -611,10 +598,6 @@ func (m *machine) memLatency(kind mem.AccessKind, nid dfg.NodeID, addr int64) in
 //
 //tyr:hotpath
 func (m *machine) emitAllDelayed(n *dfg.Node, out int, tag uint64, val int64, due int64) {
-	if m.sh != nil {
-		m.sh.routeDelayed(n, out, tag, val, due)
-		return
-	}
 	for _, d := range n.Outs[out] {
 		m.delayed.Push(due, token{to: d, src: n.ID, tag: tag, val: val})
 		m.live++

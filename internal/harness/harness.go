@@ -77,20 +77,6 @@ type SysConfig struct {
 	// for the graph machines, dynamic instructions for the interpreter-
 	// driven baselines (vN, seqdf). Zero keeps the engine default.
 	MaxCycles int64
-	// Shards splits the tagged engines (tyr/unordered) across worker
-	// goroutines with results bit-identical to the single-goroutine run
-	// (core.Config.Shards); runs with a Tracer, Sanitize, or Cache
-	// attached are forced serial by the engine. The other systems are
-	// serial by construction (vN and seqdf interpret one instruction
-	// stream; ordered's FIFO discipline is the serialization under
-	// study) and ignore the setting. 0 or 1 = sequential.
-	Shards int
-	// Batch is the lockstep batch width B for callers that group several
-	// runs of one compiled graph into a single worker (RunBatch, the
-	// serving coalescer). Run itself ignores it — a single run has
-	// nothing to batch with — but the field carries the knob through the
-	// one config surface (api exec.batch → here). 0 or 1 = no batching.
-	Batch int
 	// Compiler, when non-nil, supplies compiled graphs in place of the
 	// default compile calls — the serving layer injects its LRU cache of
 	// compiled graphs here. Implementations must return graphs that are
@@ -344,8 +330,6 @@ func coreConfigFor(system string, cfg SysConfig) core.Config {
 		Sanitize:    cfg.Sanitize,
 		Tracer:      cfg.Tracer,
 		Stop:        cfg.Stop,
-		Shards:      cfg.Shards,
-		BatchSize:   cfg.Batch,
 	}
 	if system == SysTyr {
 		ecfg.Policy = core.PolicyTyr

@@ -107,7 +107,6 @@ func DefaultPolicy() Policy {
 			"repro/internal/seqdf",
 			"repro/internal/vn",
 			"repro/internal/prog",
-			"repro/internal/shard", // mailboxes/barriers feed the engine's determinism contract
 		},
 		CycleLoopPkgs: []string{
 			"repro/internal/core",

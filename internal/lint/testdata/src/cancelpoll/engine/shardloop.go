@@ -2,7 +2,7 @@ package engine
 
 import "fix/cancel"
 
-// The sharded-engine shape: the coordinator releases phases and each
+// The phase-gated worker shape: a coordinator releases phases and each
 // worker runs a gated loop. Both are //tyr:cycleloop obligations — a
 // stopped run must park within one phase, so every worker polls the
 // flag each time its gate opens.
@@ -11,7 +11,7 @@ type gate struct{ ch chan uint32 }
 
 func (g *gate) wait() uint32 { return <-g.ch }
 
-// worker is the good sharded case: a declared method (not a closure —
+// worker is the good gated case: a declared method (not a closure —
 // closures are excluded from the poll by design), polling the flag
 // inside its gated loop before doing phase work.
 //
@@ -28,7 +28,7 @@ func worker(g *gate, stop *cancel.Flag, work func(uint32)) {
 	}
 }
 
-// freeRunner is the bad sharded case: the gate sequences it, but once
+// freeRunner is the bad gated case: the gate sequences it, but once
 // released it never consults the flag — a stopped run spins on.
 //
 //tyr:cycleloop

@@ -1,10 +1,9 @@
 package hot
 
-// The inter-shard mailbox shape: push into a fixed ring with overflow
-// spilling into a retained slice, drain via cursors. The real thing is
-// internal/shard.Ring; this fixture pins what the analyzer must accept
-// (amortized appends into retained backing, index arithmetic) and what
-// it must reject (per-push allocation).
+// The mailbox shape: push into a fixed ring with overflow spilling into a
+// retained slice, drain via cursors. This fixture pins what the analyzer
+// must accept (amortized appends into retained backing, index arithmetic)
+// and what it must reject (per-push allocation).
 
 type mailbox struct {
 	buf        []int64

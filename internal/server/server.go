@@ -287,9 +287,10 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, code int, er
 	var ve *api.ValidationError
 	if errors.As(err, &ve) {
 		body.Fields = ve.Fields
-		// Deprecation notes (e.g. top-level "shards" vs exec.shards) ride
-		// the structured error body so clients migrating the API surface
-		// see the guidance on the same 400 that rejected them.
+		// Migration notes (e.g. top-level "timeout_ms" vs
+		// exec.deadline_ms, or the retired exec.shards) ride the
+		// structured error body so clients migrating the API surface see
+		// the guidance on the same 400 that rejected them.
 		body.Notes = ve.Notes
 	}
 	writeJSON(w, code, body)

@@ -305,6 +305,51 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestRetiredShards pins what an old client that still sends exec.shards
+// gets from the real handler: above 1 is a structured 400 on that field
+// with the migration note, and 1 (one goroutine) still runs and checks.
+func TestRetiredShards(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	post := func(exec string) (int, []byte) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json",
+			strings.NewReader(`{"app":"dmv","scale":"tiny","system":"tyr","exec":`+exec+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
+	}
+
+	code, body := post(`{"shards":2}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("shards=2: status = %d, want 400; body: %s", code, body)
+	}
+	var eb api.ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil {
+		t.Fatal(err)
+	}
+	if len(eb.Fields) != 1 || eb.Fields[0].Field != "exec.shards" {
+		t.Errorf("shards=2: want a single exec.shards field error, got %+v", eb.Fields)
+	}
+	if len(eb.Notes) != 1 || !strings.Contains(eb.Notes[0], "exec.shards is retired") {
+		t.Errorf("shards=2: want the migration note, got %q", eb.Notes)
+	}
+
+	code, body = post(`{"shards":1}`)
+	if code != http.StatusOK {
+		t.Fatalf("shards=1: status = %d, want 200; body: %s", code, body)
+	}
+	var rr api.RunResult
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if !rr.Checked || !rr.Stats.Completed {
+		t.Errorf("shards=1: checked=%v completed=%v, want both true", rr.Checked, rr.Stats.Completed)
+	}
+}
+
 // TestOverloadSheds asserts that with the single worker pinned and the queue
 // full, the next request is rejected with 429 instead of queueing unbounded.
 func TestOverloadSheds(t *testing.T) {
