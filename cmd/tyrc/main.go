@@ -3,29 +3,25 @@
 //
 // Usage:
 //
-//	tyrc [-system tyr] [-tags 64] [-width 128] [-O] [-arg N]... [-emit asm|dot|ir|bin]
+//	tyrc [-system tyr] [-tags 64] [-width 128] [-O] [-arg N]... [-emit asm|dot|ir]
 //	     [-o out] [-vet] [-trace out.json] [-profile]
 //	     [-cache] [-l1 sets=32,ways=2,line=4,lat=1] [-l2 ...] prog.tyr
 //
 // The program runs against its declared memory regions (zero-filled) and
 // the result plus machine metrics are printed. -emit stops after
-// compilation and prints the requested form; -emit bin writes the compiled
-// graph as a tyr-graph/v1 binary artifact (internal/graphio) stamped with
-// the same source hash tyrd's compiled-graph cache derives, so the artifact
-// can seed a tyrd -cache-dir directory or feed tyrsim -graph without
-// recompiling. -o redirects any emitted form to a file (recommended for
-// bin, which is not text). -vet runs the static verifier
-// (free barriers, tag safety, memory-ordering races) on the tagged lowering
-// and exits nonzero if any pass finds a definite violation. Results are
-// cross-checked against the reference interpreter unless -emit or -vet is
-// used. -trace records the run's event stream as Chrome trace-event JSON;
-// -profile prints the critical-path profile.
+// compilation and prints the requested form; -emit asm is the text
+// serialization that tyrsim -graph loads back. -o redirects any emitted
+// form to a file. -vet runs the static verifier (free barriers, tag
+// safety, memory-ordering races) on the tagged lowering and exits nonzero
+// if any pass finds a definite violation. Results are cross-checked
+// against the reference interpreter unless -emit or -vet is used. -trace
+// records the run's event stream as Chrome trace-event JSON; -profile
+// prints the critical-path profile.
 //
 // The run flags assemble a tyr-api/v1 request (internal/api) and execute
 // through the same harness entry point as the tyrd service, so a tyrc
 // invocation and a curl against /v1/run mean the same simulation. Shared
-// flag groups live in internal/cliflags; -sys remains a deprecated alias
-// for -system.
+// flag groups live in internal/cliflags.
 package main
 
 import (
@@ -39,7 +35,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cliflags"
 	"repro/internal/compile"
-	"repro/internal/graphio"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/prog"
@@ -61,7 +56,7 @@ func (a *argList) Set(s string) error {
 func main() {
 	machine := cliflags.RegisterMachine(flag.CommandLine, "tyr")
 	optimize := flag.Bool("O", false, "run the optimizer (fold, simplify, DCE) before compiling")
-	emit := flag.String("emit", "", "emit a compiled form and exit: asm, dot, ir, or bin")
+	emit := flag.String("emit", "", "emit a compiled form and exit: asm, dot, or ir")
 	out := flag.String("o", "", "write -emit output to this file instead of stdout")
 	vet := flag.Bool("vet", false, "statically verify the compiled graph (free barriers, tag safety, races) and exit")
 	obs := cliflags.RegisterObserve(flag.CommandLine)
@@ -107,32 +102,22 @@ func main() {
 		switch *emit {
 		case "ir":
 			data = []byte(prog.Format(p))
-		case "asm", "dot", "bin":
-			lowering, lower := "tagged", compile.Tagged
+		case "asm", "dot":
+			lower := compile.Tagged
 			if machine.System == "ordered" {
-				lowering, lower = "ordered", compile.Ordered
+				lower = compile.Ordered
 			}
 			g, err := lower(p, compile.Options{EntryArgs: args})
 			if err != nil {
 				fail(err)
 			}
-			switch *emit {
-			case "dot":
+			if *emit == "dot" {
 				data = []byte(g.Dot())
-			case "asm":
-				data, err = g.MarshalText()
-				if err != nil {
-					fail(err)
-				}
-			case "bin":
-				// Stamp the artifact with the content hash tyrd derives
-				// for this (lowering, formatted IR, args) — the artifact's
-				// address in a shared cache directory.
-				src := graphio.HashSource(lowering, prog.Format(p), args)
-				data = graphio.Encode(g, src)
+			} else if data, err = g.MarshalText(); err != nil {
+				fail(err)
 			}
 		default:
-			fail(fmt.Errorf("unknown emit %q (want asm, dot, ir, bin)", *emit))
+			fail(fmt.Errorf("unknown emit %q (want asm, dot, ir)", *emit))
 		}
 		if *out != "" {
 			if err := os.WriteFile(*out, data, 0o644); err != nil {

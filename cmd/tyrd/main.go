@@ -3,7 +3,7 @@
 // the /v1/debug/requests flight-recorder dumps.
 //
 //	tyrd [-addr :8080] [-workers N] [-queue N] [-timeout 30s] [-cache-size 64]
-//	     [-cache-dir DIR] [-batch N] [-batch-window 2ms]
+//	     [-batch N] [-batch-window 2ms]
 //	     [-peers host:port,...] [-partial-timeout 60s] [-peer-retries 1]
 //	     [-debug-addr 127.0.0.1:8081] [-flight-ring 64] [-flight-slow 500ms]
 //	     [-flight-sample 64] [-flight-trace-events 8192]
@@ -18,12 +18,6 @@
 // it any sooner. A request can lower its own batch's width with
 // exec.batch (exec.batch=1 opts out). See the README's "Batched serving"
 // runbook.
-//
-// -cache-dir spills the compiled-graph LRU to a content-addressed artifact
-// directory of tyr-graph/v1 files keyed by source hash: restarts — and any
-// other instance pointed at the same directory — skip recompiling programs
-// seen before. Artifacts are digest-verified on every read; anything
-// corrupt is deleted and recompiled (see internal/server/cachedir).
 //
 // -peers turns the instance into a fleet coordinator: a full-grid /v1/sweep
 // is split into contiguous cell-range partials fanned out to the peers
@@ -66,7 +60,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/server/cachedir"
 )
 
 func main() {
@@ -76,7 +69,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "upper bound on a request's timeout_ms")
 	cacheSize := flag.Int("cache-size", 64, "compiled-graph LRU capacity")
-	cacheDir := flag.String("cache-dir", "", "content-addressed on-disk compiled-graph cache directory (empty = memory only)")
 	peers := flag.String("peers", "", "comma-separated peer tyrd addresses (host:port) to fan sweeps out to (empty = single instance)")
 	partialTimeout := flag.Duration("partial-timeout", 60*time.Second, "per-partial deadline for fanned-out sweep requests")
 	peerRetries := flag.Int("peer-retries", 1, "remote re-sheds per failed sweep partial before it runs locally")
@@ -92,14 +84,6 @@ func main() {
 	flag.Parse()
 
 	log := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	var disk *cachedir.Store
-	if *cacheDir != "" {
-		var err error
-		if disk, err = cachedir.Open(*cacheDir, nil); err != nil {
-			log.Error("opening cache dir", "dir", *cacheDir, "err", err)
-			os.Exit(1)
-		}
-	}
 	var peerList []string
 	for _, p := range strings.Split(*peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
@@ -112,7 +96,6 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		GraphCacheSize: *cacheSize,
-		DiskCache:      disk,
 		Peers:          peerList,
 		PartialTimeout: *partialTimeout,
 		PeerRetries:    *peerRetries,

@@ -33,8 +33,7 @@
 //
 // Every subcommand also takes -cpuprofile/-memprofile to capture pprof
 // profiles of the run (see internal/profflag). Shared flag groups live in
-// internal/cliflags; -sys (for -system) and trace's -out (for -trace)
-// remain as deprecated aliases that warn once.
+// internal/cliflags.
 package main
 
 import (
@@ -186,7 +185,6 @@ func runTrace(args []string) {
 	machine := cliflags.RegisterMachine(fs, "tyr")
 	scale := cliflags.RegisterScale(fs, "tiny")
 	obs := cliflags.RegisterObserve(fs)
-	cliflags.DeprecatedAlias(fs, "out", "trace")
 	validate := fs.String("validate", "", "validate an existing Chrome trace JSON file and exit")
 	prof := profflag.Register(fs)
 	fs.Parse(args)

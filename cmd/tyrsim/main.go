@@ -4,22 +4,21 @@
 // Usage:
 //
 //	tyrsim -app spmspm -system tyr [-scale small] [-width 128] [-tags 64]
-//	       [-global-tags 8] [-plot] [-check]
-//	       [-bin graph.tyrg] [-graph graph.tyrg]
+//	       [-global-tags 8] [-plot] [-check] [-graph graph.asm]
 //	       [-cache] [-l1 sets=32,ways=2,line=4,lat=1] [-l2 ...] [-mem-lat 30] [-mshrs 8]
 //	       [-trace out.json] [-profile] [-heat] [-json telemetry.json]
 //	       [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// -bin writes the compiled graph as a tyr-graph/v1 binary artifact
-// (internal/graphio) and exits; -graph runs a pre-compiled graph loaded
-// from a tyr-graph/v1 or assembly-text file instead of compiling (binary
-// artifacts are digest-verified on load, and every loaded graph passes the
-// structural validator before it reaches an engine; graph systems only).
+// -graph runs a graph loaded from an assembly-text file (the form -asm and
+// tyrc -emit asm print) instead of compiling; graph systems only. The
+// loaded graph passes the structural validator before it reaches an
+// engine, and -check, -blocks, -heat, -asm and -dot inspect that graph,
+// not a fresh compile.
 //
 // The flags assemble a tyr-api/v1 request (internal/api) — the same surface
 // the tyrd service speaks — so a tyrsim invocation and a curl against
 // /v1/run mean the same simulation. Shared flag groups live in
-// internal/cliflags; -sys remains a deprecated alias for -system.
+// internal/cliflags.
 //
 // -system accepts vN, seqdf, ordered, unordered, tyr. With -global-tags N,
 // the unordered system uses a bounded global pool (the Fig. 11 deadlock
@@ -39,7 +38,7 @@
 // -memprofile capture pprof profiles of the simulator itself (see
 // internal/profflag) — e.g.
 //
-//	tyrsim -app spmspm -sys tyr -cpuprofile cpu.out && go tool pprof -top cpu.out
+//	tyrsim -app spmspm -system tyr -cpuprofile cpu.out && go tool pprof -top cpu.out
 package main
 
 import (
@@ -54,18 +53,17 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/dfg"
-	"repro/internal/graphio"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/profflag"
-	"repro/internal/prog"
 	"repro/internal/trace"
 )
 
-// fixedGraph is the -graph GraphSource: every lookup returns the one graph
-// loaded from disk, regardless of lowering (the file's lowering is the
-// user's responsibility; the validator and the reference cross-check catch
-// a mismatch).
+// fixedGraph is the GraphSource for a graph resolved before the run:
+// every lookup returns that one graph, regardless of lowering, so the run
+// executes exactly the graph -check vetted and -blocks and -heat report
+// on. A -graph file's lowering is the user's responsibility; the validator
+// and the reference cross-check catch a mismatch.
 type fixedGraph struct{ g *dfg.Graph }
 
 func (f fixedGraph) Tagged(*apps.App) (*dfg.Graph, error)  { return f.g, nil }
@@ -83,8 +81,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write the run's stats as tyr-telemetry/v1 JSON to this path")
 	dot := flag.Bool("dot", false, "print the compiled dataflow graph in Graphviz dot form and exit")
 	asm := flag.Bool("asm", false, "print the compiled dataflow graph in assembly form and exit")
-	binPath := flag.String("bin", "", "write the compiled dataflow graph as a tyr-graph/v1 binary artifact to this path and exit")
-	graphPath := flag.String("graph", "", "run a pre-compiled graph loaded from this path (tyr-graph/v1 binary or assembly text; graph systems only)")
+	graphPath := flag.String("graph", "", "run the graph in this assembly-text file instead of compiling (graph systems only)")
 	list := flag.Bool("list", false, "list the available workloads and exit")
 	blocks := flag.Bool("blocks", false, "print per-block tag usage and live state (tyr/unordered only)")
 	check := flag.Bool("check", false, "run the static verifier before executing and the runtime sanitizer during execution")
@@ -138,63 +135,50 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *dot || *asm || *binPath != "" {
-		lowering, lower := "tagged", compile.Tagged
-		if machine.System == harness.SysOrdered {
-			lowering, lower = "ordered", compile.Ordered
-		}
-		g, err := lower(app.Prog, compile.Options{EntryArgs: app.Args})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)
-			os.Exit(1)
-		}
-		switch {
-		case *dot:
-			fmt.Print(g.Dot())
-		case *asm:
-			text, err := g.MarshalText()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(text)
-		default:
-			// The artifact is stamped with the same content hash tyrd's
-			// compiled-graph cache derives, so it can seed a -cache-dir
-			// directory directly.
-			src := graphio.HashSource(lowering, prog.Format(app.Prog), app.Args)
-			if err := graphio.WriteFile(*binPath, g, src); err != nil {
-				fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%s %s) to %s\n", graphio.FormatName, lowering, app.Name, *binPath)
-		}
-		return
-	}
-
-	cfg := plan.Cfg
+	// Resolve the one graph this invocation inspects and runs: the -graph
+	// file when set, otherwise the system's lowering (ordered for ordered,
+	// tagged for every other system) when a flag looks at the graph.
+	// Without either, the harness compiles as usual.
+	var g *dfg.Graph
 	if *graphPath != "" {
 		if machine.System == harness.SysVN || machine.System == harness.SysSeqDF {
 			fmt.Fprintf(os.Stderr, "tyrsim: -graph needs a graph system (ordered, unordered, tyr), not %s\n", machine.System)
 			os.Exit(2)
 		}
-		g, _, err := graphio.LoadFile(*graphPath)
+		g, err = loadGraph(*graphPath, machine.System)
+	} else if *dot || *asm || *check || *blocks || *heat {
+		lower := compile.Tagged
+		if machine.System == harness.SysOrdered {
+			lower = compile.Ordered
+		}
+		g, err = lower(app.Prog, compile.Options{EntryArgs: app.Args})
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)
+		os.Exit(1)
+	}
+
+	switch {
+	case *dot:
+		fmt.Print(g.Dot())
+		return
+	case *asm:
+		text, err := g.MarshalText()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)
 			os.Exit(1)
 		}
-		mode := dfg.ModeTagged
-		if machine.System == harness.SysOrdered {
-			mode = dfg.ModeOrdered
-		}
-		if err := g.Validate(mode); err != nil {
-			fmt.Fprintf(os.Stderr, "tyrsim: %s: %v\n", *graphPath, err)
-			os.Exit(1)
-		}
-		// The loaded graph replaces the compiler for this run; the result
-		// is still cross-checked against the reference interpreter running
-		// app.Prog, so a graph that does not implement the selected
-		// workload fails validation rather than passing silently.
+		os.Stdout.Write(text)
+		return
+	}
+
+	cfg := plan.Cfg
+	if g != nil {
+		// The run executes g itself, so -check, -blocks and -heat describe
+		// the graph that ran. A loaded graph is still cross-checked against
+		// the reference interpreter running app.Prog, so one that does not
+		// implement the selected workload fails validation rather than
+		// passing silently.
 		cfg.Compiler = fixedGraph{g: g}
 	}
 	var rec *trace.Recorder
@@ -212,17 +196,6 @@ func main() {
 	}
 
 	if *check {
-		var g *dfg.Graph
-		var err error
-		if machine.System == harness.SysOrdered {
-			g, err = compile.Ordered(app.Prog, compile.Options{EntryArgs: app.Args})
-		} else {
-			g, err = compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)
-			os.Exit(1)
-		}
 		rep := analysis.Vet(g, app.Prog)
 		fmt.Print(rep)
 		if !rep.OK() {
@@ -240,11 +213,6 @@ func main() {
 
 	var spaces []core.SpaceStats
 	if *blocks && (machine.System == harness.SysTyr || machine.System == harness.SysUnordered) {
-		g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)
-			os.Exit(1)
-		}
 		ecfg := core.Config{IssueWidth: machine.Width, LoadLatency: 0}
 		if machine.System == harness.SysTyr {
 			ecfg.Policy = core.PolicyTyr
@@ -336,17 +304,6 @@ func main() {
 		fmt.Print(trace.ComputeProfile(rec).Render())
 	}
 	if *heat {
-		var g *dfg.Graph
-		var err error
-		if machine.System == harness.SysOrdered {
-			g, err = compile.Ordered(app.Prog, compile.Options{EntryArgs: app.Args})
-		} else {
-			g, err = compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)
-			os.Exit(1)
-		}
 		fmt.Print(g.DotHeat(trace.FireCounts(rec, len(g.Nodes))))
 	}
 	if *jsonPath != "" {
@@ -368,4 +325,26 @@ func main() {
 	if rs.Completed {
 		fmt.Println("output validated against native reference: OK")
 	}
+}
+
+// loadGraph reads an assembly-text graph and validates it in the mode the
+// system's engine runs (ordered for ordered, tagged otherwise), so a
+// malformed or mis-lowered file is rejected before any engine sees it.
+func loadGraph(path, system string) (*dfg.Graph, error) {
+	text, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	g, err := dfg.ParseGraph(text)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	mode := dfg.ModeTagged
+	if system == harness.SysOrdered {
+		mode = dfg.ModeOrdered
+	}
+	if err := g.Validate(mode); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return g, nil
 }

@@ -2,67 +2,16 @@
 // and tyrexp CLIs, so every tool spells the same knob the same way and the
 // values flow into the tyr-api/v1 request surface (internal/api) rather
 // than tool-local ad-hoc structs.
-//
-// Renamed flags keep their old spelling as a deprecated alias that warns
-// once on stderr: -sys still works everywhere -system does.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
-	"io"
-	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/api"
 )
-
-// warnOut is stderr, swapped out by tests.
-var warnOut io.Writer = os.Stderr
-
-// deprecated forwards a legacy spelling to its canonical flag, warning once.
-type deprecated struct {
-	old, canonical string
-	target         flag.Value
-	warned         *bool
-}
-
-func (d deprecated) String() string {
-	if d.target == nil {
-		return ""
-	}
-	return d.target.String()
-}
-
-func (d deprecated) Set(s string) error {
-	if !*d.warned {
-		fmt.Fprintf(warnOut, "warning: -%s is deprecated; use -%s\n", d.old, d.canonical)
-		*d.warned = true
-	}
-	return d.target.Set(s)
-}
-
-// IsBoolFlag lets a deprecated alias of a boolean flag keep the bare `-flag`
-// spelling (no explicit value).
-func (d deprecated) IsBoolFlag() bool {
-	type boolFlag interface{ IsBoolFlag() bool }
-	if b, ok := d.target.(boolFlag); ok {
-		return b.IsBoolFlag()
-	}
-	return false
-}
-
-// DeprecatedAlias registers old as a warn-once alias for the already
-// registered canonical flag.
-func DeprecatedAlias(fs *flag.FlagSet, old, canonical string) {
-	f := fs.Lookup(canonical)
-	if f == nil {
-		panic(fmt.Sprintf("cliflags: alias -%s targets unregistered flag -%s", old, canonical))
-	}
-	fs.Var(deprecated{old: old, canonical: canonical, target: f.Value, warned: new(bool)},
-		old, fmt.Sprintf("deprecated alias for -%s", canonical))
-}
 
 // BatchList is the value of tyrexp bench's -batch: one or more lockstep
 // batch widths to sweep. The zero value means "unset" — no batching.
@@ -92,7 +41,7 @@ func (b *BatchList) Set(v string) error {
 }
 
 // Machine groups the system-selection flags: -width and -tags, plus
-// -system (with the deprecated -sys alias) when defSystem is non-empty.
+// -system when defSystem is non-empty.
 type Machine struct {
 	System string
 	Width  int
@@ -105,7 +54,6 @@ func RegisterMachine(fs *flag.FlagSet, defSystem string) *Machine {
 	m := &Machine{}
 	if defSystem != "" {
 		fs.StringVar(&m.System, "system", defSystem, "system: vN, seqdf, ordered, unordered, tyr")
-		DeprecatedAlias(fs, "sys", "system")
 	}
 	fs.IntVar(&m.Width, "width", 128, "issue width")
 	fs.IntVar(&m.Tags, "tags", 64, "TYR tags per local tag space")

@@ -2,40 +2,10 @@ package cliflags
 
 import (
 	"flag"
-	"io"
-	"strings"
 	"testing"
 )
 
-func TestDeprecatedAliasWarnsOnce(t *testing.T) {
-	var buf strings.Builder
-	old := warnOut
-	warnOut = &buf
-	defer func() { warnOut = old }()
-
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	m := RegisterMachine(fs, "tyr")
-	if err := fs.Parse([]string{"-sys", "ordered", "-sys", "vN"}); err != nil {
-		t.Fatal(err)
-	}
-	if m.System != "vN" {
-		t.Errorf("alias did not forward: system = %q", m.System)
-	}
-	if n := strings.Count(buf.String(), "deprecated"); n != 1 {
-		t.Errorf("warned %d times, want once:\n%s", n, buf.String())
-	}
-	if !strings.Contains(buf.String(), "-sys") || !strings.Contains(buf.String(), "-system") {
-		t.Errorf("warning does not name both spellings: %q", buf.String())
-	}
-}
-
 func TestCanonicalSpellingDoesNotWarn(t *testing.T) {
-	var buf strings.Builder
-	old := warnOut
-	warnOut = &buf
-	defer func() { warnOut = old }()
-
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	m := RegisterMachine(fs, "tyr")
 	if err := fs.Parse([]string{"-system", "seqdf", "-width", "4", "-tags", "2"}); err != nil {
@@ -44,19 +14,17 @@ func TestCanonicalSpellingDoesNotWarn(t *testing.T) {
 	if m.System != "seqdf" || m.Width != 4 || m.Tags != 2 {
 		t.Errorf("machine group = %+v", m)
 	}
-	if buf.Len() != 0 {
-		t.Errorf("unexpected warning: %q", buf.String())
-	}
 }
 
-// TestRegisterMachineOmitsBatchAndShards pins that the shared machine
+// TestRegisterMachineOmitsBatchShardsAndSys pins that the shared machine
 // group defines only flags every tool reads: -shards is gone with sharded
-// execution, and -batch belongs to tyrexp bench alone.
-func TestRegisterMachineOmitsBatchAndShards(t *testing.T) {
+// execution, -batch belongs to tyrexp bench alone, and the retired -sys
+// spelling of -system is no longer defined.
+func TestRegisterMachineOmitsBatchShardsAndSys(t *testing.T) {
 	for _, def := range []string{"", "tyr"} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		RegisterMachine(fs, def)
-		for _, name := range []string{"batch", "shards"} {
+		for _, name := range []string{"batch", "shards", "sys"} {
 			if fs.Lookup(name) != nil {
 				t.Errorf("RegisterMachine(%q) defines -%s", def, name)
 			}

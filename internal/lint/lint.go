@@ -99,7 +99,6 @@ func DefaultPolicy() Policy {
 			"repro/internal/dfg",      // owns the types and their builders
 			"repro/internal/compile",  // lowers programs into fresh graphs
 			"repro/internal/graphgen", // random-program/graph generator
-			"repro/internal/graphio",  // decodes tyr-graph/v1 into fresh graphs
 		},
 		EnginePkgs: []string{
 			"repro/internal/core",

@@ -110,7 +110,7 @@ func (c *Coalescer) enqueue(t *obs.RequestTrace, req *api.Request, plan *api.Pla
 	if req.System == harness.SysOrdered {
 		lowering = "ordered"
 	}
-	key := lowering + ":" + sourceHash(lowering, app).String()
+	key := lowering + ":" + sourceHash(lowering, app)
 
 	bw := &batchWaiter{
 		item: harness.BatchItem{App: app, System: req.System, Cfg: sc},

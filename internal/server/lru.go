@@ -2,27 +2,21 @@ package server
 
 import (
 	"container/list"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/compile"
 	"repro/internal/dfg"
-	"repro/internal/graphio"
 	"repro/internal/prog"
-	"repro/internal/server/cachedir"
 )
 
 // GraphCache is a bounded LRU of compiled dataflow graphs keyed by the
 // workload's source identity (formatted IR + entry args + lowering). The
 // engines never mutate a *dfg.Graph, so one compiled graph is safely shared
 // by any number of concurrent runs. It implements harness.GraphSource.
-//
-// With a disk store attached, the cache is two-tier: an in-memory miss
-// first consults the content-addressed artifact directory (digest-verified
-// tyr-graph/v1 files) and only then compiles, writing the result back to
-// disk so restarts and fleet peers sharing the directory skip the compile
-// entirely. Both tiers sit inside the same single-flight section, so
-// concurrent misses on one key do one disk read or one compile, not N.
 type GraphCache struct {
 	mu      sync.Mutex
 	max     int
@@ -32,7 +26,6 @@ type GraphCache struct {
 	// single-flight: concurrent misses on the same key compile once.
 	inflight map[string]*sync.WaitGroup
 
-	disk  *cachedir.Store // optional second tier; nil = memory only
 	stats *Metrics
 }
 
@@ -41,9 +34,8 @@ type cacheEntry struct {
 	g   *dfg.Graph
 }
 
-// NewGraphCache returns a cache holding at most max graphs (min 1),
-// optionally backed by an on-disk artifact store (nil disables the tier).
-func NewGraphCache(max int, stats *Metrics, disk *cachedir.Store) *GraphCache {
+// NewGraphCache returns a cache holding at most max graphs (min 1).
+func NewGraphCache(max int, stats *Metrics) *GraphCache {
 	if max < 1 {
 		max = 1
 	}
@@ -52,18 +44,18 @@ func NewGraphCache(max int, stats *Metrics, disk *cachedir.Store) *GraphCache {
 		order:    list.New(),
 		entries:  make(map[string]*list.Element),
 		inflight: make(map[string]*sync.WaitGroup),
-		disk:     disk,
 		stats:    stats,
 	}
 }
 
-// sourceHash derives the workload's content identity. Formatting the IR
+// sourceHash derives the workload's content identity as lowercase hex:
+// SHA-256 over lowering NUL formatted IR NUL entry args. Formatting the IR
 // (rather than hashing the *Program pointer) makes identical inline
-// sources hit the same entry regardless of which request parsed them; the
-// same derivation stamps `tyrc -emit bin` artifacts, so both populations
-// share one address space.
-func sourceHash(lowering string, app *apps.App) graphio.Digest {
-	return graphio.HashSource(lowering, prog.Format(app.Prog), app.Args)
+// sources hit the same entry regardless of which request parsed them.
+func sourceHash(lowering string, app *apps.App) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x00%s\x00%v", lowering, prog.Format(app.Prog), app.Args)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Len reports the number of cached graphs.
@@ -100,8 +92,7 @@ func (c *GraphCache) ordered(app *apps.App) (*dfg.Graph, bool, error) {
 }
 
 func (c *GraphCache) get(lowering string, app *apps.App, build func() (*dfg.Graph, error)) (*dfg.Graph, bool, error) {
-	src := sourceHash(lowering, app)
-	key := lowering + ":" + src.String()
+	key := lowering + ":" + sourceHash(lowering, app)
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
@@ -125,19 +116,7 @@ func (c *GraphCache) get(lowering string, app *apps.App, build func() (*dfg.Grap
 		c.inflight[key] = wg
 		c.mu.Unlock()
 
-		var g *dfg.Graph
-		var err error
-		if c.disk != nil {
-			g, _ = c.disk.Get(lowering, src)
-		}
-		if g == nil {
-			g, err = build()
-			if err == nil && c.disk != nil {
-				// Best-effort publication: a write failure costs future
-				// disk hits, not this request.
-				_ = c.disk.Put(lowering, src, g)
-			}
-		}
+		g, err := build()
 
 		c.mu.Lock()
 		delete(c.inflight, key)

@@ -12,6 +12,50 @@ import (
 	"repro/internal/prog"
 )
 
+// sumLoop parses a one-loop program whose formatted IR, and so whose cache
+// key, differs per bound.
+func sumLoop(t *testing.T, bound int) *prog.Program {
+	t.Helper()
+	p, err := prog.Parse(fmt.Sprintf(`program "sumloop%d" entry main
+
+func main() {
+  loop "L" carry (i = 0, s = 0) while i < %d {
+    s = s + i
+    i = i + 1
+  }
+  return s
+}
+`, bound, bound))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestSourceHashKeysEveryInput pins the cache key's identity: the same
+// (lowering, program, args) derives the same key even from a separately
+// parsed copy of the source, and changing any one of the three derives a
+// different key.
+func TestSourceHashKeysEveryInput(t *testing.T) {
+	key := sourceHash("tagged", &apps.App{Prog: sumLoop(t, 3), Args: []int64{1, 2}})
+	if again := sourceHash("tagged", &apps.App{Prog: sumLoop(t, 3), Args: []int64{1, 2}}); again != key {
+		t.Fatalf("same source, different keys: %s vs %s", key, again)
+	}
+	for _, c := range []struct {
+		change string
+		key    string
+	}{
+		{"lowering", sourceHash("ordered", &apps.App{Prog: sumLoop(t, 3), Args: []int64{1, 2}})},
+		{"program", sourceHash("tagged", &apps.App{Prog: sumLoop(t, 4), Args: []int64{1, 2}})},
+		{"args", sourceHash("tagged", &apps.App{Prog: sumLoop(t, 3), Args: []int64{1, 3}})},
+		{"arg count", sourceHash("tagged", &apps.App{Prog: sumLoop(t, 3)})},
+	} {
+		if c.key == key {
+			t.Errorf("changing the %s leaves the key at %s", c.change, key)
+		}
+	}
+}
+
 // TestGraphCacheConcurrentEviction hammers a capacity-4 cache with 8
 // goroutines x 16 distinct keys (distinct entry args on one parsed
 // program), asserting the counters reconcile exactly and the single-flight
@@ -28,24 +72,10 @@ func TestGraphCacheConcurrentEviction(t *testing.T) {
 	// so the formatted-IR cache key differs per k.
 	progs := make([]*prog.Program, distinct)
 	for k := range progs {
-		src := fmt.Sprintf(`program "sumloop%d" entry main
-
-func main() {
-  loop "L" carry (i = 0, s = 0) while i < %d {
-    s = s + i
-    i = i + 1
-  }
-  return s
-}
-`, k, k+2)
-		p, err := prog.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs[k] = p
+		progs[k] = sumLoop(t, k+2)
 	}
 	stats := NewMetrics()
-	c := NewGraphCache(capacity, stats, nil)
+	c := NewGraphCache(capacity, stats)
 
 	// inflight[k] counts goroutines currently inside the build function
 	// for key k; the single-flight contract says it never exceeds 1.

@@ -84,9 +84,6 @@ type Metrics struct {
 	cacheMisses    atomic.Int64
 	cacheEvictions atomic.Int64 // compiled graphs evicted by LRU pressure
 	cacheSize      atomic.Int64 // compiled graphs resident in the LRU now
-	diskHits       atomic.Int64 // graphs loaded from the on-disk artifact store
-	diskMisses     atomic.Int64 // artifact-store lookups that found nothing
-	diskRejects    atomic.Int64 // artifacts rejected by digest verification
 	fleetPartials  atomic.Int64 // sweep partials dispatched by the coordinator
 	fleetResheds   atomic.Int64 // partials re-shed after a peer failure/timeout
 	fleetPeerFails atomic.Int64 // peers marked dead during a sweep
@@ -147,17 +144,6 @@ func (m *Metrics) ObserveEviction() { m.cacheEvictions.Add(1) }
 
 // SetGraphCacheSize records the compiled-graph LRU's current occupancy.
 func (m *Metrics) SetGraphCacheSize(n int64) { m.cacheSize.Store(n) }
-
-// ObserveDiskHit counts a compiled graph loaded from the on-disk artifact
-// store instead of recompiled. Implements cachedir.Observer.
-func (m *Metrics) ObserveDiskHit() { m.diskHits.Add(1) }
-
-// ObserveDiskMiss counts an artifact-store lookup that found no artifact.
-func (m *Metrics) ObserveDiskMiss() { m.diskMisses.Add(1) }
-
-// ObserveDiskReject counts an on-disk artifact rejected by digest
-// verification (corrupt, truncated, or impersonating another source).
-func (m *Metrics) ObserveDiskReject() { m.diskRejects.Add(1) }
 
 // ObserveFleetPartial counts one sweep partial dispatched by the
 // coordinator (to a peer or to the local executor). Implements
@@ -324,11 +310,8 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"tyrd_busy_rejections_total", "Requests rejected with 429 because the queue was full.", "counter", m.busyTotal.Load()},
 		{"tyrd_cancelled_runs_total", "Runs cut short by deadline or client disconnect.", "counter", m.cancels.Load()},
 		{"tyrd_graph_cache_hits_total", "Compiled-graph cache hits.", "counter", m.cacheHits.Load()},
-		{"tyrd_graph_cache_misses_total", "In-memory compiled-graph cache misses (disk lookups or fresh compiles).", "counter", m.cacheMisses.Load()},
+		{"tyrd_graph_cache_misses_total", "In-memory compiled-graph cache misses (fresh compiles).", "counter", m.cacheMisses.Load()},
 		{"tyrd_graph_cache_evictions_total", "Compiled graphs evicted by LRU capacity pressure.", "counter", m.cacheEvictions.Load()},
-		{"tyrd_graph_disk_hits_total", "Compiled graphs loaded from the on-disk artifact store.", "counter", m.diskHits.Load()},
-		{"tyrd_graph_disk_misses_total", "On-disk artifact lookups that found no artifact.", "counter", m.diskMisses.Load()},
-		{"tyrd_graph_disk_rejects_total", "On-disk artifacts rejected by digest verification.", "counter", m.diskRejects.Load()},
 		{"tyrd_fleet_partials_total", "Sweep partials dispatched by the fleet coordinator.", "counter", m.fleetPartials.Load()},
 		{"tyrd_fleet_resheds_total", "Sweep partials re-shed after a peer failure or timeout.", "counter", m.fleetResheds.Load()},
 		{"tyrd_fleet_peer_failures_total", "Peers marked dead during a sweep.", "counter", m.fleetPeerFails.Load()},

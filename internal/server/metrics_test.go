@@ -28,10 +28,6 @@ func goldenMetrics() *Metrics {
 	m.cacheMisses.Add(2)
 	m.ObserveEviction()
 	m.SetGraphCacheSize(5)
-	m.ObserveDiskHit()
-	m.ObserveDiskHit()
-	m.ObserveDiskMiss()
-	m.ObserveDiskReject()
 	m.ObserveFleetPartial()
 	m.ObserveFleetPartial()
 	m.ObserveFleetPartial()

@@ -28,7 +28,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/prog"
-	"repro/internal/server/cachedir"
 )
 
 // Config sizes the service. Zero values select sensible defaults.
@@ -55,11 +54,6 @@ type Config struct {
 	// threshold, sampling, capture depth); zero values select the
 	// internal/obs defaults.
 	Flight obs.Config
-	// DiskCache, when set, spills the compiled-graph LRU to a
-	// content-addressed on-disk artifact store (tyr-graph/v1 files), so
-	// restarts and co-located fleet peers skip recompiles. Nil keeps the
-	// cache memory-only.
-	DiskCache *cachedir.Store
 	// Peers, when non-empty, puts this instance in fleet-coordinator mode:
 	// full-grid /v1/sweep requests are split into cell-range partials and
 	// fanned out to these tyrd instances (host:port), with this instance
@@ -126,15 +120,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	stats := NewMetrics()
-	if cfg.DiskCache != nil {
-		// The store is opened before the server exists, so its outcome
-		// counters are attached here.
-		cfg.DiskCache.SetObserver(stats)
-	}
 	s := &Server{
 		cfg:    cfg,
 		pool:   NewPool(cfg.Workers, cfg.QueueDepth, stats),
-		graphs: NewGraphCache(cfg.GraphCacheSize, stats, cfg.DiskCache),
+		graphs: NewGraphCache(cfg.GraphCacheSize, stats),
 		stats:  stats,
 		flight: obs.NewFlightRecorder(cfg.Flight),
 		fleet: fleet.New(fleet.Config{
@@ -647,7 +636,7 @@ func (s *Server) runSweepCellsBatched(t *obs.RequestTrace, flag *cancel.Flag, re
 		if cell.sys == harness.SysOrdered {
 			lowering = "ordered"
 		}
-		keys[i] = lowering + ":" + sourceHash(lowering, cell.app).String()
+		keys[i] = lowering + ":" + sourceHash(lowering, cell.app)
 		systems[i] = cell.sys
 	}
 	runs := make([]metrics.RunStats, len(cells))
