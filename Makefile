@@ -18,7 +18,7 @@ test:
 # versions.
 lint:
 	$(GO) run ./cmd/tyrlint -json tyrlint.json ./...
-	$(GO) test -race -count=1 -run 'TestStoreEquivalenceRaceSlice|TestSharedGraphConcurrentRuns|TestBatchGoldenRace' ./internal/harness/
+	$(GO) test -race -count=1 -run 'TestStoreEquivalenceRaceSlice|TestSharedGraphConcurrentRuns' ./internal/harness/
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "warning: staticcheck not installed; CI runs it pinned (see .github/workflows/ci.yml)" >&2; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \

@@ -3,21 +3,9 @@
 // the /v1/debug/requests flight-recorder dumps.
 //
 //	tyrd [-addr :8080] [-workers N] [-queue N] [-timeout 30s] [-cache-size 64]
-//	     [-batch N] [-batch-window 2ms]
 //	     [-peers host:port,...] [-partial-timeout 60s] [-peer-retries 1]
 //	     [-debug-addr 127.0.0.1:8081] [-flight-ring 64] [-flight-slow 500ms]
 //	     [-flight-sample 64] [-flight-trace-events 8192]
-//
-// -batch N enables lockstep coalescing: up to N queued /v1/run requests
-// for the same named kernel (same compiled graph) advance together as one
-// pool job, each result bit-identical to a solo run, and sweep cells
-// sharing a graph co-batch the same way. Batching is work-conserving: on
-// an idle server the first request of a graph waits at most -batch-window
-// for batchmates before its batch runs partial, but while every worker is
-// busy a forming batch keeps filling — flushing it early could not start
-// it any sooner. A request can lower its own batch's width with
-// exec.batch (exec.batch=1 opts out). See the README's "Batched serving"
-// runbook.
 //
 // -peers turns the instance into a fleet coordinator: a full-grid /v1/sweep
 // is split into contiguous cell-range partials fanned out to the peers
@@ -27,14 +15,18 @@
 // run locally; -partial-timeout bounds each remote attempt and
 // -peer-retries caps re-sheds per partial before it is forced local.
 //
-// Simulations execute on a bounded worker pool with a bounded queue; when
-// both are full the service sheds load with 429 instead of stacking up
-// goroutines, and once a drain starts it answers 503. Every request carries
-// a deadline (its timeout_ms, or -timeout) that cancels the engine
-// cooperatively at the next cycle boundary; inline-source oracle runs are
-// bounded the same way plus a -oracle-max-steps instruction budget. SIGTERM
-// or SIGINT starts a graceful drain: in-flight requests finish, new ones are
-// refused, and the process exits once the pool is idle.
+// Simulations execute on a bounded worker pool with a bounded queue, one
+// request per worker at a time: that pool is where the service's
+// parallelism lives. When both are full the service sheds load with 429
+// instead of stacking up goroutines, and once a drain starts it answers
+// 503. A simulation that panics fails its own request with a 500 (counted
+// in tyrd_panics_total); the worker and every other request carry on.
+// Every request carries a deadline (its exec.deadline_ms, or -timeout)
+// that cancels the engine cooperatively at the next cycle boundary;
+// inline-source oracle runs are bounded the same way plus a
+// -oracle-max-steps instruction budget. SIGTERM or SIGINT starts a
+// graceful drain: in-flight requests finish, new ones are refused, and the
+// process exits once the pool is idle.
 //
 // Every request gets a trace ID (Tyr-Trace-Id response header, stamped on
 // its log line and on error bodies), and the last -flight-ring completed
@@ -73,8 +65,6 @@ func main() {
 	partialTimeout := flag.Duration("partial-timeout", 60*time.Second, "per-partial deadline for fanned-out sweep requests")
 	peerRetries := flag.Int("peer-retries", 1, "remote re-sheds per failed sweep partial before it runs locally")
 	oracleSteps := flag.Int64("oracle-max-steps", 0, "dynamic-instruction budget for inline-source oracle runs (0 = 2^32)")
-	batch := flag.Int("batch", 0, "lockstep batch width: coalesce up to N queued runs of one compiled graph into a single pool job (0 or 1 = off)")
-	batchWindow := flag.Duration("batch-window", 0, "how long a forming batch waits for batchmates before running partial (0 = 2ms)")
 	drain := flag.Duration("drain", 2*time.Minute, "grace period for in-flight requests on shutdown")
 	debugAddr := flag.String("debug-addr", "", "optional second listener for pprof and flight dumps (e.g. 127.0.0.1:8081; empty = off)")
 	flightRing := flag.Int("flight-ring", 0, "completed requests retained in the flight recorder (0 = 64)")
@@ -100,8 +90,6 @@ func main() {
 		PartialTimeout: *partialTimeout,
 		PeerRetries:    *peerRetries,
 		OracleMaxSteps: *oracleSteps,
-		BatchSize:      *batch,
-		BatchWindow:    *batchWindow,
 		Logger:         log,
 		Flight: obs.Config{
 			RingSize:      *flightRing,

@@ -6,7 +6,7 @@
 //	tyrexp [-exp fig12] [-scale small] [-width 128] [-tags 64] [-json out.json]
 //	tyrexp trace -app dmv -system tyr [-trace trace.json] [-profile]
 //	tyrexp trace -validate trace.json
-//	tyrexp bench [-scale small] [-batch 1,4,16] [-out BENCH.json]
+//	tyrexp bench [-scale small] [-out BENCH.json]
 //	tyrexp benchdiff [-tolerance 1.15] old.json new.json
 //	tyrexp locality [-scale small] [-csv dir] [-json out.json] [-assert]
 //	tyrexp flight [-id trace_id] [-validate] dump.json
@@ -26,9 +26,7 @@
 // structurally checks the dump including every embedded Chrome trace.
 // The bench subcommand times every kernel on every system and writes a
 // machine-readable benchmark summary (gmean cycles and wall-clock per
-// system); -batch additionally sweeps the graph engines at each listed
-// lockstep batch width, recorded as extra sys@bN entries plus a speedup
-// table. benchdiff compares two summaries and exits nonzero when any
+// system). benchdiff compares two summaries and exits nonzero when any
 // system's wall-clock regressed past the tolerance (the CI perf gate).
 //
 // Every subcommand also takes -cpuprofile/-memprofile to capture pprof
@@ -42,7 +40,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -296,22 +293,12 @@ func runLocality(args []string) {
 	}
 }
 
-// batchedSystems is the slice the -batch sweep applies to: the graph
-// engines with a lockstep batcher (harness.RunBatch).
-var batchedSystems = []string{harness.SysOrdered, harness.SysUnordered, harness.SysTyr}
-
 // runBench times every kernel on every system and writes the summary
-// (schema: internal/benchreg). With -batch, the graph engines are
-// additionally swept at each listed lockstep width and recorded as sys@bN
-// with requests/sec (N duplicate runs over the batch's wall-clock) —
-// benchdiff against an older baseline still gates the plain entries,
-// since the comparator ignores systems with no baseline.
+// (schema: internal/benchreg).
 func runBench(args []string) {
 	fs := flag.NewFlagSet("tyrexp bench", flag.ExitOnError)
 	scale := cliflags.RegisterScale(fs, "small")
 	machine := cliflags.RegisterMachine(fs, "")
-	var batch cliflags.BatchList
-	fs.Var(&batch, "batch", "comma list of lockstep batch widths to sweep on the graph engines, bit-identical per instance")
 	out := fs.String("out", "BENCH.json", "write the benchmark summary JSON to this path")
 	prof := profflag.Register(fs)
 	fs.Parse(args)
@@ -339,58 +326,8 @@ func runBench(args []string) {
 		}
 	}
 
-	// The batch sweep runs B duplicate instances of each kernel in one
-	// lockstep batch (harness.RunBatch) — the duplicate-workload serving
-	// scenario — and records every instance under sys@bN, so Summarize's
-	// req/s for that entry is B instances over the batch's wall-clock.
-	var batchRuns []metrics.RunStats
-	var batchNames []string
-	if len(batch) > 0 {
-		fmt.Println()
-		for _, app := range suite {
-			for _, sys := range batchedSystems {
-				for _, b := range batch {
-					items := make([]harness.BatchItem, b)
-					for i := range items {
-						items[i] = harness.BatchItem{App: app, System: sys, Cfg: harness.SysConfig{
-							IssueWidth: machine.Width, Tags: machine.Tags,
-						}}
-					}
-					outs, err := harness.RunBatch(items)
-					if err != nil {
-						fatalf("%s/%s batch=%d: %v", app.Name, sys, b, err)
-					}
-					var wall int64
-					for i, out := range outs {
-						if out.Err != nil {
-							fatalf("%s/%s batch=%d instance %d: %v", app.Name, sys, b, i, out.Err)
-						}
-						rs := out.Stats
-						rs.System = fmt.Sprintf("%s@b%d", sys, b)
-						rs.Trace = nil
-						batchRuns = append(batchRuns, rs)
-						wall += rs.WallNS
-					}
-					fmt.Printf("%-8s %-14s %10s cycles  %8.2fms  %8.1f req/s\n", app.Name,
-						fmt.Sprintf("%s@b%d", sys, b), metrics.FormatCount(outs[0].Stats.Cycles),
-						float64(wall)/1e6, float64(b)/(float64(wall)/1e9))
-				}
-			}
-		}
-		for _, sys := range batchedSystems {
-			for _, b := range batch {
-				batchNames = append(batchNames, fmt.Sprintf("%s@b%d", sys, b))
-			}
-		}
-	}
-
-	names := append(append([]string(nil), harness.Systems...), batchNames...)
-	doc := benchreg.Summarize(*scale, names, append(tel.Snapshot(), batchRuns...))
+	doc := benchreg.Summarize(*scale, harness.Systems, tel.Snapshot())
 	doc.Note = fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d", runtime.GOMAXPROCS(0), runtime.NumCPU())
-	if len(batch) > 0 {
-		doc.Note += fmt.Sprintf("; lockstep batch sweep -batch %s on the graph engines (sys@bN entries, req/s = N duplicates / batch wall)",
-			batch.String())
-	}
 	f, err := os.Create(*out)
 	if err != nil {
 		fatalf("%v", err)
@@ -416,27 +353,6 @@ func runBench(args []string) {
 	}
 	fmt.Print(tb.String())
 
-	if len(batch) > 0 {
-		rps := make(map[string]float64, len(doc.Systems))
-		for _, s := range doc.Systems {
-			rps[s.System] = s.ReqPerSec
-		}
-		fmt.Println()
-		bt := &metrics.Table{Headers: []string{"system", "batch", "req/s", "speedup vs @b1"}}
-		for _, sys := range batchedSystems {
-			base := rps[sys+"@b1"]
-			for _, b := range batch {
-				r := rps[fmt.Sprintf("%s@b%d", sys, b)]
-				speedup := "n/a"
-				if base > 0 && r > 0 {
-					speedup = fmt.Sprintf("%.2fx", r/base)
-				}
-				bt.Add(sys, strconv.Itoa(b), fmt.Sprintf("%.1f", r), speedup)
-			}
-		}
-		fmt.Print(bt.String())
-		fmt.Printf("(%s)\n", doc.Note)
-	}
 	fmt.Printf("wrote benchmark summary to %s\n", *out)
 }
 

@@ -11,9 +11,11 @@
 //
 // -graph runs a graph loaded from an assembly-text file (the form -asm and
 // tyrc -emit asm print) instead of compiling; graph systems only. The
-// loaded graph passes the structural validator before it reaches an
-// engine, and -check, -blocks, -heat, -asm and -dot inspect that graph,
-// not a fresh compile.
+// loaded graph passes the structural validator and the static verifier
+// (analysis.Vet, against the selected workload's program) before it
+// reaches an engine: a graph that fails either is reported and tyrsim
+// exits 1. -check, -blocks, -heat, -asm and -dot inspect the loaded
+// graph, not a fresh compile.
 //
 // The flags assemble a tyr-api/v1 request (internal/api) — the same surface
 // the tyrd service speaks — so a tyrsim invocation and a curl against
@@ -195,14 +197,22 @@ func main() {
 		cfg.Telemetry = &tel
 	}
 
-	if *check {
+	// A loaded graph did not come from the compiler, so it is always
+	// vetted against the program it claims to implement. -check vets a
+	// compiled graph too, prints the report even when it is clean, and
+	// arms the runtime sanitizer.
+	if *check || *graphPath != "" {
 		rep := analysis.Vet(g, app.Prog)
-		fmt.Print(rep)
+		if *check || !rep.OK() {
+			fmt.Print(rep)
+		}
 		if !rep.OK() {
 			fmt.Fprintln(os.Stderr, "tyrsim: static verification failed; not running")
 			os.Exit(1)
 		}
-		cfg.Sanitize = true
+		if *check {
+			cfg.Sanitize = true
+		}
 	}
 
 	rs, err := harness.Run(app, machine.System, cfg)

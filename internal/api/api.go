@@ -14,6 +14,7 @@ package api
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -90,20 +91,16 @@ func (s *CacheSpec) Config() (*cache.Config, error) {
 }
 
 // ExecSpec is the versioned execution block of a request: how the
-// simulation is scheduled, as opposed to what machine it models. New
-// scheduling knobs land here rather than growing top-level scalars one
-// PR at a time.
+// simulation is scheduled, as opposed to what machine it models. Its one
+// live knob is deadline_ms.
 type ExecSpec struct {
-	// Shards is retired: sharded execution was removed (DESIGN.md §11).
-	// It still decodes so old clients get a structured answer. 0 or 1,
-	// which always meant one goroutine, is accepted; anything above 1 is
-	// a field error with a migration note.
+	// Shards and Batch are retired: sharded execution (DESIGN.md §11) and
+	// lockstep batching (§12) were removed. Both still decode so old
+	// clients get a structured answer. 0 or 1, which always meant one
+	// solo run, is accepted and ignored; anything above 1 is a field
+	// error with a migration note.
 	Shards int `json:"shards,omitempty"`
-	// Batch is the lockstep batch width B: the server may coalesce up to
-	// B queued requests that share this request's compiled graph into one
-	// batch job, each instance's result bit-identical to a solo run.
-	// 0 or 1 = no batching; the server's own -batch setting caps it.
-	Batch int `json:"batch,omitempty"`
+	Batch  int `json:"batch,omitempty"`
 	// DeadlineMS bounds the run's wall clock; the service cancels the
 	// engine at the deadline and reports 504. Zero means the server
 	// default.
@@ -151,7 +148,8 @@ type Request struct {
 	// MaxCycles overrides the engine's runaway budget.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 
-	// Exec groups the scheduling knobs (batch, deadline_ms).
+	// Exec holds the scheduling knob deadline_ms (plus the retired
+	// shards and batch, which decode only to answer old clients).
 	Exec *ExecSpec `json:"exec,omitempty"`
 
 	// Shards is the old top-level spelling of exec.shards, retired with
@@ -164,19 +162,14 @@ type Request struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// shardsRemovedNote is the migration note a 400 carries when a request
-// still asks for more than one shard.
-const shardsRemovedNote = `exec.shards is retired: sharded execution ran slower than one goroutine and was removed; ` +
-	`drop the field (every run uses one goroutine, and tyrd runs requests in parallel across its worker pool)`
-
-// ExecBatch resolves the effective lockstep batch width (exec block only;
-// batch never had a top-level spelling).
-func (r *Request) ExecBatch() int {
-	if r.Exec != nil {
-		return r.Exec.Batch
-	}
-	return 0
-}
+// The migration notes a 400 carries when a request still asks for more
+// than one shard or batch instance.
+const (
+	shardsRemovedNote = `exec.shards is retired: sharded execution ran slower than one goroutine and was removed; ` +
+		`drop the field (every run uses one goroutine, and tyrd runs requests in parallel across its worker pool)`
+	batchRemovedNote = `exec.batch is retired: lockstep batching never beat solo runs on served traffic and was removed; ` +
+		`drop the field (every run is a solo run, and tyrd runs requests in parallel across its worker pool)`
+)
 
 // ExecDeadlineMS resolves the effective wall-clock bound across the exec
 // block and the deprecated top-level field.
@@ -241,14 +234,28 @@ func checkNonNegative(errs *[]FieldError, fields map[string]int64) {
 	}
 }
 
-// checkRetiredShards rejects a shard count above 1 on field, reporting
-// whether it did.
-func checkRetiredShards(errs *[]FieldError, field string, n int) bool {
+// retiredKnob is an exec knob whose feature was removed.
+type retiredKnob struct {
+	feature string // what was removed, named in the field error
+	note    string // the migration note the 400 carries
+}
+
+var (
+	shardsRetired = retiredKnob{"sharded execution", shardsRemovedNote}
+	batchRetired  = retiredKnob{"lockstep batching", batchRemovedNote}
+)
+
+// check rejects a count above 1 on field with a field error and the
+// knob's migration note, added once however many spellings tripped it.
+// 0 or 1 passes.
+func (k retiredKnob) check(errs *[]FieldError, notes *[]string, field string, n int) {
 	if n <= 1 {
-		return false
+		return
 	}
-	*errs = append(*errs, FieldError{field, fmt.Sprintf("sharded execution was removed; only 0 or 1 is accepted (got %d)", n)})
-	return true
+	*errs = append(*errs, FieldError{field, fmt.Sprintf("%s was removed; only 0 or 1 is accepted (got %d)", k.feature, n)})
+	if !slices.Contains(*notes, k.note) {
+		*notes = append(*notes, k.note)
+	}
 }
 
 // KnownSystem reports whether name is one of the five simulated systems.
@@ -305,12 +312,10 @@ func (r *Request) Validate() error {
 		errs = append(errs, FieldError{"trace_points", fmt.Sprintf("must be <= %d (got %d)", MaxTracePoints, r.TracePoints)})
 	}
 	var notes []string
-	retired := checkRetiredShards(&errs, "shards", r.Shards)
-	if r.Exec != nil && checkRetiredShards(&errs, "exec.shards", r.Exec.Shards) {
-		retired = true
-	}
-	if retired {
-		notes = append(notes, shardsRemovedNote)
+	shardsRetired.check(&errs, &notes, "shards", r.Shards)
+	if r.Exec != nil {
+		shardsRetired.check(&errs, &notes, "exec.shards", r.Exec.Shards)
+		batchRetired.check(&errs, &notes, "exec.batch", r.Exec.Batch)
 	}
 	if r.TimeoutMS != 0 {
 		notes = append(notes, `top-level "timeout_ms" is deprecated; use exec.deadline_ms`)
@@ -336,9 +341,8 @@ type Plan struct {
 	// Cfg is the harness configuration. Per-call plumbing (Stop,
 	// Telemetry, Tracer, Compiler) is left for the caller to attach.
 	Cfg harness.SysConfig
-	// Batch and DeadlineMS are the resolved exec knobs; DeadlineMS zero
-	// means the server or CLI default.
-	Batch      int
+	// DeadlineMS is the resolved exec deadline; zero means the server or
+	// CLI default.
 	DeadlineMS int64
 
 	req *Request
@@ -374,7 +378,6 @@ func (r *Request) Plan() (*Plan, error) {
 			Sanitize:    r.Sanitize,
 			MaxCycles:   r.MaxCycles,
 		},
-		Batch:      r.ExecBatch(),
 		DeadlineMS: r.ExecDeadlineMS(),
 		req:        r,
 	}, nil

@@ -138,7 +138,7 @@ func TestPlanConversion(t *testing.T) {
 		App: "dmv", System: "tyr",
 		IssueWidth: 32, Tags: 4, GlobalTags: 8, QueueCap: 2,
 		LoadLatency: 7, TracePoints: 128, SkipCheck: true, Sanitize: true,
-		Exec:      &ExecSpec{Batch: 16, DeadlineMS: 2500},
+		Exec:      &ExecSpec{DeadlineMS: 2500},
 		MaxCycles: 999,
 		Cache:     &CacheSpec{MemLatency: 50, MSHRs: 2},
 	}
@@ -158,8 +158,8 @@ func TestPlanConversion(t *testing.T) {
 	if !reflect.DeepEqual(sc, want) {
 		t.Errorf("conversion mismatch:\n got %+v\nwant %+v", sc, want)
 	}
-	if plan.Batch != 16 || plan.DeadlineMS != 2500 {
-		t.Errorf("exec knobs not resolved: batch=%d deadline=%d", plan.Batch, plan.DeadlineMS)
+	if plan.DeadlineMS != 2500 {
+		t.Errorf("exec deadline not resolved: deadline=%d", plan.DeadlineMS)
 	}
 }
 
@@ -241,16 +241,8 @@ func TestExecBackCompat(t *testing.T) {
 // count above 1 is a field error carrying the migration note, and a
 // negative count still fails the >= 0 check.
 func TestShardsRetired(t *testing.T) {
-	decode := func(body string) Request {
-		t.Helper()
-		var r Request
-		if err := json.Unmarshal([]byte(`{"system":"tyr","app":"dmv",`+body+`}`), &r); err != nil {
-			t.Fatalf("%s: %v", body, err)
-		}
-		return r
-	}
 	for _, body := range []string{`"exec":{"shards":1}`, `"exec":{"shards":0}`, `"shards":0`, `"shards":1`} {
-		r := decode(body)
+		r := decodeDmv(t, body)
 		if _, err := r.Plan(); err != nil {
 			t.Errorf("%s: one goroutine must stay valid: %v", body, err)
 		}
@@ -261,7 +253,7 @@ func TestShardsRetired(t *testing.T) {
 		{`"exec":{"shards":-1}`, "exec.shards", ">= 0"},
 		{`"shards":-3`, "shards", ">= 0"},
 	} {
-		r := decode(tc.body)
+		r := decodeDmv(t, tc.body)
 		var ve *ValidationError
 		if err := r.Validate(); !errors.As(err, &ve) {
 			t.Fatalf("%s: err = %v, want *ValidationError", tc.body, err)
@@ -276,22 +268,59 @@ func TestShardsRetired(t *testing.T) {
 	}
 }
 
-// TestExecBatchResolution pins that batch has no top-level spelling: it
-// resolves from the exec block alone.
-func TestExecBatchResolution(t *testing.T) {
-	r := Request{System: "tyr", App: "dmv"}
-	if r.ExecBatch() != 0 {
-		t.Errorf("no exec block: batch = %d, want 0", r.ExecBatch())
+// decodeDmv decodes a tyr/dmv request carrying the extra JSON members in
+// body.
+func decodeDmv(t *testing.T, body string) Request {
+	t.Helper()
+	var r Request
+	if err := json.Unmarshal([]byte(`{"system":"tyr","app":"dmv",`+body+`}`), &r); err != nil {
+		t.Fatalf("%s: %v", body, err)
 	}
-	r.Exec = &ExecSpec{Batch: 8}
-	if r.ExecBatch() != 8 {
-		t.Errorf("batch = %d, want 8", r.ExecBatch())
+	return r
+}
+
+// TestBatchRetired pins the answer old clients get now that lockstep
+// batching is gone: exec.batch still decodes, 0 or 1 plans cleanly, a
+// width above 1 is a field error carrying the batch migration note, a
+// negative width still fails the >= 0 check, and a request tripping both
+// retired knobs gets both errors with each note once.
+func TestBatchRetired(t *testing.T) {
+	for _, body := range []string{`"exec":{"batch":0}`, `"exec":{"batch":1}`} {
+		r := decodeDmv(t, body)
+		if _, err := r.Plan(); err != nil {
+			t.Errorf("%s: one solo run must stay valid: %v", body, err)
+		}
 	}
-	r.Exec.Batch = -1
-	err := r.Validate()
-	var ve *ValidationError
-	if !errors.As(err, &ve) {
-		t.Fatalf("negative exec.batch: err = %v, want *ValidationError", err)
+	for _, tc := range []struct {
+		body   string
+		fields []string // every field error, in order
+		msg    string   // in the exec.batch field error
+		notes  []string
+	}{
+		{`"exec":{"batch":4}`, []string{"exec.batch"}, "lockstep batching was removed", []string{batchRemovedNote}},
+		{`"exec":{"batch":-1}`, []string{"exec.batch"}, ">= 0", nil},
+		{`"shards":3,"exec":{"shards":2,"batch":16}`,
+			[]string{"shards", "exec.shards", "exec.batch"}, "removed",
+			[]string{shardsRemovedNote, batchRemovedNote}},
+	} {
+		r := decodeDmv(t, tc.body)
+		var ve *ValidationError
+		if err := r.Validate(); !errors.As(err, &ve) {
+			t.Fatalf("%s: err = %v, want *ValidationError", tc.body, err)
+		}
+		var fields []string
+		for _, f := range ve.Fields {
+			fields = append(fields, f.Field)
+			if f.Field == "exec.batch" && !strings.Contains(f.Message, tc.msg) {
+				t.Errorf("%s: exec.batch error %q does not mention %q", tc.body, f.Message, tc.msg)
+			}
+		}
+		if !reflect.DeepEqual(fields, tc.fields) {
+			t.Errorf("%s: field errors on %q, want %q", tc.body, fields, tc.fields)
+		}
+		if !reflect.DeepEqual(ve.Notes, tc.notes) {
+			t.Errorf("%s: notes %q, want %q", tc.body, ve.Notes, tc.notes)
+		}
 	}
 }
 
@@ -384,9 +413,8 @@ func FuzzRequestDecodeValidate(f *testing.F) {
 		if err := json.Unmarshal([]byte(data), &r); err != nil {
 			return
 		}
-		// Validate, the exec resolvers, and Plan must never panic on any
+		// Validate, the exec resolver, and Plan must never panic on any
 		// decodable request; a valid request must plan cleanly.
-		_ = r.ExecBatch()
 		_ = r.ExecDeadlineMS()
 		if err := r.Validate(); err != nil {
 			return

@@ -25,8 +25,8 @@ type Doc struct {
 	Schema string `json:"schema"`
 	Scale  string `json:"scale"`
 	// Note records host conditions the numbers depend on — GOMAXPROCS and
-	// the batch sweep, chiefly — so a wall-clock comparison across files
-	// can be judged. It never enters the comparison itself.
+	// the CPU count, chiefly — so a wall-clock comparison across files can
+	// be judged. It never enters the comparison itself.
 	Note    string   `json:"note,omitempty"`
 	Systems []System `json:"systems"`
 	// Runs carries the full per-run telemetry behind the summary.
@@ -45,9 +45,11 @@ type System struct {
 	L2MissRate float64 `json:"l2_miss_rate"`
 	MeanAMAT   float64 `json:"mean_amat"`
 	// ReqPerSec is simulation throughput in requests per second (runs
-	// divided by summed wall-clock), the headline number for the batched
-	// sys@bN entries of `tyrexp bench -batch`. Host-dependent like WallNS;
-	// never part of the cycle-identity comparison.
+	// divided by summed wall-clock). Host-dependent like WallNS; never part
+	// of the cycle-identity comparison. BENCH_pr10.json also carries
+	// sys@bN entries from the removed lockstep-batch sweep; on the new
+	// side of a comparison, Compare ignores them like any system the
+	// baseline lacks.
 	ReqPerSec float64 `json:"req_per_sec,omitempty"`
 }
 

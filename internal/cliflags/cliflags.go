@@ -6,39 +6,9 @@ package cliflags
 
 import (
 	"flag"
-	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/api"
 )
-
-// BatchList is the value of tyrexp bench's -batch: one or more lockstep
-// batch widths to sweep. The zero value means "unset" — no batching.
-type BatchList []int
-
-func (b *BatchList) String() string {
-	parts := make([]string, len(*b))
-	for i, n := range *b {
-		parts[i] = strconv.Itoa(n)
-	}
-	return strings.Join(parts, ",")
-}
-
-// Set parses a comma-separated list of positive batch widths.
-func (b *BatchList) Set(v string) error {
-	var out []int
-	for _, f := range strings.Split(v, ",") {
-		f = strings.TrimSpace(f)
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return fmt.Errorf("batch width %q: want a positive integer", f)
-		}
-		out = append(out, n)
-	}
-	*b = out
-	return nil
-}
 
 // Machine groups the system-selection flags: -width and -tags, plus
 // -system when defSystem is non-empty.

@@ -17,8 +17,8 @@ func TestCanonicalSpellingDoesNotWarn(t *testing.T) {
 }
 
 // TestRegisterMachineOmitsBatchShardsAndSys pins that the shared machine
-// group defines only flags every tool reads: -shards is gone with sharded
-// execution, -batch belongs to tyrexp bench alone, and the retired -sys
+// group defines only flags every tool reads: -shards and -batch are gone
+// with sharded execution and lockstep batching, and the retired -sys
 // spelling of -system is no longer defined.
 func TestRegisterMachineOmitsBatchShardsAndSys(t *testing.T) {
 	for _, def := range []string{"", "tyr"} {
@@ -28,31 +28,6 @@ func TestRegisterMachineOmitsBatchShardsAndSys(t *testing.T) {
 			if fs.Lookup(name) != nil {
 				t.Errorf("RegisterMachine(%q) defines -%s", def, name)
 			}
-		}
-	}
-}
-
-func TestBatchList(t *testing.T) {
-	var b BatchList
-	if err := b.Set("1, 2,4,16"); err != nil {
-		t.Fatal(err)
-	}
-	want := BatchList{1, 2, 4, 16}
-	if len(b) != len(want) {
-		t.Fatalf("sweep list = %v, want %v", b, want)
-	}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("sweep list = %v, want %v", b, want)
-		}
-	}
-	if b.String() != "1,2,4,16" {
-		t.Errorf("String() = %q, want %q", b.String(), "1,2,4,16")
-	}
-	for _, bad := range []string{"0", "-1", "x", "2,,4", "2,zero"} {
-		var b BatchList
-		if err := b.Set(bad); err == nil {
-			t.Errorf("-batch %q: expected a parse error, got %v", bad, b)
 		}
 	}
 }

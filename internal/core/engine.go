@@ -153,8 +153,8 @@ type machine struct {
 	resultVal int64
 }
 
-// validateConfig rejects policy configurations no run can execute. Shared
-// by Run and RunBatch; cfg must already carry its defaults.
+// validateConfig rejects policy configurations no run can execute; cfg
+// must already carry its defaults.
 func validateConfig(cfg Config) error {
 	switch cfg.Policy {
 	case PolicyTyr, PolicyLocalNoGate, PolicyKBound:
@@ -197,35 +197,24 @@ func Run(g *dfg.Graph, im *mem.Image, cfg Config) (Result, error) {
 	return m.run()
 }
 
-// graphPlan caches the firing metadata every machine derives from the
-// graph and the memory image's region layout: per-node constant prefills,
-// presence-bitset widths, tail-recursion reserves, and region indices.
-// The plan is read-only after construction, so one plan is shared by every
-// instance of a lockstep batch — the dispatch-amortization half of the
-// batch design (DESIGN.md §12) — and built fresh per run on the serial
-// path.
-type graphPlan struct {
-	info   []nodeInfo
-	memIdx []int // graph region -> image region
-	maxIn  int
-}
-
-// planFor derives the plan for one graph/image pairing.
-func planFor(g *dfg.Graph, im *mem.Image) (*graphPlan, error) {
-	p := &graphPlan{
-		info:   make([]nodeInfo, len(g.Nodes)),
-		memIdx: make([]int, len(g.MemNames)),
-	}
+// newMachine derives the per-node firing metadata from the graph and the
+// memory image's region layout (constant prefills, presence-bitset widths,
+// tail-recursion reserves, region indices) and builds the machine's
+// mutable state around it.
+func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
+	memIdx := make([]int, len(g.MemNames)) // graph region -> image region
 	for i, name := range g.MemNames {
 		idx, ok := im.Index(name)
 		if !ok {
 			return nil, fmt.Errorf("core: memory image missing region %q", name)
 		}
-		p.memIdx[i] = idx
+		memIdx[i] = idx
 	}
+	info := make([]nodeInfo, len(g.Nodes))
+	maxIn := 0
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
-		ni := &p.info[i]
+		ni := &info[i]
 		ni.constVals = make([]int64, n.NIn)
 		ni.words = (n.NIn + 63) / 64
 		for port := 0; port < n.NIn; port++ {
@@ -241,43 +230,18 @@ func planFor(g *dfg.Graph, im *mem.Image) (*graphPlan, error) {
 				ni.reserve = 1
 			}
 		case dfg.OpLoad, dfg.OpStore:
-			ni.memIdx = p.memIdx[n.Region]
+			ni.memIdx = memIdx[n.Region]
 		}
-		if n.NIn > p.maxIn {
-			p.maxIn = n.NIn
-		}
-	}
-	return p, nil
-}
-
-// matches reports whether im maps the graph's regions exactly as the plan
-// recorded — the condition for sharing the plan with another instance.
-func (p *graphPlan) matches(g *dfg.Graph, im *mem.Image) bool {
-	for i, name := range g.MemNames {
-		idx, ok := im.Index(name)
-		if !ok || idx != p.memIdx[i] {
-			return false
+		if n.NIn > maxIn {
+			maxIn = n.NIn
 		}
 	}
-	return true
-}
 
-func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
-	p, err := planFor(g, im)
-	if err != nil {
-		return nil, err
-	}
-	return newMachineFromPlan(g, im, cfg, p), nil
-}
-
-// newMachineFromPlan builds one machine's per-instance state around a
-// (possibly shared) read-only plan.
-func newMachineFromPlan(g *dfg.Graph, im *mem.Image, cfg Config, p *graphPlan) *machine {
 	m := &machine{
 		g:       g,
 		im:      im,
 		cfg:     cfg,
-		info:    p.info,
+		info:    info,
 		stores:  make([]waitStore, len(g.Nodes)),
 		ipcHist: make([]int64, cfg.IssueWidth+1),
 	}
@@ -296,10 +260,10 @@ func newMachineFromPlan(g *dfg.Graph, im *mem.Image, cfg Config, p *graphPlan) *
 	m.rec = cfg.Tracer
 
 	for i := range g.Nodes {
-		ni := &p.info[i]
+		ni := &info[i]
 		m.stores[i].init(g.Nodes[i].NIn, ni.words, ni.needInit, ni.constVals)
 	}
-	m.fireVals = make([]int64, p.maxIn)
+	m.fireVals = make([]int64, maxIn)
 
 	nspaces := len(g.Blocks)
 	m.inUse = make([]int, nspaces)
@@ -353,7 +317,7 @@ func newMachineFromPlan(g *dfg.Graph, im *mem.Image, cfg Config, p *graphPlan) *
 		}
 		m.poolLocal[s] = pool
 	}
-	return m
+	return m, nil
 }
 
 // allocRoot takes the tag for the root context.
@@ -993,7 +957,8 @@ func (m *machine) start() error {
 	return nil
 }
 
-// stopErr is the cancellation outcome every driver of stepCycle reports.
+// stopErr is the error a cancelled run returns; split out so the loop's
+// normal path carries no formatting.
 func (m *machine) stopErr() error {
 	return fmt.Errorf("core: run stopped at cycle %d: %w", m.cycle, cancel.ErrStopped)
 }
@@ -1002,10 +967,8 @@ func (m *machine) stopErr() error {
 // last cycle's tokens, promote completions into the ready flow, and fire
 // up to IssueWidth instances. It reports done=true when the machine has
 // quiesced (nothing ready, nothing in flight) — the caller then calls
-// finish. Splitting the cycle out of run is what lets a batch driver
-// interleave B machines in lockstep (batch.go) while the serial loop
-// stays a thin wrapper; the caller owns the cancel poll, exactly where
-// the old loop polled it.
+// finish. run owns the cancel poll at every cycle boundary, which keeps
+// the step itself free of termination logic.
 //
 //tyr:hotpath
 func (m *machine) stepCycle() (bool, error) {

@@ -231,37 +231,38 @@ func validateConfig(cfg Config) error {
 	return nil
 }
 
-// graphPlan is the read-only per-graph metadata a machine consults while
-// firing: the flattened port index, the producers-of wake-up lists, and
-// the graph-region → image-region mapping. One plan is built per graph
-// and shared by every instance of a lockstep batch (RunBatch), so
-// dispatch metadata stays hot across instances.
-type graphPlan struct {
-	portBase    []int32
-	nports      int32
-	maxIn       int
-	producersOf [][]dfg.NodeID
-	memIdx      []int
-}
-
-// planFor builds the shared plan for a graph against a memory image's
-// region layout.
-func planFor(g *dfg.Graph, im *mem.Image) (*graphPlan, error) {
-	p := &graphPlan{portBase: make([]int32, len(g.Nodes))}
+// newMachine builds the read-only per-graph metadata a machine consults
+// while firing (the flattened port index, the producers-of wake-up lists,
+// and the graph-region → image-region mapping) and the machine's mutable
+// state (queues, staged buffers, counters) around it.
+func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
+	m := &machine{
+		g:         g,
+		im:        im,
+		cfg:       cfg,
+		queues:    make([][]fifo, len(g.Nodes)),
+		dirty:     &dirtySet{marked: make([]bool, len(g.Nodes))},
+		nextDirty: &dirtySet{marked: make([]bool, len(g.Nodes))},
+		ipcHist:   make([]int64, cfg.IssueWidth+1),
+		rec:       cfg.Tracer,
+		portBase:  make([]int32, len(g.Nodes)),
+	}
+	var nports int32
+	maxIn := 0
 	for i := range g.Nodes {
-		p.portBase[i] = p.nports
-		p.nports += int32(g.Nodes[i].NIn)
-		if g.Nodes[i].NIn > p.maxIn {
-			p.maxIn = g.Nodes[i].NIn
+		m.portBase[i] = nports
+		nports += int32(g.Nodes[i].NIn)
+		if g.Nodes[i].NIn > maxIn {
+			maxIn = g.Nodes[i].NIn
 		}
 	}
-	p.memIdx = make([]int, len(g.MemNames))
+	m.memIdx = make([]int, len(g.MemNames))
 	for i, name := range g.MemNames {
 		idx, ok := im.Index(name)
 		if !ok {
 			return nil, fmt.Errorf("ordered: memory image missing region %q", name)
 		}
-		p.memIdx[i] = idx
+		m.memIdx[i] = idx
 	}
 	producers := make([]map[dfg.NodeID]bool, len(g.Nodes))
 	for i := range g.Nodes {
@@ -274,61 +275,27 @@ func planFor(g *dfg.Graph, im *mem.Image) (*graphPlan, error) {
 			}
 		}
 	}
-	p.producersOf = make([][]dfg.NodeID, len(g.Nodes))
+	m.producersOf = make([][]dfg.NodeID, len(g.Nodes))
 	for i, set := range producers {
 		//tyr:nondet-ok -- set flattened here, sorted immediately below
 		for pr := range set {
-			p.producersOf[i] = append(p.producersOf[i], pr)
+			m.producersOf[i] = append(m.producersOf[i], pr)
 		}
 		// Sorted so wake-up order (and thus the dirty list) never depends
 		// on map iteration.
-		sortNodeIDs(p.producersOf[i])
+		sortNodeIDs(m.producersOf[i])
 	}
-	return p, nil
-}
-
-// matches reports whether another image's region layout resolves
-// identically under this plan, so the plan may be shared with it.
-func (p *graphPlan) matches(g *dfg.Graph, im *mem.Image) bool {
-	if len(p.memIdx) != len(g.MemNames) {
-		return false
-	}
-	for i, name := range g.MemNames {
-		idx, ok := im.Index(name)
-		if !ok || idx != p.memIdx[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// newMachineFromPlan wires a machine's mutable state (queues, staged
-// buffers, counters) around the shared read-only plan.
-func newMachineFromPlan(g *dfg.Graph, im *mem.Image, cfg Config, p *graphPlan) *machine {
-	m := &machine{
-		g:           g,
-		im:          im,
-		cfg:         cfg,
-		queues:      make([][]fifo, len(g.Nodes)),
-		dirty:       &dirtySet{marked: make([]bool, len(g.Nodes))},
-		nextDirty:   &dirtySet{marked: make([]bool, len(g.Nodes))},
-		ipcHist:     make([]int64, cfg.IssueWidth+1),
-		rec:         cfg.Tracer,
-		portBase:    p.portBase,
-		producersOf: p.producersOf,
-		memIdx:      p.memIdx,
-	}
-	m.stagedN = make([]int32, p.nports)
-	m.inFlight = make([]int32, p.nports)
-	m.lastDue = make([]int64, p.nports)
-	m.vals = make([]int64, p.maxIn)
+	m.stagedN = make([]int32, nports)
+	m.inFlight = make([]int32, nports)
+	m.lastDue = make([]int64, nports)
+	m.vals = make([]int64, maxIn)
 	if cfg.TracePoints > 0 {
 		m.traceStride = 1
 	}
 	for i := range g.Nodes {
 		m.queues[i] = make([]fifo, g.Nodes[i].NIn)
 	}
-	return m
+	return m, nil
 }
 
 // start injects the graph's entry tokens, arming the initial dirty set.
@@ -352,11 +319,10 @@ func Run(g *dfg.Graph, im *mem.Image, cfg Config) (Result, error) {
 	if err := validateConfig(cfg); err != nil {
 		return Result{}, err
 	}
-	p, err := planFor(g, im)
+	m, err := newMachine(g, im, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	m := newMachineFromPlan(g, im, cfg, p)
 	m.start()
 	return m.run()
 }
@@ -622,9 +588,8 @@ func (m *machine) stopErr() error {
 }
 
 // stepCycle advances the machine by exactly one simulated cycle and
-// reports whether the machine has quiesced. Drivers (the serial run loop
-// and the lockstep batch runner) own cancel polling and termination;
-// keeping the step allocation-free keeps both drivers on the fast path.
+// reports whether the machine has quiesced. run owns cancel polling and
+// termination, and the step stays allocation-free on its fast path.
 //
 //tyr:hotpath
 func (m *machine) stepCycle() (bool, error) {

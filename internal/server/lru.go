@@ -116,7 +116,21 @@ func (c *GraphCache) get(lowering string, app *apps.App, build func() (*dfg.Grap
 		c.inflight[key] = wg
 		c.mu.Unlock()
 
-		g, err := build()
+		g, err := func() (*dfg.Graph, error) {
+			defer func() {
+				if v := recover(); v != nil {
+					// Release the waiters, then re-raise for the pool job
+					// to recover: an inflight entry left behind would park
+					// every later lookup of this key forever.
+					c.mu.Lock()
+					delete(c.inflight, key)
+					c.mu.Unlock()
+					wg.Done()
+					panic(v)
+				}
+			}()
+			return build()
+		}()
 
 		c.mu.Lock()
 		delete(c.inflight, key)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/compile"
@@ -126,5 +127,39 @@ func TestGraphCacheConcurrentEviction(t *testing.T) {
 	}
 	if misses < distinct {
 		t.Errorf("misses %d < %d distinct keys", misses, distinct)
+	}
+}
+
+// TestGraphCacheBuildPanicReleasesKey pins that a compile which panics
+// still releases its single-flight entry: the panic reaches the caller
+// (the pool job recovers it), and the next lookup of the same key compiles
+// afresh instead of waiting forever on the abandoned build.
+func TestGraphCacheBuildPanicReleasesKey(t *testing.T) {
+	c := NewGraphCache(4, nil)
+	app := &apps.App{Prog: sumLoop(t, 5)}
+	func() {
+		defer func() {
+			if v := recover(); v != "compiler bug" {
+				t.Errorf("recovered %v, want the build's panic", v)
+			}
+		}()
+		c.get("tagged", app, func() (*dfg.Graph, error) { panic("compiler bug") })
+	}()
+
+	done := make(chan error, 1)
+	go func() {
+		_, hit, err := c.tagged(app)
+		if err == nil && hit {
+			err = fmt.Errorf("lookup after the panic hit the cache; want a fresh compile")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("lookup after a panicking build is still waiting on it")
 	}
 }

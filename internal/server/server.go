@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -64,17 +65,6 @@ type Config struct {
 	// PeerRetries bounds re-sheds to remaining peers before a failed
 	// partial is forced local (default 1).
 	PeerRetries int
-	// BatchSize is the lockstep batch width B: up to B queued /v1/run
-	// requests sharing one compiled graph coalesce into a single pool job
-	// that advances all instances together (DESIGN.md §12), and sweep
-	// cells sharing a graph co-batch the same way. 0 or 1 disables
-	// coalescing. Each request's exec.batch can lower (never raise) its
-	// own batch's width; exec.batch=1 opts a request out entirely.
-	BatchSize int
-	// BatchWindow bounds how long the first request of a forming batch
-	// waits for batchmates before the partial batch runs anyway
-	// (default 2ms when BatchSize enables coalescing).
-	BatchWindow time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -96,9 +86,6 @@ func (c Config) withDefaults() Config {
 	if c.OracleMaxSteps <= 0 {
 		c.OracleMaxSteps = 1 << 32
 	}
-	if c.BatchSize > 1 && c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	return c
 }
 
@@ -112,7 +99,6 @@ type Server struct {
 	stats  *Metrics
 	flight *obs.FlightRecorder
 	fleet  *fleet.Coordinator // nil unless Config.Peers is set
-	batch  *Coalescer         // nil unless Config.BatchSize enables coalescing
 	log    *slog.Logger
 }
 
@@ -120,7 +106,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	stats := NewMetrics()
-	s := &Server{
+	return &Server{
 		cfg:    cfg,
 		pool:   NewPool(cfg.Workers, cfg.QueueDepth, stats),
 		graphs: NewGraphCache(cfg.GraphCacheSize, stats),
@@ -135,10 +121,6 @@ func New(cfg Config) *Server {
 		}),
 		log: cfg.Logger,
 	}
-	if cfg.BatchSize > 1 {
-		s.batch = newCoalescer(s, cfg.BatchSize, cfg.BatchWindow)
-	}
-	return s
 }
 
 // Metrics exposes the counter set (shared with the pool and graph cache).
@@ -147,11 +129,9 @@ func (s *Server) Metrics() *Metrics { return s.stats }
 // Flight exposes the flight recorder (shared with the debug handler).
 func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
 
-// Close drains the service: forming batches flush so their parked
-// requests finish, then the worker pool drains — queued and executing
+// Close drains the service: the worker pool drains — queued and executing
 // jobs complete, new submissions fail. Call after http.Server.Shutdown.
 func (s *Server) Close() {
-	s.batch.Close()
 	s.pool.Close()
 }
 
@@ -397,39 +377,64 @@ func (s *Server) timeout(ms int64) time.Duration {
 	return to
 }
 
+// errJobPanic marks a submit error recovered from a panicking pool job; the
+// handlers answer it with a 500.
+var errJobPanic = errors.New("internal error: simulation job panicked")
+
 // submit runs job on the pool and blocks until it finishes, timing the
 // queue wait (submit to job start) as a span and a histogram sample — the
 // service-level analog of the paper's allocate park. The job is
 // responsible for observing stop promptly once the context ends — the
-// handler never abandons a running simulation, it cancels it.
+// handler never abandons a running simulation, it cancels it. A panic in
+// job fails this request alone: it comes back as an error wrapping
+// errJobPanic, and the worker goes on serving.
 func (s *Server) submit(t *obs.RequestTrace, job func()) error {
 	queued := time.Now()
 	qs := t.StartSpan("queue", obs.RootSpan)
-	done := make(chan struct{})
+	done := make(chan error, 1)
 	err := s.pool.Submit(func() {
-		defer close(done)
 		s.stats.ObserveQueueWait(time.Since(queued))
 		s.endStage(t, qs, "queue")
-		job()
+		done <- s.runJob(t, job)
 	})
 	if err != nil {
 		t.EndSpan(qs)
 		return err
 	}
-	<-done
+	return <-done
+}
+
+// runJob calls job on the current pool worker and recovers a panic into an
+// error. The stack goes to the log under the request's trace ID; the
+// client sees only the panic value.
+func (s *Server) runJob(t *obs.RequestTrace, job func()) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.stats.ObservePanic()
+			if s.log != nil {
+				s.log.Error("pool job panicked", "trace_id", t.ID(), "panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+			}
+			err = fmt.Errorf("%w: %v", errJobPanic, v)
+		}
+	}()
+	job()
 	return nil
 }
 
-// writeSubmitError maps a pool rejection to HTTP: a full queue is 429 with
-// Retry-After (shed load, come back), a draining pool is 503 (this instance
-// is exiting — retrying against it is pointless).
+// writeSubmitError maps a submit failure to HTTP: a recovered job panic is
+// a 500, a full queue is 429 with Retry-After (shed load, come back), a
+// draining pool is 503 (this instance is exiting — retrying against it is
+// pointless).
 func (s *Server) writeSubmitError(w http.ResponseWriter, r *http.Request, err error) {
-	if errors.Is(err, ErrClosed) {
+	switch {
+	case errors.Is(err, errJobPanic):
+		s.writeError(w, r, http.StatusInternalServerError, err)
+	case errors.Is(err, ErrClosed):
 		s.writeError(w, r, http.StatusServiceUnavailable, err)
-		return
+	default:
+		w.Header().Set("Retry-After", "1")
+		s.writeError(w, r, http.StatusTooManyRequests, err)
 	}
-	w.Header().Set("Retry-After", "1")
-	s.writeError(w, r, http.StatusTooManyRequests, err)
 }
 
 // finishCancelled maps a cancelled run to its HTTP status: deadline
@@ -483,17 +488,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	var rs metrics.RunStats
 	var runErr error
-	if bw, ok := s.batch.enqueue(t, &req, plan, sc); ok {
-		// Coalesced path: the request parks until its batch's single pool
-		// job delivers this instance's outcome (bit-identical to running
-		// it alone). A deadline firing mid-batch retires only this
-		// instance — batchmates keep running.
-		if err := bw.await(); err != nil {
-			s.writeSubmitError(w, r, err)
-			return
-		}
-		rs, runErr = bw.out.Stats, bw.out.Err
-	} else if err := s.submit(t, func() {
+	if err := s.submit(t, func() {
 		if flag.Stopped() { // deadline passed while queued: skip the compile
 			runErr = cancel.ErrStopped
 			return
@@ -569,40 +564,28 @@ func sweepGrid(req *api.SweepRequest, scale apps.Scale) (cells []sweepCell, syst
 	return cells, systems
 }
 
-// cellConfig is the harness configuration of one sweep cell. Cells never
-// sample the live-state trace: the tyr-bench/v1 summary does not read it,
-// and fleet partials would carry it over the wire for nothing.
-func (s *Server) cellConfig(t *obs.RequestTrace, flag *cancel.Flag, req *api.SweepRequest, cc *cache.Config) harness.SysConfig {
-	return harness.SysConfig{
+// runSweepCells executes a slice of grid cells sequentially on the calling
+// goroutine (a pool worker), returning one RunStats per cell in order.
+func (s *Server) runSweepCells(t *obs.RequestTrace, flag *cancel.Flag, req *api.SweepRequest, cc *cache.Config, cells []sweepCell) ([]metrics.RunStats, error) {
+	tracer := t.Tracer()
+	// Cells never sample the live-state trace: the tyr-bench/v1 summary
+	// does not read it, and fleet partials would carry it over the wire
+	// for nothing.
+	sc := harness.SysConfig{
 		IssueWidth:  req.IssueWidth,
 		Tags:        req.Tags,
 		Cache:       cc,
 		TracePoints: -1,
 		Stop:        flag,
 		Compiler:    s.spanGraphs(t),
+		Tracer:      tracer,
 		TraceID:     t.ID(),
-	}
-}
-
-// runSweepCells executes a slice of grid cells sequentially on the calling
-// goroutine (a pool worker), returning one RunStats per cell in order.
-// With coalescing enabled, cells sharing a compiled graph (the same
-// kernel on co-batchable systems — tyr and unordered share the tagged
-// lowering) advance together in lockstep batches instead, unless an
-// engine trace capture is configured: the capture ring is per-request,
-// and batch instances must not share a tracer.
-func (s *Server) runSweepCells(t *obs.RequestTrace, flag *cancel.Flag, req *api.SweepRequest, cc *cache.Config, cells []sweepCell) ([]metrics.RunStats, error) {
-	tracer := t.Tracer()
-	if s.cfg.BatchSize > 1 && tracer == nil {
-		return s.runSweepCellsBatched(t, flag, req, cc, cells)
 	}
 	runs := make([]metrics.RunStats, 0, len(cells))
 	for _, cell := range cells {
 		if flag.Stopped() {
 			return nil, cancel.ErrStopped
 		}
-		sc := s.cellConfig(t, flag, req, cc)
-		sc.Tracer = tracer
 		// One capture ring, reset per cell: a retained sweep keeps
 		// the engine trace of its final (or failing) cell rather
 		// than an unreadable splice of every cell's tail.
@@ -619,53 +602,6 @@ func (s *Server) runSweepCells(t *obs.RequestTrace, flag *cancel.Flag, req *api.
 		t.SetAttr(run, "peak_tags", int64(rs.PeakTags))
 		s.stats.ObserveRun(rs.System, rs.Cycles)
 		runs = append(runs, rs)
-	}
-	return runs, nil
-}
-
-// runSweepCellsBatched is runSweepCells with graph-sharing cells grouped
-// into lockstep batches (still on this one pool worker — the batch IS
-// the job, so the sweep's one-worker cost model holds). Results scatter
-// back to grid-cell order, and each cell's stats are bit-identical to
-// its sequential run.
-func (s *Server) runSweepCellsBatched(t *obs.RequestTrace, flag *cancel.Flag, req *api.SweepRequest, cc *cache.Config, cells []sweepCell) ([]metrics.RunStats, error) {
-	keys := make([]string, len(cells))
-	systems := make([]string, len(cells))
-	for i, cell := range cells {
-		lowering := "tagged"
-		if cell.sys == harness.SysOrdered {
-			lowering = "ordered"
-		}
-		keys[i] = lowering + ":" + sourceHash(lowering, cell.app)
-		systems[i] = cell.sys
-	}
-	runs := make([]metrics.RunStats, len(cells))
-	for _, group := range harness.BatchGroups(keys, systems, s.cfg.BatchSize) {
-		if flag.Stopped() {
-			return nil, cancel.ErrStopped
-		}
-		items := make([]harness.BatchItem, len(group))
-		for j, i := range group {
-			items[j] = harness.BatchItem{App: cells[i].app, System: cells[i].sys, Cfg: s.cellConfig(t, flag, req, cc)}
-		}
-		label := cells[group[0]].app.Name + "/" + cells[group[0]].sys
-		run := t.StartSpan(fmt.Sprintf("run %s x%d", label, len(group)), obs.RootSpan)
-		outs, err := harness.RunBatch(items)
-		s.endStage(t, run, "run")
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", label, err)
-		}
-		t.SetAttr(run, "batch", int64(len(group)))
-		if len(group) > 1 {
-			s.stats.ObserveBatch(len(group), "sweep")
-		}
-		for j, i := range group {
-			if outs[j].Err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", cells[i].app.Name, cells[i].sys, outs[j].Err)
-			}
-			s.stats.ObserveRun(outs[j].Stats.System, outs[j].Stats.Cycles)
-			runs[i] = outs[j].Stats
-		}
 	}
 	return runs, nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,10 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/apps"
+	"repro/internal/compile"
+	"repro/internal/dfg"
+	"repro/internal/obs"
 )
 
 const testSource = `program "sumloop" entry main
@@ -309,11 +314,25 @@ func TestMalformedRequests(t *testing.T) {
 // gets from the real handler: above 1 is a structured 400 on that field
 // with the migration note, and 1 (one goroutine) still runs and checks.
 func TestRetiredShards(t *testing.T) {
+	checkRetiredKnob(t, "shards", "exec.shards is retired")
+}
+
+// TestRetiredBatch is TestRetiredShards for exec.batch, retired with
+// lockstep batching.
+func TestRetiredBatch(t *testing.T) {
+	checkRetiredKnob(t, "batch", "exec.batch is retired")
+}
+
+// checkRetiredKnob posts exec.<knob> = 2 and = 1 to the real handler: the
+// first must be a 400 on that one field carrying the migration note, the
+// second a checked, completed run.
+func checkRetiredKnob(t *testing.T, knob, note string) {
+	t.Helper()
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
-	post := func(exec string) (int, []byte) {
+	post := func(n int) (int, []byte) {
 		t.Helper()
 		resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json",
-			strings.NewReader(`{"app":"dmv","scale":"tiny","system":"tyr","exec":`+exec+`}`))
+			strings.NewReader(fmt.Sprintf(`{"app":"dmv","scale":"tiny","system":"tyr","exec":{%q:%d}}`, knob, n)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,31 +341,112 @@ func TestRetiredShards(t *testing.T) {
 		return resp.StatusCode, body
 	}
 
-	code, body := post(`{"shards":2}`)
+	code, body := post(2)
 	if code != http.StatusBadRequest {
-		t.Fatalf("shards=2: status = %d, want 400; body: %s", code, body)
+		t.Fatalf("%s=2: status = %d, want 400; body: %s", knob, code, body)
 	}
 	var eb api.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatal(err)
 	}
-	if len(eb.Fields) != 1 || eb.Fields[0].Field != "exec.shards" {
-		t.Errorf("shards=2: want a single exec.shards field error, got %+v", eb.Fields)
+	if len(eb.Fields) != 1 || eb.Fields[0].Field != "exec."+knob {
+		t.Errorf("%s=2: want a single exec.%s field error, got %+v", knob, knob, eb.Fields)
 	}
-	if len(eb.Notes) != 1 || !strings.Contains(eb.Notes[0], "exec.shards is retired") {
-		t.Errorf("shards=2: want the migration note, got %q", eb.Notes)
+	if len(eb.Notes) != 1 || !strings.Contains(eb.Notes[0], note) {
+		t.Errorf("%s=2: want the migration note, got %q", knob, eb.Notes)
 	}
 
-	code, body = post(`{"shards":1}`)
+	code, body = post(1)
 	if code != http.StatusOK {
-		t.Fatalf("shards=1: status = %d, want 200; body: %s", code, body)
+		t.Fatalf("%s=1: status = %d, want 200; body: %s", knob, code, body)
 	}
 	var rr api.RunResult
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatal(err)
 	}
 	if !rr.Checked || !rr.Stats.Completed {
-		t.Errorf("shards=1: checked=%v completed=%v, want both true", rr.Checked, rr.Stats.Completed)
+		t.Errorf("%s=1: checked=%v completed=%v, want both true", knob, rr.Checked, rr.Stats.Completed)
+	}
+}
+
+// TestPanicFailsOnlyItsRequest first panics a job directly through
+// submit, which must return an error wrapping errJobPanic and count it.
+// It then seeds the graph cache with a corrupt dmv graph (a load whose
+// region index is past the region table), so the tagged engine panics
+// building its machine. On a one-worker server, both /v1/run and /v1/sweep
+// must answer that panic with a 500 whose body carries the trace ID, the
+// flight recorder must keep the failed request, tyrd_panics_total must
+// count every panic, and the surviving worker must still serve a real run.
+func TestPanicFailsOnlyItsRequest(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	if err := srv.submit(nil, func() { panic("boom") }); !errors.Is(err, errJobPanic) || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("submit of a panicking job: err = %v, want errJobPanic carrying the panic value", err)
+	}
+	if n := srv.Metrics().panics.Load(); n != 1 {
+		t.Fatalf("tyrd_panics_total = %d after one panic, want 1", n)
+	}
+
+	app := apps.Find(apps.Suite(apps.ScaleTiny), "dmv")
+	g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupted := false
+	for i := range g.Nodes {
+		if g.Nodes[i].Op == dfg.OpLoad {
+			g.Nodes[i].Region = len(g.MemNames)
+			corrupted = true
+			break
+		}
+	}
+	if !corrupted {
+		t.Fatal("dmv has no load to corrupt")
+	}
+	if _, _, err := srv.graphs.get("tagged", app, func() (*dfg.Graph, error) { return g, nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, ep := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/run", api.Request{App: "dmv", Scale: "tiny", System: "tyr"}},
+		{"/v1/sweep", api.SweepRequest{Scale: "tiny", Apps: []string{"dmv"}, Systems: []string{"tyr"}}},
+	} {
+		resp, body := postJSON(t, ts.Client(), ts.URL+ep.path, ep.body)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s: status = %d, want 500; body: %s", ep.path, resp.StatusCode, body)
+		}
+		var eb api.ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil {
+			t.Fatalf("%s: 500 body is not structured: %v (%s)", ep.path, err, body)
+		}
+		id := resp.Header.Get("Tyr-Trace-Id")
+		if eb.TraceID == "" || eb.TraceID != id {
+			t.Errorf("%s: error body trace_id %q, want header %q", ep.path, eb.TraceID, id)
+		}
+		if !strings.Contains(eb.Error, "panicked") {
+			t.Errorf("%s: error %q does not report the panic", ep.path, eb.Error)
+		}
+		rec := fetchDump(t, ts, id).Requests[0]
+		if rec.Retained != obs.RetainFailed || !strings.Contains(rec.Error, "panicked") {
+			t.Errorf("%s: flight record retained %q with error %q, want failed with the panic", ep.path, rec.Retained, rec.Error)
+		}
+	}
+	if n := srv.Metrics().panics.Load(); n != 3 {
+		t.Errorf("tyrd_panics_total = %d, want 3", n)
+	}
+
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{App: "smv", Scale: "tiny", System: "tyr"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run after the panics: status = %d, want 200; body: %s", resp.StatusCode, body)
+	}
+	var rr api.RunResult
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if !rr.Checked {
+		t.Error("run after the panics was not checked")
 	}
 }
 
