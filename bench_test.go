@@ -93,8 +93,8 @@ func BenchmarkFig12ExecTime(b *testing.B) {
 	b.ReportMetric(last.GmeanSlowdownVsTyr[harness.SysUnordered], "unordered-vs-tyr-x")
 }
 
-// BenchmarkFig13IPCCDF regenerates the IPC distributions.
-func BenchmarkFig13IPCCDF(b *testing.B) {
+// BenchmarkFig13IPCDistribution regenerates the IPC distributions.
+func BenchmarkFig13IPCDistribution(b *testing.B) {
 	var last *harness.Fig13Data
 	for i := 0; i < b.N; i++ {
 		d, _, err := harness.Fig13(benchCfg())

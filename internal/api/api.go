@@ -8,8 +8,8 @@
 // A Request selects a workload (a named suite kernel, or inline IR source
 // validated against the reference interpreter), a system, and the machine
 // parameters; Validate rejects malformed requests with field-level errors
-// before any simulation starts, and SysConfig converts a valid request into
-// the harness configuration that all five engines consume.
+// before any simulation starts, and Request.Plan converts a valid request
+// into the harness configuration that all five engines consume.
 package api
 
 import (

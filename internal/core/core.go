@@ -36,7 +36,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cancel"
 	"repro/internal/dfg"
@@ -166,9 +165,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxCycles == 0 {
 		c.MaxCycles = defaultMaxCycles
 	}
-	if c.TracePoints == 0 {
-		c.TracePoints = metrics.DefaultTracePoints
-	}
 	return c
 }
 
@@ -184,12 +180,6 @@ func (c Config) Describe() string {
 	default:
 		return fmt.Sprintf("policy=%s tags=unlimited", c.Policy)
 	}
-}
-
-// StatePoint is one sample of the live-token trace.
-type StatePoint struct {
-	Cycle int64
-	Live  int64
 }
 
 // PendingAlloc describes an allocate instruction that was starved of tags
@@ -266,7 +256,7 @@ type Result struct {
 
 	// Trace is the decimated live-token trace (Figs. 2, 9, 16, 18);
 	// TraceStride is the cycle stride between retained points.
-	Trace       []StatePoint
+	Trace       []metrics.TracePoint
 	TraceStride int64
 
 	// PeakTags is the maximum number of tags simultaneously in use across
@@ -304,25 +294,4 @@ func (r Result) IPC() float64 {
 		return 0
 	}
 	return float64(r.Fired) / float64(r.Cycles)
-}
-
-// IPCCDF returns (ipc, cumulative fraction of cycles at or below it) pairs
-// in increasing IPC order.
-func (r Result) IPCCDF() (ipcs []int, cum []float64) {
-	//tyr:nondet-ok -- keys only collected here, sorted before use
-	for ipc := range r.IPCHist {
-		ipcs = append(ipcs, ipc)
-	}
-	sort.Ints(ipcs)
-	total := float64(0)
-	//tyr:nondet-ok -- commutative sum over values
-	for _, c := range r.IPCHist {
-		total += float64(c)
-	}
-	acc := float64(0)
-	for _, ipc := range ipcs {
-		acc += float64(r.IPCHist[ipc])
-		cum = append(cum, acc/total)
-	}
-	return ipcs, cum
 }

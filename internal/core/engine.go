@@ -8,6 +8,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/dfg"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -134,14 +135,7 @@ type machine struct {
 	// may shift other slots over it.
 	fireVals []int64
 
-	trace       []StatePoint
-	traceStride int64
-	// Window-max sampling state: the live-state maximum (and the cycle it
-	// occurred) inside the current stride window, so decimation never
-	// drops the trace's peak.
-	winMax      int64
-	winMaxCycle int64
-	winValid    bool
+	liveTrace metrics.LiveTrace
 
 	// rec receives the event stream, nil unless Config.Tracer is set.
 	rec *trace.Recorder
@@ -254,9 +248,7 @@ func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
 	if cfg.Sanitize {
 		m.san = newSanitizer()
 	}
-	if cfg.TracePoints > 0 {
-		m.traceStride = 1
-	}
+	m.liveTrace = metrics.NewLiveTrace(cfg.TracePoints)
 	m.rec = cfg.Tracer
 
 	for i := range g.Nodes {
@@ -1003,7 +995,7 @@ func (m *machine) stepCycle() (bool, error) {
 			m.cycle++
 			m.ipcHist[0]++
 			m.sumLive += m.live
-			m.samplePoint()
+			m.liveTrace.Tick(m.cycle, m.live)
 			return false, nil
 		}
 		return true, nil
@@ -1040,7 +1032,7 @@ func (m *machine) stepCycle() (bool, error) {
 	if m.live > m.peakLive {
 		m.peakLive = m.live
 	}
-	m.samplePoint()
+	m.liveTrace.Tick(m.cycle, m.live)
 	return false, nil
 }
 
@@ -1067,88 +1059,17 @@ func (m *machine) run() (Result, error) {
 	return m.finish()
 }
 
-// samplePoint maintains the live-state trace with max-preserving
-// decimation: every cycle updates the current stride window's maximum, the
-// window's max point is recorded at stride boundaries, and when the point
-// cap is reached adjacent points merge keeping the larger — so the trace's
-// peak always equals the true PeakLive and cycles stay strictly increasing.
-//
-//tyr:hotpath
-func (m *machine) samplePoint() {
-	if m.cfg.TracePoints <= 0 {
-		return
-	}
-	if !m.winValid || m.live > m.winMax {
-		m.winMax, m.winMaxCycle = m.live, m.cycle
-		m.winValid = true
-	}
-	if m.cycle%m.traceStride != 0 {
-		return
-	}
-	m.trace = append(m.trace, StatePoint{Cycle: m.winMaxCycle, Live: m.winMax})
-	m.winValid = false
-	if len(m.trace) >= m.cfg.TracePoints {
-		m.trace = decimatePoints(m.trace)
-		m.traceStride *= 2
-	}
-}
-
-// decimatePoints halves a trace by merging adjacent pairs, keeping each
-// pair's higher-live point. The final point is never merged away, so the
-// end of the run survives any number of decimations.
-func decimatePoints(pts []StatePoint) []StatePoint {
-	if len(pts) < 3 {
-		return pts
-	}
-	last := pts[len(pts)-1]
-	body := pts[:len(pts)-1]
-	kept := pts[:0]
-	for i := 0; i < len(body); i += 2 {
-		p := body[i]
-		if i+1 < len(body) && body[i+1].Live > p.Live {
-			p = body[i+1]
-		}
-		kept = append(kept, p)
-	}
-	return append(kept, last)
-}
-
-// flushTrace closes the trace at end of run: the pending window's max and
-// the final state point are appended, then the cap is re-imposed.
-func (m *machine) flushTrace() {
-	if m.cfg.TracePoints <= 0 {
-		return
-	}
-	if m.winValid {
-		m.trace = append(m.trace, StatePoint{Cycle: m.winMaxCycle, Live: m.winMax})
-		m.winValid = false
-	}
-	if n := len(m.trace); n == 0 || m.trace[n-1].Cycle < m.cycle {
-		m.trace = append(m.trace, StatePoint{Cycle: m.cycle, Live: m.live})
-	}
-	for len(m.trace) > m.cfg.TracePoints && len(m.trace) >= 3 {
-		m.trace = decimatePoints(m.trace)
-		m.traceStride *= 2
-	}
-}
-
 func (m *machine) finish() (Result, error) {
-	m.flushTrace()
-	ipc := make(map[int]int64)
-	for k, v := range m.ipcHist {
-		if v != 0 {
-			ipc[k] = v
-		}
-	}
+	tr := m.liveTrace.CloseTicks(m.cycle, m.live)
 	res := Result{
 		Completed:               m.done,
 		Cycles:                  m.cycle,
 		Fired:                   m.fired,
 		ResultValue:             m.resultVal,
 		PeakLive:                m.peakLive,
-		IPCHist:                 ipc,
-		Trace:                   m.trace,
-		TraceStride:             m.traceStride,
+		IPCHist:                 metrics.Histogram(m.ipcHist),
+		Trace:                   tr,
+		TraceStride:             m.liveTrace.Stride(),
 		PeakTags:                m.peakTags,
 		KBoundPeakPerInvocation: m.kbPeakPerInv,
 		FrameTokens:             m.frameTokens,

@@ -113,19 +113,6 @@ func (compileSource) Ordered(app *apps.App) (*dfg.Graph, error) {
 	return compile.Ordered(app.Prog, compile.Options{EntryArgs: app.Args})
 }
 
-func (c SysConfig) withDefaults() SysConfig {
-	if c.IssueWidth == 0 {
-		c.IssueWidth = 128
-	}
-	if c.Tags == 0 {
-		c.Tags = 64
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 4
-	}
-	return c
-}
-
 // Run executes one workload on one system and converts the result to the
 // uniform record. Outputs are validated against the native reference
 // unless the run deadlocked (bounded unordered) or SkipCheck is set.
@@ -165,157 +152,112 @@ func attachCache(rs *metrics.RunStats, h *cache.Hierarchy) {
 	rs.Cache = &cs
 }
 
+// runSystem does each step every system shares once (graph lookup, image,
+// tracer metadata, cache model, cache counters, output check); its switch
+// only configures and calls the engine, then copies the result.
 func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, error) {
-	cfg = cfg.withDefaults()
 	rs := metrics.RunStats{System: system, App: app.Name}
 	graphs := GraphSource(compileSource{})
 	if cfg.Compiler != nil {
 		graphs = cfg.Compiler
 	}
+	var g *dfg.Graph
+	var err error
+	switch system {
+	case SysVN, SysSeqDF:
+	case SysOrdered:
+		g, err = graphs.Ordered(app)
+	case SysUnordered, SysTyr:
+		g, err = graphs.Tagged(app)
+	default:
+		return rs, fmt.Errorf("harness: unknown system %q", system)
+	}
+	if err != nil {
+		return rs, err
+	}
+	im := app.NewImage()
+	if cfg.imageSink != nil {
+		*cfg.imageSink = im
+	}
+	if cfg.Tracer != nil {
+		meta := trace.Meta{Program: app.Name, System: system}
+		if g != nil {
+			meta = trace.MetaFromGraph(app.Name, system, g)
+		}
+		cfg.Tracer.SetMeta(meta)
+	}
+	hier, err := newHierarchy(cfg, im)
+	if err != nil {
+		return rs, err
+	}
+	// A nil *cache.Hierarchy must stay a nil interface: the engines test
+	// Memory against nil to pick the flat-memory path.
+	var memory mem.AccessModel
+	if hier != nil {
+		memory = hier
+	}
 
+	var ret int64
 	switch system {
 	case SysVN:
-		im := app.NewImage()
-		if cfg.imageSink != nil {
-			*cfg.imageSink = im
-		}
-		if cfg.Tracer != nil {
-			cfg.Tracer.SetMeta(trace.Meta{Program: app.Name, System: system})
-		}
-		hier, err := newHierarchy(cfg, im)
+		res, err := vn.Run(app.Prog, im, vn.Config{
+			Args: app.Args, MaxSteps: cfg.MaxCycles, LoadLatency: cfg.LoadLatency,
+			Memory: memory, TracePoints: cfg.TracePoints, Tracer: cfg.Tracer, Stop: cfg.Stop,
+		})
 		if err != nil {
 			return rs, err
 		}
-		vcfg := vn.Config{Args: app.Args, MaxSteps: cfg.MaxCycles, LoadLatency: cfg.LoadLatency, TracePoints: cfg.TracePoints, Tracer: cfg.Tracer, Stop: cfg.Stop}
-		if hier != nil {
-			vcfg.Memory = hier
-		}
-		res, err := vn.Run(app.Prog, im, vcfg)
-		if err != nil {
-			return rs, err
-		}
-		if !cfg.SkipCheck {
-			if err := app.Check(im, res.Ret); err != nil {
-				return rs, fmt.Errorf("harness: %s on %s produced wrong output: %w", app.Name, system, err)
-			}
-		}
-		rs.Completed = true
-		rs.Cycles, rs.Fired = res.Cycles, res.Fired
-		rs.PeakLive, rs.MeanLive = res.PeakLive, res.MeanLive
-		rs.IPCHist = res.IPCHist
-		rs.Trace = convertTrace(res.Trace)
-		rs.Note = res.Note
-		attachCache(&rs, hier)
-		return rs, nil
-
+		ret = res.Ret
+		rs.Completed, rs.Cycles, rs.Fired, rs.Note = res.Completed, res.Cycles, res.Fired, res.Note
+		rs.PeakLive, rs.MeanLive, rs.IPCHist, rs.Trace = res.PeakLive, res.MeanLive, res.IPCHist, res.Trace
 	case SysSeqDF:
-		im := app.NewImage()
-		if cfg.imageSink != nil {
-			*cfg.imageSink = im
-		}
-		if cfg.Tracer != nil {
-			cfg.Tracer.SetMeta(trace.Meta{Program: app.Name, System: system})
-		}
-		hier, err := newHierarchy(cfg, im)
-		if err != nil {
-			return rs, err
-		}
-		scfg := seqdf.Config{
+		res, err := seqdf.Run(app.Prog, im, seqdf.Config{
 			Args: app.Args, MaxSteps: cfg.MaxCycles, IssueWidth: cfg.IssueWidth,
-			LoadLatency: int64(cfg.LoadLatency), TracePoints: cfg.TracePoints,
+			LoadLatency: int64(cfg.LoadLatency), Memory: memory, TracePoints: cfg.TracePoints,
 			Tracer: cfg.Tracer, Stop: cfg.Stop,
-		}
-		if hier != nil {
-			scfg.Memory = hier
-		}
-		res, err := seqdf.Run(app.Prog, im, scfg)
+		})
 		if err != nil {
 			return rs, err
 		}
-		if !cfg.SkipCheck {
-			if err := app.Check(im, res.Ret); err != nil {
-				return rs, fmt.Errorf("harness: %s on %s produced wrong output: %w", app.Name, system, err)
-			}
-		}
-		rs.Completed = true
-		rs.Cycles, rs.Fired = res.Cycles, res.Fired
-		rs.PeakLive, rs.MeanLive = res.PeakLive, res.MeanLive
-		rs.IPCHist = res.IPCHist
-		rs.Trace = convertTrace(res.Trace)
-		rs.Note = res.Note
-		attachCache(&rs, hier)
-		return rs, nil
-
+		ret = res.Ret
+		rs.Completed, rs.Cycles, rs.Fired, rs.Note = res.Completed, res.Cycles, res.Fired, res.Note
+		rs.PeakLive, rs.MeanLive, rs.IPCHist, rs.Trace = res.PeakLive, res.MeanLive, res.IPCHist, res.Trace
 	case SysOrdered:
-		g, err := graphs.Ordered(app)
+		res, err := ordered.Run(g, im, ordered.Config{
+			IssueWidth: cfg.IssueWidth, QueueCap: cfg.QueueCap, LoadLatency: cfg.LoadLatency,
+			Memory: memory, MaxCycles: cfg.MaxCycles, TracePoints: cfg.TracePoints,
+			Tracer: cfg.Tracer, Stop: cfg.Stop,
+		})
 		if err != nil {
 			return rs, err
 		}
-		im := app.NewImage()
-		if cfg.imageSink != nil {
-			*cfg.imageSink = im
-		}
-		if cfg.Tracer != nil {
-			cfg.Tracer.SetMeta(trace.MetaFromGraph(app.Name, system, g))
-		}
-		hier, err := newHierarchy(cfg, im)
-		if err != nil {
-			return rs, err
-		}
-		ocfg := orderedConfigFor(cfg)
-		if hier != nil {
-			ocfg.Memory = hier
-		}
-		res, err := ordered.Run(g, im, ocfg)
-		if err != nil {
-			return rs, err
-		}
-		if !cfg.SkipCheck {
-			if err := app.Check(im, res.ResultValue); err != nil {
-				return rs, fmt.Errorf("harness: %s on %s produced wrong output: %w", app.Name, system, err)
-			}
-		}
-		fillOrderedStats(&rs, res)
-		attachCache(&rs, hier)
-		return rs, nil
-
-	case SysUnordered, SysTyr:
-		g, err := graphs.Tagged(app)
-		if err != nil {
-			return rs, err
-		}
+		ret = res.ResultValue
+		rs.Completed, rs.Cycles, rs.Fired, rs.Note = res.Completed, res.Cycles, res.Fired, res.Note
+		rs.PeakLive, rs.MeanLive, rs.IPCHist, rs.Trace = res.PeakLive, res.MeanLive, res.IPCHist, res.Trace
+	default: // SysUnordered, SysTyr
 		ecfg := coreConfigFor(system, cfg)
-		im := app.NewImage()
-		if cfg.imageSink != nil {
-			*cfg.imageSink = im
-		}
-		if cfg.Tracer != nil {
-			cfg.Tracer.SetMeta(trace.MetaFromGraph(app.Name, system, g))
-		}
-		hier, err := newHierarchy(cfg, im)
-		if err != nil {
-			return rs, err
-		}
-		if hier != nil {
-			ecfg.Memory = hier
-		}
+		ecfg.Memory = memory
 		res, err := core.Run(g, im, ecfg)
 		if err != nil {
 			return rs, err
 		}
-		fillCoreStats(&rs, res)
-		attachCache(&rs, hier)
+		ret = res.ResultValue
+		rs.Completed, rs.Cycles, rs.Fired, rs.Note = res.Completed, res.Cycles, res.Fired, res.Note
+		rs.PeakLive, rs.MeanLive, rs.IPCHist, rs.Trace = res.PeakLive, res.MeanLive, res.IPCHist, res.Trace
+		rs.PeakTags, rs.Deadlocked = res.PeakTags, res.Deadlocked
 		if res.Deadlocked {
-			return rs, nil
+			rs.Note += "; " + res.Deadlock.String()
+			rs.Deadlock = convertDeadlock(res.Deadlock)
 		}
-		if !cfg.SkipCheck {
-			if err := app.Check(im, res.ResultValue); err != nil {
-				return rs, fmt.Errorf("harness: %s on %s produced wrong output: %w", app.Name, system, err)
-			}
-		}
+	}
+	attachCache(&rs, hier)
+	if rs.Deadlocked || cfg.SkipCheck {
 		return rs, nil
 	}
-	return rs, fmt.Errorf("harness: unknown system %q", system)
+	if err := app.Check(im, ret); err != nil {
+		return rs, fmt.Errorf("harness: %s on %s produced wrong output: %w", app.Name, system, err)
+	}
+	return rs, nil
 }
 
 // coreConfigFor translates the harness config into the tagged engine's
@@ -342,65 +284,6 @@ func coreConfigFor(system string, cfg SysConfig) core.Config {
 		ecfg.Policy = core.PolicyGlobalUnlimited
 	}
 	return ecfg
-}
-
-// orderedConfigFor translates the harness config into the FIFO machine's
-// config, minus the per-run memory hierarchy.
-func orderedConfigFor(cfg SysConfig) ordered.Config {
-	return ordered.Config{
-		IssueWidth: cfg.IssueWidth, QueueCap: cfg.QueueCap,
-		LoadLatency: cfg.LoadLatency, MaxCycles: cfg.MaxCycles,
-		TracePoints: cfg.TracePoints,
-		Tracer:      cfg.Tracer, Stop: cfg.Stop,
-	}
-}
-
-// fillCoreStats copies a tagged-engine result into the uniform record,
-// including the deadlock post-mortem when the run deadlocked.
-func fillCoreStats(rs *metrics.RunStats, res core.Result) {
-	rs.Completed = res.Completed
-	rs.Deadlocked = res.Deadlocked
-	rs.Cycles, rs.Fired = res.Cycles, res.Fired
-	rs.PeakLive, rs.MeanLive = res.PeakLive, res.MeanLive
-	rs.IPCHist = res.IPCHist
-	rs.Trace = convertCoreTrace(res.Trace)
-	rs.PeakTags = res.PeakTags
-	rs.Note = res.Note
-	if res.Deadlocked {
-		rs.Note = res.Note + "; " + res.Deadlock.String()
-		rs.Deadlock = convertDeadlock(res.Deadlock)
-	}
-}
-
-// fillOrderedStats copies a FIFO-machine result into the uniform record.
-func fillOrderedStats(rs *metrics.RunStats, res ordered.Result) {
-	rs.Completed = res.Completed
-	rs.Cycles, rs.Fired = res.Cycles, res.Fired
-	rs.PeakLive, rs.MeanLive = res.PeakLive, res.MeanLive
-	rs.IPCHist = res.IPCHist
-	rs.Trace = convertTrace(res.Trace)
-	rs.Note = res.Note
-}
-
-// convertTrace adapts any engine's state-point slice to the uniform trace
-// record. All engines share the same point shape.
-func convertTrace[T ~struct {
-	Cycle int64
-	Live  int64
-}](pts []T) []metrics.TracePoint {
-	out := make([]metrics.TracePoint, len(pts))
-	for i, p := range pts {
-		s := struct {
-			Cycle int64
-			Live  int64
-		}(p)
-		out[i] = metrics.TracePoint{Cycle: s.Cycle, Live: s.Live}
-	}
-	return out
-}
-
-func convertCoreTrace(pts []core.StatePoint) []metrics.TracePoint {
-	return convertTrace(pts)
 }
 
 // convertDeadlock adapts the engine's deadlock post-mortem to the telemetry

@@ -106,6 +106,7 @@ func DefaultPolicy() Policy {
 			"repro/internal/seqdf",
 			"repro/internal/vn",
 			"repro/internal/prog",
+			"repro/internal/metrics", // the live-state trace every engine feeds
 		},
 		CycleLoopPkgs: []string{
 			"repro/internal/core",

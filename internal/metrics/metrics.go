@@ -11,15 +11,189 @@ import (
 	"strings"
 )
 
-// DefaultTracePoints is the live-state trace cap every engine applies when
-// its config leaves TracePoints at zero: at most this many {cycle, live}
-// points, decimated max-preservingly as the run grows.
+// DefaultTracePoints is the live-state trace cap NewLiveTrace applies when
+// an engine's config leaves TracePoints at zero: at most this many
+// {cycle, live} points, decimated max-preservingly as the run grows.
 const DefaultTracePoints = 4096
 
 // TracePoint is one sample of a live-state-over-time trace.
 type TracePoint struct {
 	Cycle int64 `json:"cycle"`
 	Live  int64 `json:"live"`
+}
+
+// LiveTrace samples live state over time into at most a capped number of
+// points. Each stride window contributes its peak sample; when the cap is
+// reached adjacent points merge keeping the higher one and the stride
+// doubles. So however long the run, the trace keeps the true peak and the
+// final point, and its cycles strictly increase.
+//
+// Engines feed it by one of two rules, which retain different points. The
+// cycle-stepped machines call Tick once per cycle and CloseTicks at the
+// end: a window closes on every cycle that is a multiple of the stride.
+// The cost models call Boundary at each scope or block boundary and
+// CloseBoundaries at the end: boundaries arrive at irregular clocks, so a
+// window closes one stride after the last point, and a window landing on
+// the last point's clock (an empty block leaves the clock unchanged)
+// merges into it.
+type LiveTrace struct {
+	pts    []TracePoint
+	limit  int
+	stride int64 // 0 when sampling is off
+	win    TracePoint
+	winSet bool
+}
+
+// NewLiveTrace returns a trace capped at points: zero selects
+// DefaultTracePoints, and a negative cap turns sampling off.
+func NewLiveTrace(points int) LiveTrace {
+	if points == 0 {
+		points = DefaultTracePoints
+	}
+	if points < 0 {
+		return LiveTrace{}
+	}
+	return LiveTrace{limit: points, stride: 1}
+}
+
+// Stride returns the cycle stride between retained points (0 when
+// sampling is off).
+func (t *LiveTrace) Stride() int64 { return t.stride }
+
+// observe folds one sample into the pending window's peak.
+//
+//tyr:hotpath
+func (t *LiveTrace) observe(cycle, live int64) {
+	if !t.winSet || live > t.win.Live {
+		t.win = TracePoint{Cycle: cycle, Live: live}
+		t.winSet = true
+	}
+}
+
+// Tick records the live state at the end of a cycle.
+//
+//tyr:hotpath
+func (t *LiveTrace) Tick(cycle, live int64) {
+	if t.stride == 0 {
+		return
+	}
+	t.observe(cycle, live)
+	if cycle%t.stride != 0 {
+		return
+	}
+	t.pts = append(t.pts, t.win)
+	t.winSet = false
+	if len(t.pts) >= t.limit {
+		t.halve()
+	}
+}
+
+// Boundary records the live state at a boundary reached at clock cycle.
+//
+//tyr:hotpath
+func (t *LiveTrace) Boundary(cycle, live int64) {
+	if t.stride == 0 {
+		return
+	}
+	t.observe(cycle, live)
+	if n := len(t.pts); n > 0 && cycle-t.pts[n-1].Cycle < t.stride {
+		return
+	}
+	t.closeWindow()
+}
+
+// closeWindow appends the pending window's peak under the boundary rule:
+// a window landing on the last point's cycle merges into it.
+//
+//tyr:hotpath
+func (t *LiveTrace) closeWindow() {
+	if !t.winSet {
+		return
+	}
+	t.winSet = false
+	if n := len(t.pts); n > 0 && t.win.Cycle <= t.pts[n-1].Cycle {
+		if t.win.Live > t.pts[n-1].Live {
+			t.pts[n-1].Live = t.win.Live
+		}
+		return
+	}
+	t.pts = append(t.pts, t.win)
+	if len(t.pts) >= t.limit {
+		t.halve()
+	}
+}
+
+// CloseTicks ends a Tick-fed trace at the run's final cycle and live
+// state and returns its points (nil when sampling is off).
+func (t *LiveTrace) CloseTicks(cycle, live int64) []TracePoint {
+	if t.stride == 0 {
+		return nil
+	}
+	if t.winSet {
+		t.pts = append(t.pts, t.win)
+		t.winSet = false
+	}
+	return t.close(cycle, live)
+}
+
+// CloseBoundaries ends a Boundary-fed trace at the run's final clock and
+// live state and returns its points (nil when sampling is off).
+func (t *LiveTrace) CloseBoundaries(cycle, live int64) []TracePoint {
+	if t.stride == 0 {
+		return nil
+	}
+	t.closeWindow()
+	return t.close(cycle, live)
+}
+
+// close appends the final state unless a point already sits at its cycle,
+// then re-imposes the cap.
+func (t *LiveTrace) close(cycle, live int64) []TracePoint {
+	if n := len(t.pts); n == 0 || t.pts[n-1].Cycle < cycle {
+		t.pts = append(t.pts, TracePoint{Cycle: cycle, Live: live})
+	}
+	for len(t.pts) > t.limit && len(t.pts) >= 3 {
+		t.halve()
+	}
+	return t.pts
+}
+
+// halve decimates the points and doubles the stride.
+func (t *LiveTrace) halve() {
+	t.pts = decimate(t.pts)
+	t.stride *= 2
+}
+
+// decimate halves a trace by merging adjacent pairs, keeping each pair's
+// higher-live point. The final point is never merged away, so the end of
+// the run survives any number of decimations.
+func decimate(pts []TracePoint) []TracePoint {
+	if len(pts) < 3 {
+		return pts
+	}
+	last := pts[len(pts)-1]
+	body := pts[:len(pts)-1]
+	kept := pts[:0]
+	for i := 0; i < len(body); i += 2 {
+		p := body[i]
+		if i+1 < len(body) && body[i+1].Live > p.Live {
+			p = body[i+1]
+		}
+		kept = append(kept, p)
+	}
+	return append(kept, last)
+}
+
+// Histogram turns a dense count slice, indexed by value, into the sparse
+// value -> count map RunStats.IPCHist carries, dropping zero counts.
+func Histogram(counts []int64) map[int]int64 {
+	hist := make(map[int]int64)
+	for v, c := range counts {
+		if c != 0 {
+			hist[v] = c
+		}
+	}
+	return hist
 }
 
 // RunStats is the architecture-independent summary of one run. The JSON
@@ -135,10 +309,11 @@ func Speedup(base, other int64) float64 {
 // CDF converts a value->count histogram into sorted (value, cumulative
 // fraction) pairs.
 func CDF(hist map[int]int64) (xs []int, ys []float64) {
-	var total float64
+	var total int64
+	//tyr:nondet-ok -- keys are sorted before use; the integer sum is exact in any order
 	for v, c := range hist {
 		xs = append(xs, v)
-		total += float64(c)
+		total += c
 	}
 	sort.Ints(xs)
 	if total == 0 {
@@ -147,7 +322,7 @@ func CDF(hist map[int]int64) (xs []int, ys []float64) {
 	acc := 0.0
 	for _, x := range xs {
 		acc += float64(hist[x])
-		ys = append(ys, acc/total)
+		ys = append(ys, acc/float64(total))
 	}
 	return xs, ys
 }

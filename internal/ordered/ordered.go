@@ -66,16 +66,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxCycles == 0 {
 		c.MaxCycles = defaultMaxCycles
 	}
-	if c.TracePoints == 0 {
-		c.TracePoints = metrics.DefaultTracePoints
-	}
 	return c
-}
-
-// StatePoint is one sample of the live-token trace.
-type StatePoint struct {
-	Cycle int64
-	Live  int64
 }
 
 // Result reports one run.
@@ -87,18 +78,10 @@ type Result struct {
 	PeakLive    int64
 	MeanLive    float64
 	IPCHist     map[int]int64
-	Trace       []StatePoint
+	Trace       []metrics.TracePoint
 	TraceStride int64
 	// Note records the machine configuration that produced the run.
 	Note string
-}
-
-// IPC returns mean instructions per cycle.
-func (r Result) IPC() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Fired) / float64(r.Cycles)
 }
 
 // fifo is a simple queue of token values.
@@ -207,12 +190,8 @@ type machine struct {
 
 	vals []int64 // operand scratch for join/forward fires
 
-	tracePts    []StatePoint
-	traceStride int64
-	winMax      int64
-	winMaxCycle int64
-	winValid    bool
-	rec         *trace.Recorder
+	liveTrace metrics.LiveTrace
+	rec       *trace.Recorder
 
 	resultSeen bool
 	resultVal  int64
@@ -289,9 +268,7 @@ func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
 	m.inFlight = make([]int32, nports)
 	m.lastDue = make([]int64, nports)
 	m.vals = make([]int64, maxIn)
-	if cfg.TracePoints > 0 {
-		m.traceStride = 1
-	}
+	m.liveTrace = metrics.NewLiveTrace(cfg.TracePoints)
 	for i := range g.Nodes {
 		m.queues[i] = make([]fifo, g.Nodes[i].NIn)
 	}
@@ -657,7 +634,7 @@ func (m *machine) stepCycle() (bool, error) {
 	if m.live > m.peakLive {
 		m.peakLive = m.live
 	}
-	m.samplePoint()
+	m.liveTrace.Tick(m.cycle, m.live)
 	return false, nil
 }
 
@@ -687,22 +664,16 @@ func (m *machine) run() (Result, error) {
 // so the loop itself stays allocation-free (//tyr:hotpath): everything
 // here runs exactly once per simulation.
 func (m *machine) finish() (Result, error) {
-	m.flushTrace()
-	ipc := make(map[int]int64)
-	for k, v := range m.ipcHist {
-		if v != 0 {
-			ipc[k] = v
-		}
-	}
+	tr := m.liveTrace.CloseTicks(m.cycle, m.live)
 	res := Result{
 		Completed:   m.resultSeen,
 		Cycles:      m.cycle,
 		Fired:       m.fired,
 		ResultValue: m.resultVal,
 		PeakLive:    m.peakLive,
-		IPCHist:     ipc,
-		Trace:       m.tracePts,
-		TraceStride: m.traceStride,
+		IPCHist:     metrics.Histogram(m.ipcHist),
+		Trace:       tr,
+		TraceStride: m.liveTrace.Stride(),
 		Note:        fmt.Sprintf("queue-cap=%d width=%d", m.cfg.QueueCap, m.cfg.IssueWidth),
 	}
 	if m.cycle > 0 {
@@ -712,68 +683,6 @@ func (m *machine) finish() (Result, error) {
 		return res, fmt.Errorf("ordered: machine quiesced without producing a result (%d tokens queued)", m.live)
 	}
 	return res, nil
-}
-
-// samplePoint maintains the live-state trace with max-preserving
-// decimation: each stride window contributes its peak-live sample, so
-// decimation never erases the trace's true peak.
-//
-//tyr:hotpath
-func (m *machine) samplePoint() {
-	if m.cfg.TracePoints <= 0 {
-		return
-	}
-	if !m.winValid || m.live > m.winMax {
-		m.winMax, m.winMaxCycle = m.live, m.cycle
-		m.winValid = true
-	}
-	if m.cycle%m.traceStride != 0 {
-		return
-	}
-	m.tracePts = append(m.tracePts, StatePoint{Cycle: m.winMaxCycle, Live: m.winMax})
-	m.winValid = false
-	if len(m.tracePts) >= m.cfg.TracePoints {
-		m.tracePts = decimatePoints(m.tracePts)
-		m.traceStride *= 2
-	}
-}
-
-// decimatePoints halves a trace by merging adjacent pairs, keeping each
-// pair's higher-live point. The final point is never merged away.
-func decimatePoints(pts []StatePoint) []StatePoint {
-	if len(pts) < 3 {
-		return pts
-	}
-	last := pts[len(pts)-1]
-	body := pts[:len(pts)-1]
-	kept := pts[:0]
-	for i := 0; i < len(body); i += 2 {
-		p := body[i]
-		if i+1 < len(body) && body[i+1].Live > p.Live {
-			p = body[i+1]
-		}
-		kept = append(kept, p)
-	}
-	return append(kept, last)
-}
-
-// flushTrace closes the trace at end of run: the pending window's max and
-// the final state point are appended, then the cap is re-imposed.
-func (m *machine) flushTrace() {
-	if m.cfg.TracePoints <= 0 {
-		return
-	}
-	if m.winValid {
-		m.tracePts = append(m.tracePts, StatePoint{Cycle: m.winMaxCycle, Live: m.winMax})
-		m.winValid = false
-	}
-	if n := len(m.tracePts); n == 0 || m.tracePts[n-1].Cycle < m.cycle {
-		m.tracePts = append(m.tracePts, StatePoint{Cycle: m.cycle, Live: m.live})
-	}
-	for len(m.tracePts) > m.cfg.TracePoints && len(m.tracePts) >= 3 {
-		m.tracePts = decimatePoints(m.tracePts)
-		m.traceStride *= 2
-	}
 }
 
 func sortNodeIDs(ids []dfg.NodeID) {

@@ -31,12 +31,6 @@ import (
 	"repro/internal/trace"
 )
 
-// StatePoint is one sample of the live-state trace.
-type StatePoint struct {
-	Cycle int64
-	Live  int64
-}
-
 // Result reports one run.
 type Result struct {
 	Completed bool
@@ -47,7 +41,7 @@ type Result struct {
 	PeakLive  int64
 	MeanLive  float64
 	IPCHist   map[int]int64
-	Trace     []StatePoint
+	Trace     []metrics.TracePoint
 	Stats     prog.Stats
 	// Note records the machine configuration that produced the run.
 	Note string
@@ -113,12 +107,7 @@ type model struct {
 	sumLive  int64
 	peakLive int64
 
-	tracePts    []StatePoint
-	tracePoints int
-	traceStride int64
-	winMax      int64
-	winMaxCycle int64
-	winValid    bool
+	liveTrace metrics.LiveTrace
 
 	ipcHist []int64 // indexed by block IPC, capped at width
 
@@ -229,82 +218,7 @@ func (m *model) Boundary(_ prog.BoundaryKind, live int) {
 		m.rec.Record(trace.Event{Cycle: m.clock, Kind: trace.KindBoundary,
 			Node: trace.NoNode, Src: trace.NoNode, Val: int64(live)})
 	}
-	m.sample(blockLive)
-}
-
-// sample maintains the live-state trace with max-preserving decimation:
-// each stride window contributes its peak-live sample.
-//
-//tyr:hotpath
-func (m *model) sample(live int64) {
-	if m.tracePoints <= 0 {
-		return
-	}
-	if !m.winValid || live > m.winMax {
-		m.winMax, m.winMaxCycle = live, m.clock
-		m.winValid = true
-	}
-	if n := len(m.tracePts); n > 0 && m.clock-m.tracePts[n-1].Cycle < m.traceStride {
-		return
-	}
-	m.emitWindow()
-}
-
-// emitWindow appends the pending window's peak. Empty blocks leave the
-// clock unchanged, so a window landing on the previous point's cycle
-// merges into it instead of breaking monotonicity.
-//
-//tyr:hotpath
-func (m *model) emitWindow() {
-	if !m.winValid {
-		return
-	}
-	m.winValid = false
-	if n := len(m.tracePts); n > 0 && m.winMaxCycle <= m.tracePts[n-1].Cycle {
-		if m.winMax > m.tracePts[n-1].Live {
-			m.tracePts[n-1].Live = m.winMax
-		}
-		return
-	}
-	m.tracePts = append(m.tracePts, StatePoint{Cycle: m.winMaxCycle, Live: m.winMax})
-	if len(m.tracePts) >= m.tracePoints {
-		m.tracePts = decimatePoints(m.tracePts)
-		m.traceStride *= 2
-	}
-}
-
-// flush closes the trace at end of run and re-imposes the cap.
-func (m *model) flush() {
-	if m.tracePoints <= 0 {
-		return
-	}
-	m.emitWindow()
-	if n := len(m.tracePts); n == 0 || m.tracePts[n-1].Cycle < m.clock {
-		m.tracePts = append(m.tracePts, StatePoint{Cycle: m.clock, Live: 0})
-	}
-	for len(m.tracePts) > m.tracePoints && len(m.tracePts) >= 3 {
-		m.tracePts = decimatePoints(m.tracePts)
-		m.traceStride *= 2
-	}
-}
-
-// decimatePoints halves a trace by merging adjacent pairs, keeping each
-// pair's higher-live point. The final point is never merged away.
-func decimatePoints(pts []StatePoint) []StatePoint {
-	if len(pts) < 3 {
-		return pts
-	}
-	last := pts[len(pts)-1]
-	body := pts[:len(pts)-1]
-	kept := pts[:0]
-	for i := 0; i < len(body); i += 2 {
-		p := body[i]
-		if i+1 < len(body) && body[i+1].Live > p.Live {
-			p = body[i+1]
-		}
-		kept = append(kept, p)
-	}
-	return append(kept, last)
+	m.liveTrace.Boundary(m.clock, blockLive)
 }
 
 //tyr:hotpath
@@ -322,30 +236,19 @@ func Run(p *prog.Program, im *mem.Image, cfg Config) (Result, error) {
 		width = 128
 	}
 	m := &model{
-		width:       width,
-		loadLat:     cfg.LoadLatency,
-		memory:      cfg.Memory,
-		ipcHist:     make([]int64, width+1),
-		tracePoints: cfg.TracePoints,
-		traceStride: 1,
-		rec:         cfg.Tracer,
-	}
-	if m.tracePoints == 0 {
-		m.tracePoints = metrics.DefaultTracePoints
+		width:     width,
+		loadLat:   cfg.LoadLatency,
+		memory:    cfg.Memory,
+		ipcHist:   make([]int64, width+1),
+		liveTrace: metrics.NewLiveTrace(cfg.TracePoints),
+		rec:       cfg.Tracer,
 	}
 	res, err := prog.Run(p, im, prog.RunConfig{Args: cfg.Args, MaxSteps: cfg.MaxSteps, Model: m, Stop: cfg.Stop})
 	if err != nil {
 		return Result{}, err
 	}
 	m.Boundary(prog.BoundaryCallExit, 0) // flush the final block
-	m.flush()
 
-	ipc := make(map[int]int64)
-	for k, v := range m.ipcHist {
-		if v != 0 {
-			ipc[k] = v
-		}
-	}
 	out := Result{
 		Completed: true,
 		Cycles:    m.clock,
@@ -353,8 +256,8 @@ func Run(p *prog.Program, im *mem.Image, cfg Config) (Result, error) {
 		Waves:     m.waves,
 		Ret:       res.Ret,
 		PeakLive:  m.peakLive,
-		IPCHist:   ipc,
-		Trace:     m.tracePts,
+		IPCHist:   metrics.Histogram(m.ipcHist),
+		Trace:     m.liveTrace.CloseBoundaries(m.clock, 0),
 		Stats:     res.Stats,
 		Note:      fmt.Sprintf("hyperblock waves, width=%d", width),
 	}

@@ -278,10 +278,18 @@ func TestExplicitRangeServedLocally(t *testing.T) {
 		t.Errorf("ranged request was fanned out to a peer %d times", called)
 	}
 
-	// A range past the end of the grid is a validation error, not a crash.
+	// A range past the end of the grid is a validation error on
+	// cell_start, not a crash, also when cell_start + cell_count overflows.
 	req.CellStart, req.CellCount = 2, 5
-	resp, body := postJSON(t, coordTS.Client(), coordTS.URL+"/v1/sweep", req)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("out-of-range sweep: status %d (want 400): %s", resp.StatusCode, body)
+	for i, body := range []any{req, json.RawMessage(overflowSweep)} {
+		resp, reply := postJSON(t, coordTS.Client(), coordTS.URL+"/v1/sweep", body)
+		var eb api.ErrorBody
+		if err := json.Unmarshal(reply, &eb); resp.StatusCode != http.StatusBadRequest || err != nil ||
+			len(eb.Fields) != 1 || eb.Fields[0].Field != "cell_start" {
+			t.Fatalf("out-of-range sweep %d: status %d (want 400 on cell_start): %s", i, resp.StatusCode, reply)
+		}
 	}
 }
+
+// overflowSweep asks for a cell range whose end overflows an int.
+const overflowSweep = `{"scale":"tiny","apps":["dmv"],"systems":["vN","tyr"],"cell_start":1,"cell_count":9223372036854775807}`

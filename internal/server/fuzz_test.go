@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,13 +13,9 @@ import (
 	"repro/internal/api"
 )
 
-// FuzzServeRun drives the real /v1/run handler with arbitrary bodies under
-// a short server deadline. Whatever the body, the reply must be one of the
-// statuses the API documents — never a 500, which would mean a panic or an
-// unencodable reply — and must decode as a RunResult (200) or a structured
-// ErrorBody (everything else).
+// FuzzServeRun drives the real /v1/run handler with arbitrary bodies.
 func FuzzServeRun(f *testing.F) {
-	for _, body := range []string{
+	fuzzServe(f, "/v1/run", []string{
 		`{"app":"dmv","scale":"tiny","system":"tyr"}`,
 		`{"app":"tc","scale":"tiny","system":"ordered","trace_points":16}`,
 		`{"app":"smv","scale":"tiny","system":"unordered","global_tags":8,"skip_check":true}`,
@@ -29,9 +26,41 @@ func FuzzServeRun(f *testing.F) {
 		`{"app":"dmv","scale":"tiny","system":"tyr","exec":{"batch":4}}`,
 		`{"app":"dmv","scale":"tiny","system":"tyr","exec":{"batch":1}}`,
 		`{"system": "tyr", "app"`,
-	} {
+	}, func(reply []byte) (string, error) {
+		var rr api.RunResult
+		err := json.Unmarshal(reply, &rr)
+		return rr.Version, err
+	})
+}
+
+// FuzzServeSweep drives the real /v1/sweep handler with arbitrary bodies.
+func FuzzServeSweep(f *testing.F) {
+	fuzzServe(f, "/v1/sweep", []string{
+		`{"scale":"tiny","apps":["dmv"],"systems":["vN","tyr"]}`,
+		`{"scale":"tiny","apps":["tc","smv"],"systems":["ordered"],"cell_start":1,"cell_count":1}`,
+		`{"scale":"tiny","apps":["spmspv"],"systems":["seqdf","unordered"],"cache":{"l1":"sets=16,ways=2,line=4,lat=1"}}`,
+		`{"scale":"tiny","apps":["dmv"],"systems":["tyr"],"cell_start":2}`,
+		overflowSweep,
+		`{"scale": "tiny", "apps"`,
+	}, func(reply []byte) (string, error) {
+		var sr api.SweepResult
+		err := json.Unmarshal(reply, &sr)
+		return sr.Version, err
+	})
+}
+
+// fuzzServe posts each fuzzed body to path on a one-worker server with a
+// 1 s deadline. Whatever the body, the reply must be one of the statuses
+// the API documents — never a 500, which would mean a panic or an
+// unencodable reply — and must decode: a 200 through decodeOK, anything
+// else as a structured ErrorBody. Once the corpus has run, closing the
+// server must bring the goroutine count back to where it was before the
+// server started.
+func fuzzServe(f *testing.F, path string, seeds []string, decodeOK func([]byte) (version string, err error)) {
+	for _, body := range seeds {
 		f.Add(body)
 	}
+	baseline, _ := countGoroutines()
 	srv := New(Config{
 		Workers:        1,
 		QueueDepth:     4,
@@ -43,10 +72,11 @@ func FuzzServeRun(f *testing.F) {
 	f.Cleanup(func() {
 		ts.Close()
 		srv.Close()
+		waitForGoroutines(f, baseline)
 	})
 
 	f.Fuzz(func(t *testing.T, body string) {
-		resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,9 +87,8 @@ func FuzzServeRun(f *testing.F) {
 		}
 		switch resp.StatusCode {
 		case http.StatusOK:
-			var rr api.RunResult
-			if err := json.Unmarshal(reply, &rr); err != nil || rr.Version != api.Version {
-				t.Fatalf("200 reply is not a RunResult (%v): %s", err, reply)
+			if version, err := decodeOK(reply); err != nil || version != api.Version {
+				t.Fatalf("200 reply does not decode (%v): %s", err, reply)
 			}
 		case http.StatusBadRequest, http.StatusUnprocessableEntity, http.StatusTooManyRequests,
 			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
@@ -71,4 +100,45 @@ func FuzzServeRun(f *testing.F) {
 			t.Fatalf("status %d for body %q: %s", resp.StatusCode, body, reply)
 		}
 	})
+}
+
+// waitForGoroutines fails tb, listing every goroutine, unless the count
+// settles back to baseline (from countGoroutines) within 5 s.
+func waitForGoroutines(tb testing.TB, baseline int) {
+	tb.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n, stacks := countGoroutines()
+		if n <= baseline {
+			return
+		}
+		if time.Now().After(deadline) {
+			tb.Errorf("goroutines leaked: %d > baseline %d\n%s", n, baseline, stacks)
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// countGoroutines collects garbage, then counts the process's goroutines
+// and returns their stacks. It leaves out the os/signal watcher, which
+// `go test -fuzz` starts once mid-run and which never exits.
+func countGoroutines() (int, string) {
+	runtime.GC()
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !strings.Contains(g, "os/signal.loop") {
+			count++
+		}
+	}
+	return count, string(buf)
 }

@@ -638,16 +638,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cells, systems := sweepGrid(&req, scale)
+	// Compare the count with the cells left instead of adding it to the
+	// start: the sum of two huge fields overflows past the bounds check.
 	start, end := req.CellStart, len(cells)
-	if req.CellCount > 0 {
-		end = req.CellStart + req.CellCount
-	}
-	if start > len(cells) || end > len(cells) {
+	if start > len(cells) || req.CellCount > len(cells)-start {
 		s.endStage(t, adm, "admission")
 		s.writeError(w, r, http.StatusBadRequest, &api.ValidationError{Fields: []api.FieldError{
-			{Field: "cell_start", Message: fmt.Sprintf("range [%d, %d) exceeds the %d-cell grid", start, end, len(cells))},
+			{Field: "cell_start", Message: fmt.Sprintf("range [%d, %d) exceeds the %d-cell grid", start, uint64(start)+uint64(req.CellCount), len(cells))},
 		}})
 		return
+	}
+	if req.CellCount > 0 {
+		end = start + req.CellCount
 	}
 	// Build the cache config once, up front: a bad spec fails the request
 	// instead of silently degrading every cell to flat memory.

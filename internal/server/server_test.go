@@ -73,8 +73,7 @@ func TestConcurrentRuns(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 
 	// Baseline after the pool's workers exist but before any requests.
-	runtime.GC()
-	baseline := runtime.NumGoroutine()
+	baseline, _ := countGoroutines()
 
 	const n = 64
 	var wg sync.WaitGroup
@@ -135,18 +134,7 @@ func TestConcurrentRuns(t *testing.T) {
 	// Goroutine-leak check: close the HTTP side (dropping keep-alive conns),
 	// then the count must settle back to the baseline.
 	ts.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if g := runtime.NumGoroutine(); g <= baseline {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), baseline)
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitForGoroutines(t, baseline)
 	srv.Close()
 }
 

@@ -20,12 +20,6 @@ import (
 	"repro/internal/trace"
 )
 
-// StatePoint is one sample of the live-value trace.
-type StatePoint struct {
-	Cycle int64
-	Live  int64
-}
-
 // Result reports one run.
 type Result struct {
 	Completed bool
@@ -35,7 +29,7 @@ type Result struct {
 	PeakLive  int64
 	MeanLive  float64
 	IPCHist   map[int]int64
-	Trace     []StatePoint
+	Trace     []metrics.TracePoint
 	Stats     prog.Stats
 	// Note records the machine configuration that produced the run.
 	Note string
@@ -92,12 +86,7 @@ type model struct {
 	sumLive    int64
 	peakLive   int64
 
-	tracePts    []StatePoint
-	tracePoints int
-	traceStride int64
-	winMax      int64
-	winMaxCycle int64
-	winValid    bool
+	liveTrace metrics.LiveTrace
 
 	rec *trace.Recorder
 }
@@ -145,90 +134,12 @@ func (m *model) Boundary(_ prog.BoundaryKind, live int) {
 		m.rec.Record(trace.Event{Cycle: m.instrs, Kind: trace.KindBoundary,
 			Node: trace.NoNode, Src: trace.NoNode, Val: m.lastLive})
 	}
-	m.sample()
-}
-
-// sample maintains the live-state trace with max-preserving decimation:
-// each stride window contributes its peak-live sample.
-//
-//tyr:hotpath
-func (m *model) sample() {
-	if m.tracePoints <= 0 {
-		return
-	}
-	if !m.winValid || m.lastLive > m.winMax {
-		m.winMax, m.winMaxCycle = m.lastLive, m.instrs
-		m.winValid = true
-	}
-	if n := len(m.tracePts); n > 0 && m.instrs-m.tracePts[n-1].Cycle < m.traceStride {
-		return
-	}
-	m.emitWindow()
-}
-
-// emitWindow appends the pending window's peak. Boundaries may repeat the
-// same instruction count, so a window landing on the previous point's
-// cycle merges into it instead of breaking monotonicity.
-//
-//tyr:hotpath
-func (m *model) emitWindow() {
-	if !m.winValid {
-		return
-	}
-	m.winValid = false
-	if n := len(m.tracePts); n > 0 && m.winMaxCycle <= m.tracePts[n-1].Cycle {
-		if m.winMax > m.tracePts[n-1].Live {
-			m.tracePts[n-1].Live = m.winMax
-		}
-		return
-	}
-	m.tracePts = append(m.tracePts, StatePoint{Cycle: m.winMaxCycle, Live: m.winMax})
-	if len(m.tracePts) >= m.tracePoints {
-		m.tracePts = decimatePoints(m.tracePts)
-		m.traceStride *= 2
-	}
-}
-
-// flush closes the trace at end of run and re-imposes the cap.
-func (m *model) flush(end int64) {
-	if m.tracePoints <= 0 {
-		return
-	}
-	m.emitWindow()
-	if n := len(m.tracePts); n == 0 || m.tracePts[n-1].Cycle < end {
-		m.tracePts = append(m.tracePts, StatePoint{Cycle: end, Live: m.lastLive})
-	}
-	for len(m.tracePts) > m.tracePoints && len(m.tracePts) >= 3 {
-		m.tracePts = decimatePoints(m.tracePts)
-		m.traceStride *= 2
-	}
-}
-
-// decimatePoints halves a trace by merging adjacent pairs, keeping each
-// pair's higher-live point. The final point is never merged away.
-func decimatePoints(pts []StatePoint) []StatePoint {
-	if len(pts) < 3 {
-		return pts
-	}
-	last := pts[len(pts)-1]
-	body := pts[:len(pts)-1]
-	kept := pts[:0]
-	for i := 0; i < len(body); i += 2 {
-		p := body[i]
-		if i+1 < len(body) && body[i+1].Live > p.Live {
-			p = body[i+1]
-		}
-		kept = append(kept, p)
-	}
-	return append(kept, last)
+	m.liveTrace.Boundary(m.instrs, m.lastLive)
 }
 
 // Run executes the program under the vN cost model.
 func Run(p *prog.Program, im *mem.Image, cfg Config) (Result, error) {
-	m := &model{tracePoints: cfg.TracePoints, traceStride: 1, loadLat: int64(cfg.LoadLatency), memory: cfg.Memory, rec: cfg.Tracer}
-	if m.tracePoints == 0 {
-		m.tracePoints = metrics.DefaultTracePoints
-	}
+	m := &model{liveTrace: metrics.NewLiveTrace(cfg.TracePoints), loadLat: int64(cfg.LoadLatency), memory: cfg.Memory, rec: cfg.Tracer}
 	res, err := prog.Run(p, im, prog.RunConfig{Args: cfg.Args, MaxSteps: cfg.MaxSteps, Model: m, Stop: cfg.Stop})
 	if err != nil {
 		return Result{}, err
@@ -237,14 +148,13 @@ func Run(p *prog.Program, im *mem.Image, cfg Config) (Result, error) {
 	m.Boundary(prog.BoundaryCallExit, 0)
 
 	cycles := m.instrs + m.stalls
-	m.flush(cycles)
 	out := Result{
 		Completed: true,
 		Cycles:    cycles,
 		Fired:     m.instrs,
 		Ret:       res.Ret,
 		PeakLive:  m.peakLive,
-		Trace:     m.tracePts,
+		Trace:     m.liveTrace.CloseBoundaries(cycles, m.lastLive),
 		Stats:     res.Stats,
 		IPCHist:   map[int]int64{1: m.instrs},
 		Note:      "sequential, 1 instr/cycle",
