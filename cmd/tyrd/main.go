@@ -30,9 +30,12 @@
 //
 // Every request gets a trace ID (Tyr-Trace-Id response header, stamped on
 // its log line and on error bodies), and the last -flight-ring completed
-// workload requests are retrievable at GET /v1/debug/requests[/{id}] —
-// slow (-flight-slow), failed, and sampled (every -flight-sample'th)
-// requests retain their full engine event capture. -debug-addr opens a
+// workload requests are retrievable at GET /v1/debug/requests[/{id}],
+// each flagged slow (-flight-slow), failed, or sampled. Only sampled
+// requests (every -flight-sample'th, starting with the first) capture
+// their engine event stream; the rest run their engines untraced, so a
+// slow or failed request carries an engine capture only if it was also
+// sampled (-flight-sample 1 captures every request). -debug-addr opens a
 // second listener with the stdlib pprof endpoints plus the same flight
 // dumps, kept off the serving port so it can stay loopback-only.
 package main
@@ -68,8 +71,8 @@ func main() {
 	drain := flag.Duration("drain", 2*time.Minute, "grace period for in-flight requests on shutdown")
 	debugAddr := flag.String("debug-addr", "", "optional second listener for pprof and flight dumps (e.g. 127.0.0.1:8081; empty = off)")
 	flightRing := flag.Int("flight-ring", 0, "completed requests retained in the flight recorder (0 = 64)")
-	flightSlow := flag.Duration("flight-slow", 0, "latency above which a request's engine trace is always retained (0 = 500ms)")
-	flightSample := flag.Int("flight-sample", 0, "retain the engine trace of every Nth request (0 = 64, negative = off)")
+	flightSlow := flag.Duration("flight-slow", 0, "latency above which a flight record is flagged slow (0 = 500ms)")
+	flightSample := flag.Int("flight-sample", 0, "capture the engine trace of every Nth request, starting with the first (0 = 64, 1 = every request, negative = none)")
 	flightEvents := flag.Int("flight-trace-events", 0, "per-request engine-trace capture ring, in events (0 = 8192)")
 	flag.Parse()
 

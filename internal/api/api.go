@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/benchreg"
@@ -35,6 +36,20 @@ const Version = "tyr-api/v1"
 // request make the server keep memory proportional to its simulated cycles.
 const MaxTracePoints = 65536
 
+// MaxSourceWords is the largest number of memory words an inline source's
+// mem declarations may add up to. The memory image allocates every
+// declared word up front, once for the reference interpreter and again for
+// each run, so without a cap a 50-byte program could make the server
+// allocate as much memory as it declares.
+const MaxSourceWords = 1 << 20
+
+// MaxMachineSize is the largest accepted issue_width, tags, block_tags
+// value and global_tags. The engines size per-run state by these values
+// before the first cycle (the IPC histogram by issue width, each tag pool
+// by its tag count), so an unbounded value would let one request allocate
+// without limit. Every committed sweep stops at 512.
+const MaxMachineSize = 1 << 16
+
 // Scales lists the accepted workload scales.
 var Scales = []string{"tiny", "small", "medium"}
 
@@ -50,6 +65,22 @@ func ParseScale(s string) (apps.Scale, error) {
 	}
 	return 0, fmt.Errorf("unknown scale %q (want %s)", s, strings.Join(Scales, ", "))
 }
+
+// suites holds one suite per scale, each built on its first use.
+var suites = [...]func() []*apps.App{
+	apps.ScaleTiny:   sync.OnceValue(func() []*apps.App { return apps.Suite(apps.ScaleTiny) }),
+	apps.ScaleSmall:  sync.OnceValue(func() []*apps.App { return apps.Suite(apps.ScaleSmall) }),
+	apps.ScaleMedium: sync.OnceValue(func() []*apps.App { return apps.Suite(apps.ScaleMedium) }),
+}
+
+// SharedSuite returns the process-wide suite at scale s, built once and
+// shared by every request that names a suite kernel: validation, workload
+// resolution and sweep grids all read the same apps instead of building a
+// suite each. Callers must not modify the slice or the apps. Sharing is
+// safe because runs clone each app's input image (App.NewImage) and every
+// Check only reads. apps.Suite still builds a fresh suite for callers that
+// want one.
+func SharedSuite(s apps.Scale) []*apps.App { return suites[s]() }
 
 // CacheSpec configures the two-level memory hierarchy in the CLI's
 // spec-string form: L1/L2 overlay "sets=N,ways=N,line=N,lat=N" settings on
@@ -234,6 +265,43 @@ func checkNonNegative(errs *[]FieldError, fields map[string]int64) {
 	}
 }
 
+// checkMachineSize rejects a machine size above MaxMachineSize.
+func checkMachineSize(errs *[]FieldError, field string, n int) {
+	if n > MaxMachineSize {
+		*errs = append(*errs, FieldError{field, fmt.Sprintf("must be <= %d (got %d)", MaxMachineSize, n)})
+	}
+}
+
+// checkBlockTags rejects every block_tags value above MaxMachineSize, in
+// block-name order.
+func checkBlockTags(errs *[]FieldError, blockTags map[string]int) {
+	names := make([]string, 0, len(blockTags))
+	for name, n := range blockTags {
+		if n > MaxMachineSize {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		*errs = append(*errs, FieldError{"block_tags", fmt.Sprintf("block %q: must be <= %d (got %d)", name, MaxMachineSize, blockTags[name])})
+	}
+}
+
+// checkSourceWords rejects a program whose mem declarations add up to more
+// than MaxSourceWords. Negative sizes are left to prog.Check.
+func checkSourceWords(p *prog.Program) error {
+	words := 0
+	for _, m := range p.Mems {
+		if m.Size > MaxSourceWords-words {
+			return fmt.Errorf("mem declarations exceed %d words in total (region %q declares %d)", MaxSourceWords, m.Name, m.Size)
+		}
+		if m.Size > 0 {
+			words += m.Size
+		}
+	}
+	return nil
+}
+
 // retiredKnob is an exec knob whose feature was removed.
 type retiredKnob struct {
 	feature string // what was removed, named in the field error
@@ -282,13 +350,15 @@ func (r *Request) Validate() error {
 	case r.App != "" && r.Source != "":
 		errs = append(errs, FieldError{"app", "app and source are mutually exclusive"})
 	case r.App != "":
-		if _, err := ParseScale(r.Scale); err != nil {
+		if sc, err := ParseScale(r.Scale); err != nil {
 			errs = append(errs, FieldError{"scale", err.Error()})
-		} else if sc, _ := ParseScale(r.Scale); apps.Find(apps.Suite(sc), r.App) == nil {
+		} else if apps.Find(SharedSuite(sc), r.App) == nil {
 			errs = append(errs, FieldError{"app", fmt.Sprintf("unknown app %q", r.App)})
 		}
 	case r.Source != "":
-		if _, err := prog.Parse(r.Source); err != nil {
+		if p, err := prog.Parse(r.Source); err != nil {
+			errs = append(errs, FieldError{"source", err.Error()})
+		} else if err := checkSourceWords(p); err != nil {
 			errs = append(errs, FieldError{"source", err.Error()})
 		}
 	}
@@ -308,6 +378,10 @@ func (r *Request) Validate() error {
 		fields["exec.deadline_ms"] = r.Exec.DeadlineMS
 	}
 	checkNonNegative(&errs, fields)
+	checkMachineSize(&errs, "issue_width", r.IssueWidth)
+	checkMachineSize(&errs, "tags", r.Tags)
+	checkBlockTags(&errs, r.BlockTags)
+	checkMachineSize(&errs, "global_tags", r.GlobalTags)
 	if r.TracePoints > MaxTracePoints {
 		errs = append(errs, FieldError{"trace_points", fmt.Sprintf("must be <= %d (got %d)", MaxTracePoints, r.TracePoints)})
 	}
@@ -420,7 +494,7 @@ func (p *Plan) ResolveAppBound(stop *cancel.Flag, maxSteps int64) (*apps.App, er
 	if err != nil {
 		return nil, err
 	}
-	app := apps.Find(apps.Suite(sc), r.App)
+	app := apps.Find(SharedSuite(sc), r.App)
 	if app == nil {
 		return nil, fmt.Errorf("unknown app %q", r.App)
 	}
@@ -461,7 +535,7 @@ func (r *SweepRequest) Validate() error {
 	if err != nil {
 		errs = append(errs, FieldError{"scale", err.Error()})
 	} else {
-		suite := apps.Suite(sc)
+		suite := SharedSuite(sc)
 		for _, name := range r.Apps {
 			if apps.Find(suite, name) == nil {
 				errs = append(errs, FieldError{"apps", fmt.Sprintf("unknown app %q", name)})
@@ -480,6 +554,8 @@ func (r *SweepRequest) Validate() error {
 		"cell_start":  int64(r.CellStart),
 		"cell_count":  int64(r.CellCount),
 	})
+	checkMachineSize(&errs, "issue_width", r.IssueWidth)
+	checkMachineSize(&errs, "tags", r.Tags)
 	if _, err := r.Cache.Config(); err != nil {
 		errs = append(errs, FieldError{"cache", err.Error()})
 	}

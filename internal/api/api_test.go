@@ -3,10 +3,12 @@ package api
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/cancel"
 	"repro/internal/harness"
 )
@@ -386,6 +388,89 @@ func TestResolveAppBound(t *testing.T) {
 	}
 	if _, err := kernelPlan.ResolveAppBound(stopped, 1); err != nil {
 		t.Errorf("suite kernel with bounds: %v (the oracle is precomputed, not run)", err)
+	}
+}
+
+// TestSuiteKernelsShareOneSuite pins that admission and resolve read one
+// shared suite per scale: repeated requests resolve to the same *apps.App,
+// and planning plus resolving a suite kernel allocates a few objects where
+// building the tiny suite allocates about 1,600 (185 KB).
+func TestSuiteKernelsShareOneSuite(t *testing.T) {
+	resolve := func(r Request) *apps.App {
+		t.Helper()
+		plan, err := r.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := plan.ResolveAppBound(nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return app
+	}
+	for _, scale := range Scales {
+		r := Request{App: "tc", Scale: scale, System: "vN"}
+		a, b := resolve(r), resolve(r)
+		sc, _ := ParseScale(scale)
+		if a != b || a != apps.Find(SharedSuite(sc), "tc") {
+			t.Errorf("%s: two requests for tc resolved to different apps", scale)
+		}
+	}
+
+	const maxAllocs = 8
+	r := Request{App: "dmv", Scale: "tiny", System: "tyr"}
+	if n := testing.AllocsPerRun(100, func() { resolve(r) }); n > maxAllocs {
+		t.Errorf("Plan + ResolveAppBound of a suite kernel: %v allocs, want <= %d", n, maxAllocs)
+	}
+}
+
+// memSource is a program declaring one mem region per size.
+func memSource(sizes ...int) string {
+	var b strings.Builder
+	b.WriteString("program \"mem\" entry main\n")
+	for i, n := range sizes {
+		fmt.Fprintf(&b, "mem m%d[%d]\n", i, n)
+	}
+	b.WriteString("\nfunc main() {\n  return 0\n}\n")
+	return b.String()
+}
+
+// TestAllocationCaps pins the admission caps on request-controlled
+// allocations: every capped field is accepted at its cap and is a field
+// error one above it.
+func TestAllocationCaps(t *testing.T) {
+	type validator interface{ Validate() error }
+	for _, tc := range []struct {
+		field string
+		max   int
+		req   func(n int) validator
+	}{
+		{"issue_width", MaxMachineSize, func(n int) validator { return &Request{App: "dmv", System: "tyr", IssueWidth: n} }},
+		{"tags", MaxMachineSize, func(n int) validator { return &Request{App: "dmv", System: "tyr", Tags: n} }},
+		{"block_tags", MaxMachineSize, func(n int) validator {
+			return &Request{App: "dmv", System: "tyr", BlockTags: map[string]int{"outer": 2, "inner": n}}
+		}},
+		{"global_tags", MaxMachineSize, func(n int) validator { return &Request{App: "dmv", System: "unordered", GlobalTags: n} }},
+		{"source", MaxSourceWords, func(n int) validator { return &Request{Source: memSource(n), System: "tyr"} }},
+		{"source", MaxSourceWords, func(n int) validator { return &Request{Source: memSource(n/2, n-n/2, 0), System: "tyr"} }},
+		{"issue_width", MaxMachineSize, func(n int) validator { return &SweepRequest{IssueWidth: n} }},
+		{"tags", MaxMachineSize, func(n int) validator { return &SweepRequest{Tags: n} }},
+	} {
+		if err := tc.req(tc.max).Validate(); err != nil {
+			t.Errorf("%s at its cap %d: %v", tc.field, tc.max, err)
+		}
+		err := tc.req(tc.max + 1).Validate()
+		var ve *ValidationError
+		if !errors.As(err, &ve) || len(ve.Fields) != 1 || ve.Fields[0].Field != tc.field {
+			t.Errorf("%s at cap+1: err = %v, want a single %s field error", tc.field, err, tc.field)
+		}
+	}
+
+	// A size past int64 parses as the largest int; it must not overflow
+	// the running total back under the cap.
+	huge := Request{Source: strings.Replace(memSource(1, 1), "m1[1]", "m1[99999999999999999999]", 1), System: "tyr"}
+	if err := huge.Validate(); err == nil || !strings.Contains(err.Error(), "source") {
+		t.Errorf("overflowing mem declaration: err = %v, want a source field error", err)
 	}
 }
 

@@ -70,6 +70,12 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// MaxPeerReply bounds the bytes the coordinator reads from a peer's /v1/sweep
+// reply. The largest full-grid reply measured is 43 KB (medium scale at
+// issue width 65536), so a reply past the bound comes from a broken or
+// hostile peer: it is a peer failure, and its partial is re-shed.
+const MaxPeerReply = 16 << 20
+
 // Coordinator fans sweeps out across the fleet. Safe for concurrent use;
 // each Run is independent.
 type Coordinator struct {
@@ -311,7 +317,11 @@ func (c *Coordinator) callPeer(ctx context.Context, peer, traceID string, p *par
 		return nil, fmt.Errorf("peer %s: status %d", peer, resp.StatusCode)
 	}
 	var res api.SweepResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+	reply := &io.LimitedReader{R: resp.Body, N: MaxPeerReply}
+	if err := json.NewDecoder(reply).Decode(&res); err != nil {
+		if reply.N == 0 {
+			return nil, fmt.Errorf("peer %s: reply exceeds %d bytes", peer, MaxPeerReply)
+		}
 		return nil, fmt.Errorf("peer %s: decoding result: %w", peer, err)
 	}
 	if len(res.Runs) != p.end-p.start {

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -134,6 +135,64 @@ func TestSemanticRejectionAborts(t *testing.T) {
 	}
 	if se.Status != http.StatusUnprocessableEntity || !strings.Contains(se.Msg, "bad workload") {
 		t.Errorf("semantic error lost detail: %+v", se)
+	}
+}
+
+// failureCounter is a fleet.Observer counting peer failures.
+type failureCounter struct{ failures atomic.Int64 }
+
+func (*failureCounter) ObserveFleetPartial()       {}
+func (*failureCounter) ObserveFleetReshed()        {}
+func (f *failureCounter) ObserveFleetPeerFailure() { f.failures.Add(1) }
+
+// TestOversizedPeerReplyIsAPeerFailure serves a well-formed partial padded
+// past MaxPeerReply with whitespace. The coordinator must stop reading at
+// the bound, count the peer as failed and re-shed its partial, so every
+// cell of the sweep comes from the local executor.
+func TestOversizedPeerReplyIsAPeerFailure(t *testing.T) {
+	gate := make(chan struct{})
+	var once sync.Once
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		once.Do(func() { close(gate) })
+		var req api.SweepRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		runs, _ := json.Marshal(cellRuns("peer", req.CellStart, req.CellCount))
+		w.Write([]byte(`{"version":"tyr-api/v1","runs":`))
+		pad := bytes.Repeat([]byte{' '}, 64<<10)
+		for sent := 0; sent < fleet.MaxPeerReply; sent += len(pad) {
+			if _, err := w.Write(pad); err != nil {
+				return // the coordinator hung up
+			}
+		}
+		w.Write(runs)
+		w.Write([]byte("}"))
+	}))
+	t.Cleanup(peer.Close)
+
+	var fc failureCounter
+	c := fleet.New(fleet.Config{Peers: []string{addr(peer)}, Obs: &fc})
+	const total = 8
+	merged, err := c.Run(context.Background(), nil, total,
+		func(start, count int) api.SweepRequest {
+			return api.SweepRequest{Scale: "tiny", CellStart: start, CellCount: count}
+		},
+		func(start, end int) ([]metrics.RunStats, error) {
+			<-gate // ensure the peer actually receives a partial
+			return cellRuns("local", start, end-start), nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range merged {
+		if r.Cycles != int64(i) || r.System != "local" {
+			t.Errorf("slot %d holds cell %d from %s, want cell %d from the local executor", i, r.Cycles, r.System, i)
+		}
+	}
+	if n := fc.failures.Load(); n != 1 {
+		t.Errorf("peer failures = %d, want 1", n)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // DumpVersion is the schema identifier of flight-recorder dumps.
 const DumpVersion = "tyr-obs/v1"
 
-// Retention reasons recorded on a flight record whose engine capture was
-// kept. The empty string means only the span tree was retained.
+// Retention reasons: why a flight record is notable. A record with no
+// reason is a healthy, fast, unsampled request.
 const (
 	RetainFailed  = "failed"
 	RetainSlow    = "slow"
@@ -44,8 +44,10 @@ type RequestRecord struct {
 	Status     int       `json:"status"`
 	Start      time.Time `json:"start"`
 	DurationNS int64     `json:"duration_ns"`
-	// Retained explains why the engine capture was kept ("failed",
-	// "slow", "sampled"); empty when only the span tree was retained.
+	// Retained says why the record is notable: "failed", "slow" or
+	// "sampled", in that precedence; empty for a healthy, fast, unsampled
+	// request. Engine is set only on sampled requests that reached an
+	// engine, so a failed or slow record may carry none.
 	Retained string         `json:"retained,omitempty"`
 	Error    string         `json:"error,omitempty"`
 	Spans    []Span         `json:"spans"`
@@ -53,9 +55,9 @@ type RequestRecord struct {
 }
 
 // FlightRecorder is the always-on ring of the last N completed request
-// records. Recording a request costs a handful of timestamps and, for the
-// engine capture, one pooled fixed-size ring buffer — nothing grows with
-// traffic.
+// records. Recording a request costs a handful of timestamps and, for a
+// sampled request's engine capture, one pooled fixed-size ring buffer —
+// nothing grows with traffic.
 type FlightRecorder struct {
 	cfg  Config
 	seq  atomic.Uint64 // observed requests started (drives sampling)
@@ -119,11 +121,11 @@ func (fr *FlightRecorder) StartWithID(method, path, id string) *RequestTrace {
 	return t
 }
 
-// Finish closes the request trace, decides capture retention, publishes
-// the record into the ring, and returns it. The engine capture is kept
-// when the request failed (429/5xx), ran slower than the threshold, or
-// was sampled; otherwise its recorder returns to the pool and only the
-// span tree is retained.
+// Finish closes the request trace, names its retention reason, publishes
+// the record into the ring, and returns it. The reason is "failed" for a
+// 429 or 5xx, "slow" past the threshold, "sampled" otherwise for a
+// sampled request. A sampled request's engine capture is copied into the
+// record and its recorder returns to the pool.
 func (fr *FlightRecorder) Finish(t *RequestTrace, status int) *RequestRecord {
 	if t == nil {
 		return nil
@@ -167,10 +169,10 @@ func (fr *FlightRecorder) Finish(t *RequestTrace, status int) *RequestRecord {
 		Error:      errMsg,
 		Spans:      spans,
 	}
-	// A retained request with no recorded events (e.g. shed before it
-	// reached an engine) keeps its reason but has no engine section.
+	// Only a sampled request holds a recorder. One with no recorded events
+	// (e.g. shed before it reached an engine) has no engine section.
 	if rec != nil {
-		if reason != "" && rec.Seq() > 0 {
+		if rec.Seq() > 0 {
 			r.Engine = &EngineCapture{
 				Meta:    *rec.Meta(),
 				Events:  rec.Events(),

@@ -82,18 +82,25 @@ func TestSpanTreeAndFinish(t *testing.T) {
 	}
 }
 
-// fireInto records a minimal but chrome-exportable engine stream.
-func fireInto(rt *RequestTrace) {
+// fireInto records a minimal but chrome-exportable engine stream into the
+// request's recorder, as an engine would, and reports whether the request
+// had one (only sampled requests do).
+func fireInto(rt *RequestTrace) bool {
 	rec := rt.Tracer()
+	if rec == nil {
+		return false
+	}
 	rec.SetMeta(trace.Meta{Program: "p", System: "tyr", Blocks: []string{"root"}})
 	rec.Record(trace.Event{Kind: trace.KindFire, Cycle: 1, Node: 0, Block: 0})
 	rec.Record(trace.Event{Kind: trace.KindFire, Cycle: 2, Node: 0, Block: 0})
+	return true
 }
 
 func TestRetentionReasons(t *testing.T) {
 	t.Run("failed beats slow", func(t *testing.T) {
 		cfg := quiet()
 		cfg.SlowThreshold = time.Nanosecond // everything is "slow"
+		cfg.SampleEvery = 1
 		fr := NewFlightRecorder(cfg)
 		rt := fr.Start("POST", "/v1/run")
 		fireInto(rt)
@@ -105,6 +112,7 @@ func TestRetentionReasons(t *testing.T) {
 	t.Run("slow", func(t *testing.T) {
 		cfg := quiet()
 		cfg.SlowThreshold = time.Nanosecond
+		cfg.SampleEvery = 1
 		fr := NewFlightRecorder(cfg)
 		rt := fr.Start("POST", "/v1/run")
 		fireInto(rt)
@@ -120,20 +128,59 @@ func TestRetentionReasons(t *testing.T) {
 		fr := NewFlightRecorder(cfg)
 		for i := 0; i < 4; i++ {
 			rt := fr.Start("POST", "/v1/run")
-			fireInto(rt)
+			captured := fireInto(rt)
 			rec := fr.Finish(rt, 200)
 			wantSampled := i%2 == 0
 			if got := rec.Retained == RetainSampled; got != wantSampled {
 				t.Errorf("request %d: retained %q, want sampled=%v", i, rec.Retained, wantSampled)
 			}
+			if captured != wantSampled || (rec.Engine != nil) != wantSampled {
+				t.Errorf("request %d: recorder=%v engine=%v, want both only when sampled=%v", i, captured, rec.Engine != nil, wantSampled)
+			}
 		}
 	})
 	t.Run("failed without events keeps reason, no capture", func(t *testing.T) {
-		fr := NewFlightRecorder(quiet())
+		cfg := quiet()
+		cfg.SampleEvery = 1
+		fr := NewFlightRecorder(cfg)
 		rt := fr.Start("POST", "/v1/run")
 		rec := fr.Finish(rt, 503)
 		if rec.Retained != RetainFailed || rec.Engine != nil {
 			t.Errorf("retained %q engine=%v, want failed with nil capture", rec.Retained, rec.Engine)
+		}
+	})
+	t.Run("unsampled slow and failed keep reason and spans, borrow no recorder", func(t *testing.T) {
+		cfg := quiet()
+		cfg.SlowThreshold = time.Nanosecond
+		fr := NewFlightRecorder(cfg)
+		borrowed := 0
+		fr.pool.New = func() any {
+			borrowed++
+			return trace.NewRecorder(cfg.TraceEvents)
+		}
+		for _, tc := range []struct {
+			status int
+			reason string
+		}{{200, RetainSlow}, {504, RetainFailed}} {
+			rt := fr.Start("POST", "/v1/run")
+			run := rt.StartSpan("run", RootSpan)
+			if fireInto(rt) {
+				t.Errorf("%d: unsampled request got an engine recorder", tc.status)
+			}
+			rt.SetAttr(run, "cycles", 42)
+			rt.SetError("boom")
+			time.Sleep(time.Millisecond)
+			rt.EndSpan(run)
+			rec := fr.Finish(rt, tc.status)
+			if rec.Retained != tc.reason || rec.Engine != nil {
+				t.Errorf("%d: retained %q engine=%v, want %s with no capture", tc.status, rec.Retained, rec.Engine, tc.reason)
+			}
+			if len(rec.Spans) != 2 || rec.Spans[1].Name != "run" || rec.Spans[1].Attrs["cycles"] != 42 || rec.Error != "boom" {
+				t.Errorf("%d: record lost its span tree or error: spans %+v error %q", tc.status, rec.Spans, rec.Error)
+			}
+		}
+		if borrowed != 0 {
+			t.Errorf("unsampled requests borrowed %d recorders, want 0", borrowed)
 		}
 	})
 }

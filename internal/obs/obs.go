@@ -7,13 +7,17 @@
 // the request's stages — admission, queue wait, workload resolution,
 // compile/cache lookup, engine run — with the engine-run span carrying the
 // simulated cycle count and tag-pool peak. Completed requests land in a
-// bounded ring (the flight recorder, flight.go); requests that were
-// sampled, slow, or failed additionally retain their full engine event
-// stream, captured through the engines' existing trace.Config.Tracer hook,
-// so a slow or 504'd production request can be explained after the fact:
-// its queue wait, its compile cost, and its cycle-level engine behavior
-// are all still in memory, dumpable as a tyr-obs/v1 document whose
-// embedded engine trace round-trips through the Chrome exporter.
+// bounded ring (the flight recorder, flight.go), each record flagged with
+// why it is notable: failed, slow, or sampled. Sampling is decided when the
+// request starts (every Config.SampleEvery'th request), and only a sampled
+// request captures its engine event stream, through the engines'
+// trace.Config.Tracer hook. Capture made a short run about 1.3 times as
+// long, so an unsampled request never borrows a capture ring and its
+// engines run untraced. A slow or 504'd request therefore always keeps
+// its queue wait, compile cost, error and span tree, and keeps its
+// cycle-level engine behavior too when it was sampled, dumpable as a
+// tyr-obs/v1 document whose embedded engine trace round-trips through the
+// Chrome exporter.
 //
 // The package is stdlib-only, like everything else in this repository.
 package obs
@@ -33,13 +37,14 @@ import (
 type Config struct {
 	// RingSize bounds retained completed-request records (default 64).
 	RingSize int
-	// SlowThreshold marks a request slow: slow requests always retain
-	// their engine trace capture (default 500ms).
+	// SlowThreshold marks a request slow: its record is flagged "slow"
+	// (default 500ms). It carries an engine capture only if it was also
+	// sampled; slowness is known only once the run is over.
 	SlowThreshold time.Duration
-	// SampleEvery retains the engine trace of every Nth observed request
-	// even when it is healthy and fast (default 64; 1 retains every
-	// request's capture; negative disables sampling, keeping captures
-	// only for slow and failed requests).
+	// SampleEvery captures the engine trace of every Nth observed request,
+	// counted from the first (default 64; 1 captures every request;
+	// negative captures none). Unsampled requests run their engines
+	// untraced, whether or not they turn out slow or failed.
 	SampleEvery int
 	// TraceEvents caps each request's engine-trace capture ring (default
 	// 8192 events); when a run emits more, the oldest are dropped and the
@@ -205,14 +210,13 @@ func (t *RequestTrace) SetError(msg string) {
 	t.mu.Unlock()
 }
 
-// Tracer returns the request's engine-trace capture recorder, creating it
-// from the flight recorder's pool on first use. Every observed request
-// captures its engine events (that is what makes slow and failed requests
-// explainable after the fact); whether the capture is *retained* is
-// decided at Finish. Nil trace returns nil, which the engines treat as
-// tracing disabled.
+// Tracer returns the request's engine-trace capture recorder, borrowing
+// it from the flight recorder's pool on first use. It returns nil unless
+// the request was sampled when it started, and on a nil trace; the engines
+// treat nil as tracing disabled, so an unsampled request pays nothing for
+// capture. Handlers attach the result unconditionally.
 func (t *RequestTrace) Tracer() *trace.Recorder {
-	if t == nil {
+	if t == nil || !t.sampled {
 		return nil
 	}
 	t.mu.Lock()

@@ -25,6 +25,8 @@ func FuzzServeRun(f *testing.F) {
 		`{"app":"dmv","scale":"tiny","system":"tyr","exec":{"shards":2}}`,
 		`{"app":"dmv","scale":"tiny","system":"tyr","exec":{"batch":4}}`,
 		`{"app":"dmv","scale":"tiny","system":"tyr","exec":{"batch":1}}`,
+		`{"app":"dmv","scale":"tiny","system":"tyr","issue_width":1000000000,"tags":4000000}`,
+		`{"source":"program \"big\" entry main\nmem a[1000000000]\n\nfunc main() {\n  return 0\n}\n","system":"tyr"}`,
 		`{"system": "tyr", "app"`,
 	}, func(reply []byte) (string, error) {
 		var rr api.RunResult

@@ -40,15 +40,16 @@ func spanNames(r *obs.RequestRecord) map[string]obs.Span {
 	return out
 }
 
-// TestSlowRequestFlightRecord is the tentpole's acceptance path: a request
-// marked slow (threshold 1ns, so deliberately every request is) must be
-// retrievable from /v1/debug/requests/{id} with a complete span tree
-// (queue -> compile -> run), run-span cycle/tag attributes, and a full
-// engine capture whose embedded Chrome trace validates.
+// TestSlowRequestFlightRecord is the flight recorder's acceptance path: a
+// sampled request marked slow (threshold 1ns, so deliberately every
+// request is; sampling every request) must be retrievable from
+// /v1/debug/requests/{id} with a complete span tree (queue -> compile ->
+// run), run-span cycle/tag attributes, and a full engine capture whose
+// embedded Chrome trace validates.
 func TestSlowRequestFlightRecord(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 4,
-		Flight: obs.Config{SlowThreshold: time.Nanosecond, SampleEvery: -1},
+		Flight: obs.Config{SlowThreshold: time.Nanosecond, SampleEvery: 1},
 	})
 
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{
@@ -102,6 +103,55 @@ func TestSlowRequestFlightRecord(t *testing.T) {
 		t.Error("dump did not embed the Chrome export")
 	} else if err := trace.ValidateChromeJSON(rec.Engine.Chrome); err != nil {
 		t.Errorf("embedded Chrome trace invalid: %v", err)
+	}
+}
+
+// TestUnsampledSlowAndFailedRequests asserts that slowness and failure are
+// recorded without an engine capture when the request was not sampled: a
+// slow run and a run whose engine panics (a 500) each keep their reason,
+// error and full span tree, and carry no engine section.
+func TestUnsampledSlowAndFailedRequests(t *testing.T) {
+	srv, ts := newTestServer(t, Config{
+		Workers: 1, QueueDepth: 4,
+		Flight: obs.Config{SlowThreshold: time.Nanosecond, SampleEvery: -1},
+	})
+	for _, tc := range []struct {
+		app    string
+		status int
+		reason string
+	}{
+		{"smv", http.StatusOK, obs.RetainSlow},
+		{"dmv", http.StatusInternalServerError, obs.RetainFailed},
+	} {
+		if tc.status == http.StatusInternalServerError {
+			seedCorruptDmv(t, srv)
+		}
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{
+			App: tc.app, Scale: "tiny", System: "tyr",
+		})
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status = %d, want %d; body: %s", tc.app, resp.StatusCode, tc.status, body)
+		}
+		d := fetchDump(t, ts, resp.Header.Get("Tyr-Trace-Id"))
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%s: dump invalid: %v", tc.app, err)
+		}
+		rec := d.Requests[0]
+		if rec.Retained != tc.reason || rec.Engine != nil {
+			t.Errorf("%s: retained %q engine=%v, want %s with no engine section", tc.app, rec.Retained, rec.Engine, tc.reason)
+		}
+		if (rec.Error != "") != (tc.status != http.StatusOK) {
+			t.Errorf("%s: record error %q for status %d", tc.app, rec.Error, tc.status)
+		}
+		spans := spanNames(rec)
+		for _, want := range []string{"request", "admission", "queue", "compile", "resolve", "run"} {
+			if _, ok := spans[want]; !ok {
+				t.Errorf("%s: span %q missing from tree %v", tc.app, want, rec.Spans)
+			}
+		}
+		if _, ok := spans["compile"].Attrs["cache_hit"]; !ok {
+			t.Errorf("%s: compile span has no cache_hit attr: %v", tc.app, spans["compile"].Attrs)
+		}
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/obs"
 )
 
 // TestWriteJSON pins the reply encoding: one compact line with its
@@ -121,6 +123,32 @@ func TestRunReplyTraceOptIn(t *testing.T) {
 		if a.Cycles != b.Cycles || a.Fired != b.Fired || a.PeakLive != b.PeakLive ||
 			a.MeanLive != b.MeanLive || !reflect.DeepEqual(a.IPCHist, b.IPCHist) {
 			t.Errorf("%s: the trace changed the simulation:\n off: %+v\n  on: %+v", sys, a, b)
+		}
+	}
+}
+
+// volatileFields matches the only reply fields that may differ between two
+// runs of the same request: its trace ID and its wall time.
+var volatileFields = regexp.MustCompile(`"trace_id":"[0-9a-f]*"|"wall_ns":[0-9]+`)
+
+// TestRunReplyIndependentOfCapture runs every tiny kernel on every system
+// once on a server that captures every request's engine trace and once on
+// one that captures none. Capture is observation only: the two replies
+// must be byte-identical apart from trace_id and wall_ns.
+func TestRunReplyIndependentOfCapture(t *testing.T) {
+	sampled, sts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, Flight: obs.Config{SampleEvery: 1}})
+	_, uts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, Flight: obs.Config{SampleEvery: -1}})
+	for _, app := range kernels {
+		for _, sys := range systems {
+			req := api.Request{App: app, Scale: "tiny", System: sys}
+			on, onRes := postRun(t, sts, req)
+			off, _ := postRun(t, uts, req)
+			if rec := sampled.Flight().Get(onRes.Stats.TraceID); rec == nil || rec.Engine == nil {
+				t.Errorf("%s/%s: sampled request has no engine capture", app, sys)
+			}
+			if a, b := volatileFields.ReplaceAll(on, nil), volatileFields.ReplaceAll(off, nil); !bytes.Equal(a, b) {
+				t.Errorf("%s/%s: reply depends on engine capture:\n sampled: %s\nunsampled: %s", app, sys, a, b)
+			}
 		}
 	}
 }

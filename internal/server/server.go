@@ -483,7 +483,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	sc := plan.Cfg
 	sc.Stop = flag
 	sc.Compiler = s.spanGraphs(t)
-	sc.Tracer = t.Tracer()
+	sc.Tracer = t.Tracer() // nil unless the request was sampled
 	sc.TraceID = t.ID()
 
 	var rs metrics.RunStats
@@ -543,7 +543,7 @@ type sweepCell struct {
 // grid from the same request fields, so a cell index means the same cell
 // everywhere).
 func sweepGrid(req *api.SweepRequest, scale apps.Scale) (cells []sweepCell, systems []string) {
-	suite := apps.Suite(scale)
+	suite := api.SharedSuite(scale)
 	sel := suite
 	if len(req.Apps) > 0 {
 		sel = sel[:0:0]
@@ -567,7 +567,7 @@ func sweepGrid(req *api.SweepRequest, scale apps.Scale) (cells []sweepCell, syst
 // runSweepCells executes a slice of grid cells sequentially on the calling
 // goroutine (a pool worker), returning one RunStats per cell in order.
 func (s *Server) runSweepCells(t *obs.RequestTrace, flag *cancel.Flag, req *api.SweepRequest, cc *cache.Config, cells []sweepCell) ([]metrics.RunStats, error) {
-	tracer := t.Tracer()
+	tracer := t.Tracer() // nil unless the request was sampled
 	// Cells never sample the live-state trace: the tyr-bench/v1 summary
 	// does not read it, and fleet partials would carry it over the wire
 	// for nothing.
@@ -586,7 +586,7 @@ func (s *Server) runSweepCells(t *obs.RequestTrace, flag *cancel.Flag, req *api.
 		if flag.Stopped() {
 			return nil, cancel.ErrStopped
 		}
-		// One capture ring, reset per cell: a retained sweep keeps
+		// One capture ring, reset per cell: a sampled sweep keeps
 		// the engine trace of its final (or failing) cell rather
 		// than an unreadable splice of every cell's tail.
 		if tracer != nil {

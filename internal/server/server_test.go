@@ -296,6 +296,20 @@ func TestMalformedRequests(t *testing.T) {
 			t.Errorf("missing field error %q in %+v", want, eb)
 		}
 	}
+
+	// Requests that would make the server allocate without bound are
+	// 400s at admission, before anything is built.
+	for field, req := range map[string]api.Request{
+		"source":      {Source: "program \"big\" entry main\nmem a[1000000000]\n\nfunc main() {\n  return 0\n}\n", System: "tyr"},
+		"issue_width": {App: "dmv", Scale: "tiny", System: "tyr", IssueWidth: 1_000_000_000},
+	} {
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", req)
+		var eb api.ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil || resp.StatusCode != http.StatusBadRequest ||
+			len(eb.Fields) != 1 || eb.Fields[0].Field != field {
+			t.Errorf("%s over its cap: status %d body %s, want a 400 on %s", field, resp.StatusCode, body, field)
+		}
+	}
 }
 
 // TestRetiredShards pins what an old client that still sends exec.shards
@@ -374,26 +388,7 @@ func TestPanicFailsOnlyItsRequest(t *testing.T) {
 		t.Fatalf("tyrd_panics_total = %d after one panic, want 1", n)
 	}
 
-	app := apps.Find(apps.Suite(apps.ScaleTiny), "dmv")
-	g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupted := false
-	for i := range g.Nodes {
-		if g.Nodes[i].Op == dfg.OpLoad {
-			g.Nodes[i].Region = len(g.MemNames)
-			corrupted = true
-			break
-		}
-	}
-	if !corrupted {
-		t.Fatal("dmv has no load to corrupt")
-	}
-	if _, _, err := srv.graphs.get("tagged", app, func() (*dfg.Graph, error) { return g, nil }); err != nil {
-		t.Fatal(err)
-	}
-
+	seedCorruptDmv(t, srv)
 	for _, ep := range []struct {
 		path string
 		body any
@@ -435,6 +430,32 @@ func TestPanicFailsOnlyItsRequest(t *testing.T) {
 	}
 	if !rr.Checked {
 		t.Error("run after the panics was not checked")
+	}
+}
+
+// seedCorruptDmv puts a corrupt tiny dmv graph (a load whose region index
+// is past the region table) in srv's graph cache, so the next tyr run of
+// tiny dmv panics building its machine.
+func seedCorruptDmv(t *testing.T, srv *Server) {
+	t.Helper()
+	app := apps.Find(apps.Suite(apps.ScaleTiny), "dmv")
+	g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupted := false
+	for i := range g.Nodes {
+		if g.Nodes[i].Op == dfg.OpLoad {
+			g.Nodes[i].Region = len(g.MemNames)
+			corrupted = true
+			break
+		}
+	}
+	if !corrupted {
+		t.Fatal("dmv has no load to corrupt")
+	}
+	if _, _, err := srv.graphs.get("tagged", app, func() (*dfg.Graph, error) { return g, nil }); err != nil {
+		t.Fatal(err)
 	}
 }
 
