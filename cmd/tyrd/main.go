@@ -3,21 +3,14 @@
 // the /v1/debug/requests flight-recorder dumps.
 //
 //	tyrd [-addr :8080] [-workers N] [-queue N] [-timeout 30s] [-cache-size 64]
-//	     [-peers host:port,...] [-partial-timeout 60s] [-peer-retries 1]
 //	     [-debug-addr 127.0.0.1:8081] [-flight-ring 64] [-flight-slow 500ms]
 //	     [-flight-sample 64] [-flight-trace-events 8192]
 //
-// -peers turns the instance into a fleet coordinator: a full-grid /v1/sweep
-// is split into contiguous cell-range partials fanned out to the peers
-// (plain tyrd instances — a peer needs no flags) and merged by cell index,
-// so the distributed result is cell-for-cell identical to a local one. A
-// failed or timed-out peer's partial is re-shed onto the remaining peers or
-// run locally; -partial-timeout bounds each remote attempt and
-// -peer-retries caps re-sheds per partial before it is forced local.
-//
 // Simulations execute on a bounded worker pool with a bounded queue, one
-// request per worker at a time: that pool is where the service's
-// parallelism lives. When both are full the service sheds load with 429
+// simulation per worker at a time: that pool is where the service's
+// parallelism lives. A /v1/sweep spreads its cells over whichever workers
+// are idle, one cell at a time, and replies with them in grid order. When
+// the pool and the queue are full the service sheds load with 429
 // instead of stacking up goroutines, and once a drain starts it answers
 // 503. A simulation that panics fails its own request with a 500 (counted
 // in tyrd_panics_total); the worker and every other request carry on.
@@ -49,7 +42,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -64,9 +56,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "upper bound on a request's timeout_ms")
 	cacheSize := flag.Int("cache-size", 64, "compiled-graph LRU capacity")
-	peers := flag.String("peers", "", "comma-separated peer tyrd addresses (host:port) to fan sweeps out to (empty = single instance)")
-	partialTimeout := flag.Duration("partial-timeout", 60*time.Second, "per-partial deadline for fanned-out sweep requests")
-	peerRetries := flag.Int("peer-retries", 1, "remote re-sheds per failed sweep partial before it runs locally")
 	oracleSteps := flag.Int64("oracle-max-steps", 0, "dynamic-instruction budget for inline-source oracle runs (0 = 2^32)")
 	drain := flag.Duration("drain", 2*time.Minute, "grace period for in-flight requests on shutdown")
 	debugAddr := flag.String("debug-addr", "", "optional second listener for pprof and flight dumps (e.g. 127.0.0.1:8081; empty = off)")
@@ -77,21 +66,12 @@ func main() {
 	flag.Parse()
 
 	log := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	var peerList []string
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerList = append(peerList, p)
-		}
-	}
 	srv := server.New(server.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		GraphCacheSize: *cacheSize,
-		Peers:          peerList,
-		PartialTimeout: *partialTimeout,
-		PeerRetries:    *peerRetries,
 		OracleMaxSteps: *oracleSteps,
 		Logger:         log,
 		Flight: obs.Config{

@@ -43,6 +43,17 @@ const MaxTracePoints = 65536
 // allocate as much memory as it declares.
 const MaxSourceWords = 1 << 20
 
+// MaxTagPoolWords is the largest number of tags an inline source may make
+// a tyr run hold in its pools: the program's concurrent blocks (one per
+// reachable function, one per loop) times the largest tag pool the
+// request sets. The engine fills every block's pool before the first
+// cycle, at 8 bytes a tag, so without a cap a source of many small loops
+// at a large tags value could allocate gigabytes. The cap is 32 MiB of
+// pools. The densest source that fits tyrd's 1 MiB body has 58,563
+// blocks (empty functions, each called once), so every source tyrd
+// admits stays under the cap at the default 64 tags.
+const MaxTagPoolWords = 1 << 22
+
 // MaxMachineSize is the largest accepted issue_width, tags, block_tags
 // value and global_tags. The engines size per-run state by these values
 // before the first cycle (the IPC histogram by issue width, each tag pool
@@ -194,12 +205,14 @@ type Request struct {
 }
 
 // The migration notes a 400 carries when a request still asks for more
-// than one shard or batch instance.
+// than one shard or batch instance, or for a sweep cell range.
 const (
 	shardsRemovedNote = `exec.shards is retired: sharded execution ran slower than one goroutine and was removed; ` +
 		`drop the field (every run uses one goroutine, and tyrd runs requests in parallel across its worker pool)`
 	batchRemovedNote = `exec.batch is retired: lockstep batching never beat solo runs on served traffic and was removed; ` +
 		`drop the field (every run is a solo run, and tyrd runs requests in parallel across its worker pool)`
+	cellRangeRemovedNote = `cell_start and cell_count are retired: the fleet coordinator that sent them was removed; ` +
+		`drop both fields (one tyrd fans a sweep's cells out over its own workers)`
 )
 
 // ExecDeadlineMS resolves the effective wall-clock bound across the exec
@@ -302,25 +315,93 @@ func checkSourceWords(p *prog.Program) error {
 	return nil
 }
 
-// retiredKnob is an exec knob whose feature was removed.
+// checkTagPools rejects, on field tags, a tyr run of p whose tag pools
+// would hold more than MaxTagPoolWords tags. A pool above MaxMachineSize
+// is left to checkMachineSize.
+func checkTagPools(errs *[]FieldError, p *prog.Program, tags int, blockTags map[string]int) {
+	pool := tags
+	if pool <= 0 {
+		pool = 64 // the engine's default tags per block
+	}
+	for _, n := range blockTags {
+		pool = max(pool, n)
+	}
+	if pool > MaxMachineSize {
+		return
+	}
+	if blocks := concurrentBlocks(p); blocks > MaxTagPoolWords/pool {
+		*errs = append(*errs, FieldError{"tags", fmt.Sprintf(
+			"%d concurrent blocks x %d tags exceeds the %d-tag pool cap; lower tags or block_tags", blocks, pool, MaxTagPoolWords)})
+	}
+}
+
+// concurrentBlocks counts the concurrent blocks the tagged lowering gives
+// p, each with its own tag pool: one per function reachable from the
+// entry and one per loop in those functions.
+func concurrentBlocks(p *prog.Program) int {
+	funcs := make(map[string]*prog.Func, len(p.Funcs))
+	for _, f := range p.Funcs {
+		funcs[f.Name] = f // a duplicate name fails prog.Check before any run
+	}
+	n := 0
+	seen := map[string]bool{p.Entry: true}
+	work := []string{p.Entry}
+	for len(work) > 0 {
+		f := funcs[work[len(work)-1]]
+		work = work[:len(work)-1]
+		if f == nil {
+			continue
+		}
+		n += 1 + countLoops(f.Body)
+		for _, callee := range prog.CallsIn(f.Body, []prog.Expr{f.Ret}) {
+			if !seen[callee] {
+				seen[callee] = true
+				work = append(work, callee)
+			}
+		}
+	}
+	return n
+}
+
+// countLoops counts the loops in stmts, nested ones included.
+func countLoops(stmts []prog.Stmt) int {
+	n := 0
+	for _, st := range stmts {
+		switch st := st.(type) {
+		case prog.If:
+			n += countLoops(st.Then) + countLoops(st.Else)
+		case prog.While:
+			n += 1 + countLoops(st.Body)
+		}
+	}
+	return n
+}
+
+// retiredKnob is a request field whose feature was removed.
 type retiredKnob struct {
 	feature string // what was removed, named in the field error
 	note    string // the migration note the 400 carries
+	max     int    // the largest value accepted and ignored: 0 or 1
 }
 
 var (
-	shardsRetired = retiredKnob{"sharded execution", shardsRemovedNote}
-	batchRetired  = retiredKnob{"lockstep batching", batchRemovedNote}
+	shardsRetired    = retiredKnob{"sharded execution", shardsRemovedNote, 1}
+	batchRetired     = retiredKnob{"lockstep batching", batchRemovedNote, 1}
+	cellRangeRetired = retiredKnob{"the fleet", cellRangeRemovedNote, 0}
 )
 
-// check rejects a count above 1 on field with a field error and the
-// knob's migration note, added once however many spellings tripped it.
-// 0 or 1 passes.
+// check rejects a value above the knob's max on field with a field error
+// and the knob's migration note, added once however many spellings
+// tripped it. Negative values are left to checkNonNegative.
 func (k retiredKnob) check(errs *[]FieldError, notes *[]string, field string, n int) {
-	if n <= 1 {
+	if n <= k.max {
 		return
 	}
-	*errs = append(*errs, FieldError{field, fmt.Sprintf("%s was removed; only 0 or 1 is accepted (got %d)", k.feature, n)})
+	accepted := "0 or 1"
+	if k.max == 0 {
+		accepted = "0"
+	}
+	*errs = append(*errs, FieldError{field, fmt.Sprintf("%s was removed; only %s is accepted (got %d)", k.feature, accepted, n)})
 	if !slices.Contains(*notes, k.note) {
 		*notes = append(*notes, k.note)
 	}
@@ -360,6 +441,8 @@ func (r *Request) Validate() error {
 			errs = append(errs, FieldError{"source", err.Error()})
 		} else if err := checkSourceWords(p); err != nil {
 			errs = append(errs, FieldError{"source", err.Error()})
+		} else if r.System == harness.SysTyr {
+			checkTagPools(&errs, p, r.Tags, r.BlockTags)
 		}
 	}
 	fields := map[string]int64{
@@ -517,12 +600,11 @@ type SweepRequest struct {
 	// TimeoutMS bounds the whole sweep's wall clock.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
-	// CellStart/CellCount select a contiguous range of the apps-major grid
-	// (cell index = appIdx*len(systems)+sysIdx) instead of the whole grid —
-	// the unit the fleet coordinator fans out to peers. CellCount 0 with
-	// CellStart 0 means the full grid; a non-zero CellCount selects exactly
-	// [CellStart, CellStart+CellCount). A server never re-distributes a
-	// request with an explicit range, so fan-out cannot recurse.
+	// CellStart and CellCount are retired: they addressed the cell range a
+	// fleet coordinator sent a peer, and the fleet was removed (DESIGN.md
+	// §10). Both still decode so old clients get a structured answer: 0 is
+	// accepted and ignored, anything above is a field error with a
+	// migration note.
 	CellStart int `json:"cell_start,omitempty"`
 	CellCount int `json:"cell_count,omitempty"`
 }
@@ -556,11 +638,14 @@ func (r *SweepRequest) Validate() error {
 	})
 	checkMachineSize(&errs, "issue_width", r.IssueWidth)
 	checkMachineSize(&errs, "tags", r.Tags)
+	var notes []string
+	cellRangeRetired.check(&errs, &notes, "cell_start", r.CellStart)
+	cellRangeRetired.check(&errs, &notes, "cell_count", r.CellCount)
 	if _, err := r.Cache.Config(); err != nil {
 		errs = append(errs, FieldError{"cache", err.Error()})
 	}
 	if len(errs) > 0 {
-		return &ValidationError{Fields: errs}
+		return &ValidationError{Fields: errs, Notes: notes}
 	}
 	return nil
 }

@@ -98,11 +98,9 @@ func (fr *FlightRecorder) Start(method, path string) *RequestTrace {
 	return fr.StartWithID(method, path, "")
 }
 
-// StartWithID opens a request trace adopting a caller-supplied trace ID —
-// the distributed-tracing join point: a fleet peer serving a sweep partial
-// adopts the coordinator's Tyr-Trace-Id, so both instances' flight records
-// carry the same ID and `tyrexp flight` telescopes the whole distributed
-// request. An empty or invalid ID falls back to a fresh one.
+// StartWithID opens a request trace adopting a caller-supplied trace ID,
+// so a client or proxy that mints its own Tyr-Trace-Id can join its logs
+// to the flight record. An empty or invalid ID falls back to a fresh one.
 func (fr *FlightRecorder) StartWithID(method, path, id string) *RequestTrace {
 	if !ValidTraceID(id) {
 		id = NewTraceID()

@@ -124,10 +124,9 @@ type Span struct {
 
 // RequestTrace is one in-flight request being observed. Methods are
 // nil-safe: a nil *RequestTrace no-ops everywhere, so unobserved code
-// paths need no branching. A RequestTrace may be touched from the request
-// goroutine and the pool worker executing its job (never concurrently in
-// the handler protocol, but the mutex keeps the race detector satisfied
-// and the ordering airtight).
+// paths need no branching. A RequestTrace is touched from the request
+// goroutine and the pool workers running its jobs, and a sweep's cells
+// open spans from several workers at once, so a mutex guards it.
 type RequestTrace struct {
 	fr      *FlightRecorder
 	id      string

@@ -51,6 +51,10 @@ func FuzzServeSweep(f *testing.F) {
 	})
 }
 
+// overflowSweep names a cell range whose end overflows an int. The fields
+// are retired, so it is a 400 on cell_start like any other cell range.
+const overflowSweep = `{"scale":"tiny","apps":["dmv"],"systems":["vN","tyr"],"cell_start":1,"cell_count":9223372036854775807}`
+
 // fuzzServe posts each fuzzed body to path on a one-worker server with a
 // 1 s deadline. Whatever the body, the reply must be one of the statuses
 // the API documents — never a 500, which would mean a panic or an

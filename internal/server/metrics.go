@@ -84,9 +84,6 @@ type Metrics struct {
 	cacheMisses    atomic.Int64
 	cacheEvictions atomic.Int64 // compiled graphs evicted by LRU pressure
 	cacheSize      atomic.Int64 // compiled graphs resident in the LRU now
-	fleetPartials  atomic.Int64 // sweep partials dispatched by the coordinator
-	fleetResheds   atomic.Int64 // partials re-shed after a peer failure/timeout
-	fleetPeerFails atomic.Int64 // peers marked dead during a sweep
 	simCycles      atomic.Int64 // total simulated cycles served
 }
 
@@ -136,19 +133,6 @@ func (m *Metrics) ObserveEviction() { m.cacheEvictions.Add(1) }
 
 // SetGraphCacheSize records the compiled-graph LRU's current occupancy.
 func (m *Metrics) SetGraphCacheSize(n int64) { m.cacheSize.Store(n) }
-
-// ObserveFleetPartial counts one sweep partial dispatched by the
-// coordinator (to a peer or to the local executor). Implements
-// fleet.Observer.
-func (m *Metrics) ObserveFleetPartial() { m.fleetPartials.Add(1) }
-
-// ObserveFleetReshed counts a partial re-shed onto another executor after
-// its peer failed or timed out.
-func (m *Metrics) ObserveFleetReshed() { m.fleetResheds.Add(1) }
-
-// ObserveFleetPeerFailure counts a peer marked dead for the rest of a
-// sweep.
-func (m *Metrics) ObserveFleetPeerFailure() { m.fleetPeerFails.Add(1) }
 
 // histogram returns (lazily creating) the named histogram in a labeled set.
 func (m *Metrics) histogram(set map[string]*Histogram, key string) *Histogram {
@@ -295,9 +279,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"tyrd_graph_cache_hits_total", "Compiled-graph cache hits.", "counter", m.cacheHits.Load()},
 		{"tyrd_graph_cache_misses_total", "In-memory compiled-graph cache misses (fresh compiles).", "counter", m.cacheMisses.Load()},
 		{"tyrd_graph_cache_evictions_total", "Compiled graphs evicted by LRU capacity pressure.", "counter", m.cacheEvictions.Load()},
-		{"tyrd_fleet_partials_total", "Sweep partials dispatched by the fleet coordinator.", "counter", m.fleetPartials.Load()},
-		{"tyrd_fleet_resheds_total", "Sweep partials re-shed after a peer failure or timeout.", "counter", m.fleetResheds.Load()},
-		{"tyrd_fleet_peer_failures_total", "Peers marked dead during a sweep.", "counter", m.fleetPeerFails.Load()},
 		{"tyrd_simulated_cycles_total", "Total simulated cycles served.", "counter", m.simCycles.Load()},
 		{"tyrd_graph_cache_size", "Compiled graphs resident in the in-memory LRU.", "gauge", m.cacheSize.Load()},
 		{"tyrd_active_jobs", "Pool jobs executing right now.", "gauge", m.activeJobs.Load()},

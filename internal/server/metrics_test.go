@@ -28,11 +28,6 @@ func goldenMetrics() *Metrics {
 	m.cacheMisses.Add(2)
 	m.ObserveEviction()
 	m.SetGraphCacheSize(5)
-	m.ObserveFleetPartial()
-	m.ObserveFleetPartial()
-	m.ObserveFleetPartial()
-	m.ObserveFleetReshed()
-	m.ObserveFleetPeerFailure()
 	m.ObservePanic()
 	m.ObserveDuration("/v1/run", 3*time.Millisecond)
 	m.ObserveDuration("/v1/run", 700*time.Millisecond)

@@ -25,7 +25,7 @@ type Pool struct {
 	wg     sync.WaitGroup
 
 	// stats, when non-nil, receives the queue-length and active-job
-	// gauges and the 429 count for /v1/metrics.
+	// gauges for /v1/metrics.
 	stats *Metrics
 }
 
@@ -77,7 +77,6 @@ func (p *Pool) Submit(job func()) error {
 	default:
 		if p.stats != nil {
 			p.stats.queueLen.Add(-1)
-			p.stats.busyTotal.Add(1)
 		}
 		return ErrBusy
 	}

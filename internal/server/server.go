@@ -16,15 +16,14 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/apps"
 	"repro/internal/benchreg"
-	"repro/internal/cache"
 	"repro/internal/cancel"
 	"repro/internal/compile"
-	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -55,16 +54,6 @@ type Config struct {
 	// threshold, sampling, capture depth); zero values select the
 	// internal/obs defaults.
 	Flight obs.Config
-	// Peers, when non-empty, puts this instance in fleet-coordinator mode:
-	// full-grid /v1/sweep requests are split into cell-range partials and
-	// fanned out to these tyrd instances (host:port), with this instance
-	// executing its own share and absorbing any failed partials.
-	Peers []string
-	// PartialTimeout bounds each remote partial attempt (default 60s).
-	PartialTimeout time.Duration
-	// PeerRetries bounds re-sheds to remaining peers before a failed
-	// partial is forced local (default 1).
-	PeerRetries int
 }
 
 func (c Config) withDefaults() Config {
@@ -98,7 +87,6 @@ type Server struct {
 	graphs *GraphCache
 	stats  *Metrics
 	flight *obs.FlightRecorder
-	fleet  *fleet.Coordinator // nil unless Config.Peers is set
 	log    *slog.Logger
 }
 
@@ -112,14 +100,7 @@ func New(cfg Config) *Server {
 		graphs: NewGraphCache(cfg.GraphCacheSize, stats),
 		stats:  stats,
 		flight: obs.NewFlightRecorder(cfg.Flight),
-		fleet: fleet.New(fleet.Config{
-			Peers:          cfg.Peers,
-			PartialTimeout: cfg.PartialTimeout,
-			PeerRetries:    cfg.PeerRetries,
-			Obs:            stats,
-			Logger:         cfg.Logger,
-		}),
-		log: cfg.Logger,
+		log:    cfg.Logger,
 	}
 }
 
@@ -183,9 +164,8 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		id := ""
 		if observable(r) {
 			// An inbound Tyr-Trace-Id (validated: hex, bounded length) is
-			// adopted rather than replaced — a fleet peer serving a sweep
-			// partial records it under the coordinator's trace ID, so one
-			// ID indexes the whole distributed request across instances.
+			// adopted rather than replaced, so a client or proxy that
+			// mints its own ID can join its logs to the flight record.
 			t = s.flight.StartWithID(r.Method, r.URL.Path, r.Header.Get("Tyr-Trace-Id"))
 			id = t.ID()
 			r = r.WithContext(obs.NewContext(r.Context(), t))
@@ -432,6 +412,7 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, r *http.Request, err er
 	case errors.Is(err, ErrClosed):
 		s.writeError(w, r, http.StatusServiceUnavailable, err)
 	default:
+		s.stats.busyTotal.Add(1)
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, r, http.StatusTooManyRequests, err)
 	}
@@ -538,10 +519,8 @@ type sweepCell struct {
 }
 
 // sweepGrid materializes the request's kernel x system grid in apps-major
-// order — cell index = appIdx*len(systems)+sysIdx, the coordinate system
-// the fleet coordinator partitions over (every instance derives the same
-// grid from the same request fields, so a cell index means the same cell
-// everywhere).
+// order: cell index = appIdx*len(systems)+sysIdx, the order the reply
+// lists the runs in.
 func sweepGrid(req *api.SweepRequest, scale apps.Scale) (cells []sweepCell, systems []string) {
 	suite := api.SharedSuite(scale)
 	sel := suite
@@ -564,59 +543,135 @@ func sweepGrid(req *api.SweepRequest, scale apps.Scale) (cells []sweepCell, syst
 	return cells, systems
 }
 
-// runSweepCells executes a slice of grid cells sequentially on the calling
-// goroutine (a pool worker), returning one RunStats per cell in order.
-func (s *Server) runSweepCells(t *obs.RequestTrace, flag *cancel.Flag, req *api.SweepRequest, cc *cache.Config, cells []sweepCell) ([]metrics.RunStats, error) {
-	tracer := t.Tracer() // nil unless the request was sampled
-	// Cells never sample the live-state trace: the tyr-bench/v1 summary
-	// does not read it, and fleet partials would carry it over the wire
-	// for nothing.
-	sc := harness.SysConfig{
-		IssueWidth:  req.IssueWidth,
-		Tags:        req.Tags,
-		Cache:       cc,
-		TracePoints: -1,
-		Stop:        flag,
-		Compiler:    s.spanGraphs(t),
-		Tracer:      tracer,
-		TraceID:     t.ID(),
-	}
-	runs := make([]metrics.RunStats, 0, len(cells))
-	for _, cell := range cells {
-		if flag.Stopped() {
-			return nil, cancel.ErrStopped
-		}
-		// One capture ring, reset per cell: a sampled sweep keeps
-		// the engine trace of its final (or failing) cell rather
-		// than an unreadable splice of every cell's tail.
-		if tracer != nil {
-			tracer.Reset()
-		}
-		run := t.StartSpan("run "+cell.app.Name+"/"+cell.sys, obs.RootSpan)
-		rs, err := harness.Run(cell.app, cell.sys, sc)
-		s.endStage(t, run, "run")
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", cell.app.Name, cell.sys, err)
-		}
-		t.SetAttr(run, "cycles", rs.Cycles)
-		t.SetAttr(run, "peak_tags", int64(rs.PeakTags))
-		s.stats.ObserveRun(rs.System, rs.Cycles)
-		runs = append(runs, rs)
-	}
-	return runs, nil
+// sweep is one /v1/sweep grid in flight: the state its owner job and its
+// helper jobs share. Cells are claimed one at a time in grid order, and
+// each result lands in runs at its cell index, so the reply is in grid
+// order whichever job ran a cell.
+type sweep struct {
+	s       *Server
+	t       *obs.RequestTrace
+	sc      harness.SysConfig // the helpers' config: the owner's without its tracer
+	cells   []sweepCell
+	runs    []metrics.RunStats
+	helping sync.WaitGroup // cells claimed by helpers and not yet finished
+
+	mu   sync.Mutex
+	next int   // first unclaimed cell
+	err  error // first failure; no cell is claimed after it
 }
 
-// handleSweep runs the kernel x system grid as ONE pool job executing cells
-// sequentially. Fanning the cells out as separate jobs could deadlock the
-// bounded queue (a sweep occupying every worker while its own cells wait in
-// the queue), so a sweep costs exactly one worker and the grid order stays
-// deterministic.
+// runSweep runs the grid's cells and returns one RunStats per cell, in
+// grid order. It is the one place that decides where a sweep's cells run.
+// The caller is the sweep's pool job, its owner, and claims cells itself.
+// It first offers up to Workers-1 helper jobs to the pool without
+// blocking; a full queue or a draining pool refuses them, and the owner
+// carries on alone. A helper runs one cell and then queues itself again
+// behind whatever arrived meanwhile, so a sweep takes only idle workers
+// and a queued /v1/run waits at most one cell. Once no cell is left, the
+// owner waits only for cells that helpers have claimed, never for a helper
+// that has not started: a helper stuck in the queue behind the owner's own
+// worker cannot deadlock the sweep, as an allocate never waits on a tag
+// that does not exist.
 //
-// With peers configured, a full-grid sweep instead runs through the fleet
-// coordinator — still inside the one pool job: peer partials are I/O waits
-// on goroutines, and all engine work on this instance stays on this
-// worker. Requests carrying an explicit cell range are always executed
-// locally (they ARE the fanned-out partials), so fan-out cannot recurse.
+// The first failure stops further claims: a cell's error, a panic (which
+// wraps errJobPanic), or sc's stop flag (cancel.ErrStopped). Only the
+// owner's cells write sc's tracer, the one-writer capture ring; helper
+// cells run untraced. Every cell gets its own "run app/sys" span.
+func (s *Server) runSweep(t *obs.RequestTrace, sc harness.SysConfig, cells []sweepCell) ([]metrics.RunStats, error) {
+	sw := &sweep{s: s, t: t, sc: sc, cells: cells, runs: make([]metrics.RunStats, len(cells))}
+	sw.sc.Tracer = nil
+	for range min(s.cfg.Workers, len(cells)) - 1 {
+		_ = s.pool.Submit(sw.help) // refused: one helper fewer
+	}
+	for {
+		i, ok := sw.claim(false)
+		if !ok {
+			break
+		}
+		// One capture ring, reset per cell: a sampled sweep keeps the
+		// engine trace of the owner's last (or failing) cell rather
+		// than an unreadable splice of every cell's tail.
+		if sc.Tracer != nil {
+			sc.Tracer.Reset()
+		}
+		sw.run(i, sc)
+	}
+	sw.helping.Wait()
+	// A helper that starts after the grid ends still claims under the
+	// lock, and may record a stop there.
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.err != nil {
+		return nil, sw.err
+	}
+	return sw.runs, nil
+}
+
+// claim hands out the next cell, or reports that none is left: the grid
+// is done, a cell failed, or the sweep was stopped. A helper's claim
+// joins helping under the lock, so it is counted before the owner's last,
+// failing claim and therefore before the owner waits.
+func (sw *sweep) claim(helper bool) (int, bool) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.err == nil && sw.sc.Stop.Stopped() {
+		sw.err = cancel.ErrStopped
+	}
+	if sw.err != nil || sw.next == len(sw.cells) {
+		return 0, false
+	}
+	if helper {
+		sw.helping.Add(1)
+	}
+	sw.next++
+	return sw.next - 1, true
+}
+
+// help is a helper job: it runs one cell, then queues itself again if
+// cells are left.
+func (sw *sweep) help() {
+	i, ok := sw.claim(true)
+	if !ok {
+		return
+	}
+	sw.run(i, sw.sc)
+	sw.helping.Done()
+	sw.mu.Lock()
+	more := sw.err == nil && sw.next < len(sw.cells)
+	sw.mu.Unlock()
+	if more {
+		_ = sw.s.pool.Submit(sw.help) // refused: one helper fewer
+	}
+}
+
+// run executes cell i under runJob's panic recovery, stores its stats at
+// runs[i], and records the sweep's first failure.
+func (sw *sweep) run(i int, sc harness.SysConfig) {
+	s, t, cell := sw.s, sw.t, sw.cells[i]
+	span := t.StartSpan("run "+cell.app.Name+"/"+cell.sys, obs.RootSpan)
+	var rs metrics.RunStats
+	var err error
+	if perr := s.runJob(t, func() { rs, err = harness.Run(cell.app, cell.sys, sc) }); perr != nil {
+		err = perr
+	}
+	s.endStage(t, span, "run")
+	if err != nil {
+		sw.mu.Lock()
+		if sw.err == nil {
+			sw.err = fmt.Errorf("%s/%s: %w", cell.app.Name, cell.sys, err)
+		}
+		sw.mu.Unlock()
+		return
+	}
+	t.SetAttr(span, "cycles", rs.Cycles)
+	t.SetAttr(span, "peak_tags", int64(rs.PeakTags))
+	s.stats.ObserveRun(rs.System, rs.Cycles)
+	sw.runs[i] = rs
+}
+
+// handleSweep runs the kernel x system grid as one pool job, the sweep's
+// owner, which spreads the cells over idle workers (runSweep). The reply
+// lists every cell in grid order, however the cells were spread.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	t := obs.FromContext(r.Context())
 	adm := t.StartSpan("admission", obs.RootSpan)
@@ -638,19 +693,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cells, systems := sweepGrid(&req, scale)
-	// Compare the count with the cells left instead of adding it to the
-	// start: the sum of two huge fields overflows past the bounds check.
-	start, end := req.CellStart, len(cells)
-	if start > len(cells) || req.CellCount > len(cells)-start {
-		s.endStage(t, adm, "admission")
-		s.writeError(w, r, http.StatusBadRequest, &api.ValidationError{Fields: []api.FieldError{
-			{Field: "cell_start", Message: fmt.Sprintf("range [%d, %d) exceeds the %d-cell grid", start, uint64(start)+uint64(req.CellCount), len(cells))},
-		}})
-		return
-	}
-	if req.CellCount > 0 {
-		end = start + req.CellCount
-	}
 	// Build the cache config once, up front: a bad spec fails the request
 	// instead of silently degrading every cell to flat memory.
 	cc, err := req.Cache.Config()
@@ -666,25 +708,23 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	flag := &cancel.Flag{}
 	release := cancel.WatchContext(ctx, flag)
 	defer release()
-
-	distributed := s.fleet != nil && req.CellStart == 0 && req.CellCount == 0 && len(cells) > 1
+	// Cells never sample the live-state trace: the tyr-bench/v1 summary
+	// does not read it.
+	sc := harness.SysConfig{
+		IssueWidth:  req.IssueWidth,
+		Tags:        req.Tags,
+		Cache:       cc,
+		TracePoints: -1,
+		Stop:        flag,
+		Compiler:    s.spanGraphs(t),
+		Tracer:      t.Tracer(), // nil unless the request was sampled
+		TraceID:     t.ID(),
+	}
 
 	var runs []metrics.RunStats
 	var runErr error
 	if err := s.submit(t, func() {
-		runRange := func(a, b int) ([]metrics.RunStats, error) {
-			return s.runSweepCells(t, flag, &req, cc, cells[a:b])
-		}
-		if distributed {
-			runs, runErr = s.fleet.Run(ctx, t, len(cells), func(cellStart, cellCount int) api.SweepRequest {
-				partial := req
-				partial.CellStart = cellStart
-				partial.CellCount = cellCount
-				return partial
-			}, runRange)
-		} else {
-			runs, runErr = runRange(start, end)
-		}
+		runs, runErr = s.runSweep(t, sc, cells)
 	}); err != nil {
 		s.writeSubmitError(w, r, err)
 		return
@@ -693,6 +733,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(runErr, cancel.ErrStopped):
 		s.finishCancelled(w, r, ctx, runErr)
+	case errors.Is(runErr, errJobPanic):
+		s.writeError(w, r, http.StatusInternalServerError, runErr)
 	case runErr != nil:
 		s.writeError(w, r, http.StatusUnprocessableEntity, runErr)
 	default:

@@ -375,12 +375,13 @@ func checkRetiredKnob(t *testing.T, knob, note string) {
 // submit, which must return an error wrapping errJobPanic and count it.
 // It then seeds the graph cache with a corrupt dmv graph (a load whose
 // region index is past the region table), so the tagged engine panics
-// building its machine. On a one-worker server, both /v1/run and /v1/sweep
-// must answer that panic with a 500 whose body carries the trace ID, the
-// flight recorder must keep the failed request, tyrd_panics_total must
-// count every panic, and the surviving worker must still serve a real run.
+// building its machine. On a two-worker server, /v1/run and a multi-cell
+// /v1/sweep (whose corrupt cell may land on a helper job) must answer
+// that panic with a 500 whose body carries the trace ID, the flight
+// recorder must keep the failed request, tyrd_panics_total must count
+// each panic once, and the workers must still serve a real run.
 func TestPanicFailsOnlyItsRequest(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	srv, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 4})
 	if err := srv.submit(nil, func() { panic("boom") }); !errors.Is(err, errJobPanic) || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("submit of a panicking job: err = %v, want errJobPanic carrying the panic value", err)
 	}
@@ -394,7 +395,7 @@ func TestPanicFailsOnlyItsRequest(t *testing.T) {
 		body any
 	}{
 		{"/v1/run", api.Request{App: "dmv", Scale: "tiny", System: "tyr"}},
-		{"/v1/sweep", api.SweepRequest{Scale: "tiny", Apps: []string{"dmv"}, Systems: []string{"tyr"}}},
+		{"/v1/sweep", api.SweepRequest{Scale: "tiny", Apps: []string{"smv", "tc", "dmv"}, Systems: []string{"vN", "tyr"}}},
 	} {
 		resp, body := postJSON(t, ts.Client(), ts.URL+ep.path, ep.body)
 		if resp.StatusCode != http.StatusInternalServerError {
