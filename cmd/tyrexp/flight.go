@@ -12,32 +12,25 @@ import (
 )
 
 // runFlight reads a tyr-obs/v1 flight-recorder dump (the output of tyrd's
-// GET /v1/debug/requests) and renders it: a request table by default, one
-// request's span tree plus the critical-path profile of its captured
-// engine trace with -id, or a structural check with -validate.
+// GET /v1/debug/requests), validates it, and renders it: a request table
+// by default, one request's span tree plus the critical-path profile of
+// its captured engine trace with -id, or only the check's summary with
+// -validate.
 func runFlight(args []string) {
 	fs := flag.NewFlagSet("tyrexp flight", flag.ExitOnError)
 	id := fs.String("id", "", "telescope one recorded request (by trace ID) into its span tree and engine profile")
-	validate := fs.Bool("validate", false, "structurally validate the dump (span trees and embedded Chrome traces) and exit")
+	validate := fs.Bool("validate", false, "print only the structural check's summary (span trees and embedded Chrome traces)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		fatalf("usage: tyrexp flight [-id trace_id] [-validate] dump.json")
 	}
 	path := fs.Arg(0)
-	f, err := os.Open(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	dump, err := obs.ReadDump(f)
-	f.Close()
+	dump, err := loadDump(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
 
 	if *validate {
-		if err := dump.Validate(); err != nil {
-			fatalf("%s: %v", path, err)
-		}
 		captures := 0
 		for _, r := range dump.Requests {
 			if r.Engine != nil {
@@ -73,6 +66,25 @@ func runFlight(args []string) {
 			r.TraceID, r.Status, r.Method, r.Path,
 			time.Duration(r.DurationNS).Round(time.Microsecond), retained, capture)
 	}
+}
+
+// loadDump reads and validates a flight-recorder dump. Every mode renders
+// only a dump that passed, so a malformed record (one without spans, say)
+// is an error rather than a crash.
+func loadDump(path string) (*obs.Dump, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	dump, err := obs.ReadDump(f)
+	f.Close()
+	if err == nil {
+		err = dump.Validate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return dump, nil
 }
 
 // renderRequest prints one record's span tree (children indented under

@@ -1,9 +1,10 @@
 // Package api defines tyr-api/v1: the versioned request/result schema
 // shared by the tyrd simulation service and the CLIs. It consolidates the
 // previously ad-hoc run surfaces — harness.SysConfig, cache.Config spec
-// strings, tyr-telemetry/v1 run records, and tyr-bench/v1 summaries — into
-// one canonical, validated JSON shape, so a request built by tyrsim, tyrc,
-// or a curl against tyrd means exactly the same simulation.
+// strings, tyr-telemetry/v1 run records, and the per-system sweep
+// summary — into one canonical, validated JSON shape, so a request built
+// by tyrsim, tyrc, or a curl against tyrd means exactly the same
+// simulation.
 //
 // A Request selects a workload (a named suite kernel, or inline IR source
 // validated against the reference interpreter), a system, and the machine
@@ -20,7 +21,6 @@ import (
 	"sync"
 
 	"repro/internal/apps"
-	"repro/internal/benchreg"
 	"repro/internal/cache"
 	"repro/internal/cancel"
 	"repro/internal/harness"
@@ -584,8 +584,7 @@ func (p *Plan) ResolveAppBound(stop *cancel.Flag, maxSteps int64) (*apps.App, er
 	return app, nil
 }
 
-// SweepRequest runs a kernel x system grid — the /v1/sweep analog of
-// `tyrexp bench` — and summarizes it as a tyr-bench/v1 document.
+// SweepRequest runs a kernel x system grid and summarizes it per system.
 type SweepRequest struct {
 	Version string `json:"version,omitempty"`
 	Scale   string `json:"scale,omitempty"`
@@ -657,8 +656,75 @@ type SweepResult struct {
 	// Runs is one tyr-telemetry/v1 record per grid cell, in apps-major
 	// order (deterministic regardless of worker scheduling).
 	Runs []metrics.RunStats `json:"runs"`
-	// Systems is the tyr-bench/v1 per-system aggregate.
-	Systems []benchreg.System `json:"systems"`
+	// Systems is the per-system aggregate (Summarize).
+	Systems []SystemSummary `json:"systems"`
+}
+
+// SystemSummary is one simulated machine's aggregate over a sweep's runs.
+type SystemSummary struct {
+	System      string  `json:"system"`
+	GmeanCycles float64 `json:"gmean_cycles"`
+	WallNS      int64   `json:"wall_ns"` // summed across runs
+	// Cache behavior, when runs carry cache counters: miss rates are
+	// summed misses over summed accesses, MeanAMAT the mean of the
+	// per-run AMATs.
+	L1MissRate float64 `json:"l1_miss_rate"`
+	L2MissRate float64 `json:"l2_miss_rate"`
+	MeanAMAT   float64 `json:"mean_amat"`
+	// ReqPerSec is runs divided by summed wall-clock seconds. Like WallNS
+	// it is host time, not simulated behavior.
+	ReqPerSec float64 `json:"req_per_sec,omitempty"`
+}
+
+// Summarize aggregates runs per system, in the order of systems. A listed
+// system with no runs is omitted, and runs of unlisted systems are
+// ignored.
+func Summarize(systems []string, runs []metrics.RunStats) []SystemSummary {
+	type agg struct {
+		cycles                       []float64
+		wall                         int64
+		l1Acc, l1Miss, l2Acc, l2Miss int64
+		amatSum                      float64
+		cached                       int
+	}
+	by := map[string]*agg{}
+	for _, rs := range runs {
+		a := by[rs.System]
+		if a == nil {
+			a = &agg{}
+			by[rs.System] = a
+		}
+		a.cycles = append(a.cycles, float64(rs.Cycles))
+		a.wall += rs.WallNS
+		if c := rs.Cache; c != nil {
+			a.l1Acc += c.L1.Accesses
+			a.l1Miss += c.L1.Misses
+			a.l2Acc += c.L2.Accesses
+			a.l2Miss += c.L2.Misses
+			a.amatSum += c.AMAT
+			a.cached++
+		}
+	}
+	var out []SystemSummary
+	for _, sys := range systems {
+		a := by[sys]
+		if a == nil {
+			continue
+		}
+		s := SystemSummary{System: sys, GmeanCycles: metrics.Gmean(a.cycles), WallNS: a.wall}
+		if a.wall > 0 {
+			s.ReqPerSec = float64(len(a.cycles)) / (float64(a.wall) / 1e9)
+		}
+		if a.l1Acc > 0 {
+			s.L1MissRate = float64(a.l1Miss) / float64(a.l1Acc)
+			s.MeanAMAT = a.amatSum / float64(a.cached)
+			if a.l2Acc > 0 {
+				s.L2MissRate = float64(a.l2Miss) / float64(a.l2Acc)
+			}
+		}
+		out = append(out, s)
+	}
+	return out
 }
 
 // CompileRequest compiles inline IR without running it — the /v1/compile

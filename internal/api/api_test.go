@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/compile"
 	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/prog"
 )
 
@@ -704,4 +706,81 @@ func FuzzRequestDecodeValidate(f *testing.F) {
 			t.Errorf("valid request failed Plan: %v", err)
 		}
 	})
+}
+
+// TestSummarize pins the per-system sweep summary's arithmetic.
+func TestSummarize(t *testing.T) {
+	run := func(sys string, cycles, wallNS int64, cs *metrics.CacheStats) metrics.RunStats {
+		return metrics.RunStats{System: sys, Cycles: cycles, WallNS: wallNS, Cache: cs}
+	}
+	cached := func(l1Acc, l1Miss, l2Acc, l2Miss int64, amat float64) *metrics.CacheStats {
+		return &metrics.CacheStats{
+			L1:   metrics.CacheLevelStats{Accesses: l1Acc, Misses: l1Miss},
+			L2:   metrics.CacheLevelStats{Accesses: l2Acc, Misses: l2Miss},
+			AMAT: amat,
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		systems []string
+		runs    []metrics.RunStats
+		want    []SystemSummary
+	}{
+		{
+			name:    "gmean cycles, summed wall, runs per second",
+			systems: []string{"vN"},
+			runs:    []metrics.RunStats{run("vN", 100, 1e9, nil), run("vN", 400, 3e9, nil)},
+			want:    []SystemSummary{{System: "vN", GmeanCycles: 200, WallNS: 4e9, ReqPerSec: 0.5}},
+		},
+		{
+			// Per-run L1 rates are 0.1 and 0.3 and L2 rates 0.5 and 0.1:
+			// a mean of rates would give 0.2 and 0.3. The uncached run
+			// counts for cycles and wall but not for mean_amat.
+			name:    "miss rates pool counters; AMAT averages cached runs only",
+			systems: []string{"tyr"},
+			runs: []metrics.RunStats{
+				run("tyr", 10, 1e9, cached(100, 10, 10, 5, 2)),
+				run("tyr", 100, 1e9, cached(300, 90, 90, 9, 4)),
+				run("tyr", 1000, 2e9, nil),
+			},
+			want: []SystemSummary{{System: "tyr", GmeanCycles: 100, WallNS: 4e9, ReqPerSec: 0.75,
+				L1MissRate: 0.25, L2MissRate: 0.14, MeanAMAT: 3}},
+		},
+		{
+			name:    "order of systems, not of runs",
+			systems: []string{"tyr", "vN"},
+			runs:    []metrics.RunStats{run("vN", 8, 1e9, nil), run("tyr", 2, 1e9, cached(10, 5, 0, 0, 7))},
+			want: []SystemSummary{
+				{System: "tyr", GmeanCycles: 2, WallNS: 1e9, ReqPerSec: 1, L1MissRate: 0.5, MeanAMAT: 7},
+				{System: "vN", GmeanCycles: 8, WallNS: 1e9, ReqPerSec: 1},
+			},
+		},
+		{
+			name:    "a listed system without runs is omitted; an unlisted system's runs are ignored",
+			systems: []string{"vN", "ordered"},
+			runs:    []metrics.RunStats{run("seqdf", 5, 1e9, nil), run("vN", 9, 0, nil)},
+			want:    []SystemSummary{{System: "vN", GmeanCycles: 9}},
+		},
+		{
+			name:    "no runs",
+			systems: []string{"vN"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := Summarize(tc.systems, tc.runs)
+			if len(got) != len(tc.want) {
+				t.Fatalf("got %d systems %+v, want %d", len(got), got, len(tc.want))
+			}
+			near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(1, math.Abs(b)) }
+			for i, w := range tc.want {
+				g := got[i]
+				if g.System != w.System || g.WallNS != w.WallNS ||
+					!near(g.GmeanCycles, w.GmeanCycles) || !near(g.ReqPerSec, w.ReqPerSec) ||
+					!near(g.L1MissRate, w.L1MissRate) || !near(g.L2MissRate, w.L2MissRate) ||
+					!near(g.MeanAMAT, w.MeanAMAT) {
+					t.Errorf("systems[%d] = %+v, want %+v", i, g, w)
+				}
+			}
+		})
+	}
 }

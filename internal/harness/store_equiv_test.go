@@ -49,7 +49,11 @@ func (h *fnv1a) mix(v uint64) {
 func (h *fnv1a) mixI64(v int64) { h.mix(uint64(v)) }
 
 // eventsDigest hashes the retained trace event stream, order-sensitively.
+// A run without a recorder digests as "off".
 func eventsDigest(rec *trace.Recorder) string {
+	if rec == nil {
+		return "off"
+	}
 	h := newFNV()
 	evs := rec.Events()
 	for _, e := range evs {
@@ -224,6 +228,21 @@ func computeDigests(t *testing.T) map[string]string {
 				t.Fatalf("%s/%s: %v", app.Name, pc.key, err)
 			}
 			digests[app.Name+"/"+pc.key] = coreResultDigest(res, im, rec)
+		}
+	}
+	// The small suite on every system at the default machine (width 128,
+	// 64 tags, flat memory) is the exact-cycles gate: any change to a
+	// small/ digest is a change to simulated semantics. These cells run
+	// untraced; a recorder would drop most of dconv's events and take
+	// several times as long.
+	for _, app := range apps.Suite(apps.ScaleSmall) {
+		for _, sys := range Systems {
+			var im *mem.Image
+			rs, err := Run(app, sys, SysConfig{imageSink: &im})
+			if err != nil {
+				t.Fatalf("small/%s/%s: %v", app.Name, sys, err)
+			}
+			digests["small/"+app.Name+"/"+sys] = runStatsDigest(rs, im, nil)
 		}
 	}
 	return digests

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/apps"
-	"repro/internal/benchreg"
 	"repro/internal/cancel"
 	"repro/internal/compile"
 	"repro/internal/harness"
@@ -708,7 +707,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	flag := &cancel.Flag{}
 	release := cancel.WatchContext(ctx, flag)
 	defer release()
-	// Cells never sample the live-state trace: the tyr-bench/v1 summary
+	// Cells never sample the live-state trace: the per-system summary
 	// does not read it.
 	sc := harness.SysConfig{
 		IssueWidth:  req.IssueWidth,
@@ -738,12 +737,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	case runErr != nil:
 		s.writeError(w, r, http.StatusUnprocessableEntity, runErr)
 	default:
-		doc := benchreg.Summarize(scaleName(req.Scale), systems, runs)
 		writeJSON(w, http.StatusOK, api.SweepResult{
 			Version: api.Version,
-			Scale:   doc.Scale,
+			Scale:   scaleName(req.Scale),
 			Runs:    runs,
-			Systems: doc.Systems,
+			Systems: api.Summarize(systems, runs),
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -562,16 +563,25 @@ func TestSweepEndpoint(t *testing.T) {
 		t.Errorf("runs = %d, want 4", len(sr.Runs))
 	}
 	if len(sr.Systems) != 2 {
-		t.Errorf("systems = %d, want 2", len(sr.Systems))
+		t.Fatalf("systems = %d, want 2", len(sr.Systems))
 	}
-	for _, sys := range sr.Systems {
-		if sys.GmeanCycles <= 0 {
-			t.Errorf("system %s has gmean_cycles %v", sys.System, sys.GmeanCycles)
-		}
-	}
+	// Each system's gmean_cycles is the gmean of its own runs' cycles.
+	logSum, n := map[string]float64{}, map[string]int{}
 	for _, run := range sr.Runs {
 		if run.Trace != nil {
 			t.Errorf("sweep cell %s/%s carries %d live-state trace points", run.App, run.System, len(run.Trace))
+		}
+		logSum[run.System] += math.Log(float64(run.Cycles))
+		n[run.System]++
+	}
+	for i, sys := range sr.Systems {
+		if want := []string{"vN", "tyr"}[i]; sys.System != want {
+			t.Errorf("systems[%d] = %s, want %s", i, sys.System, want)
+		}
+		want := math.Exp(logSum[sys.System] / float64(n[sys.System]))
+		if sys.GmeanCycles <= 0 || math.Abs(sys.GmeanCycles-want) > 1e-9*want {
+			t.Errorf("system %s has gmean_cycles %v, want %v (the gmean of its %d runs)",
+				sys.System, sys.GmeanCycles, want, n[sys.System])
 		}
 	}
 	if sr.Scale != "tiny" || sr.Version != api.Version {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/benchreg"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
@@ -105,7 +104,7 @@ func TestSweepFanOutMatchesOneWorker(t *testing.T) {
 			}
 		}
 		// The summary's wall_ns and req_per_sec are host timings.
-		for _, sys := range [][]benchreg.System{got.Systems, want.Systems} {
+		for _, sys := range [][]api.SystemSummary{got.Systems, want.Systems} {
 			for i := range sys {
 				sys[i].WallNS, sys[i].ReqPerSec = 0, 0
 			}
