@@ -2,7 +2,7 @@
 // endpoints /v1/compile, /v1/run, /v1/sweep, /v1/healthz, /v1/metrics, and
 // the /v1/debug/requests flight-recorder dumps.
 //
-//	tyrd [-addr :8080] [-workers N] [-queue N] [-timeout 30s] [-cache-size 64]
+//	tyrd [-addr :8080] [-workers N] [-queue N] [-timeout 30s]
 //	     [-debug-addr 127.0.0.1:8081] [-flight-ring 64] [-flight-slow 500ms]
 //	     [-flight-sample 64] [-flight-trace-events 8192]
 //
@@ -14,6 +14,8 @@
 // instead of stacking up goroutines, and once a drain starts it answers
 // 503. A simulation that panics fails its own request with a 500 (counted
 // in tyrd_panics_total); the worker and every other request carry on.
+// A bundled kernel's graphs are compiled on first use and shared by every
+// later run of it; an inline source is compiled once per request.
 // Every request carries a deadline (its exec.deadline_ms, or -timeout)
 // that cancels the engine cooperatively at the next cycle boundary;
 // inline-source oracle runs are bounded the same way plus a
@@ -55,7 +57,6 @@ func main() {
 	queue := flag.Int("queue", 0, "queued submissions beyond the workers (0 = 4x workers)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "upper bound on a request's timeout_ms")
-	cacheSize := flag.Int("cache-size", 64, "compiled-graph LRU capacity")
 	oracleSteps := flag.Int64("oracle-max-steps", 0, "dynamic-instruction budget for inline-source oracle runs (0 = 2^32)")
 	drain := flag.Duration("drain", 2*time.Minute, "grace period for in-flight requests on shutdown")
 	debugAddr := flag.String("debug-addr", "", "optional second listener for pprof and flight dumps (e.g. 127.0.0.1:8081; empty = off)")
@@ -71,7 +72,6 @@ func main() {
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		GraphCacheSize: *cacheSize,
 		OracleMaxSteps: *oracleSteps,
 		Logger:         log,
 		Flight: obs.Config{

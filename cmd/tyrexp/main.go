@@ -113,13 +113,13 @@ func runExperiments(args []string) {
 			fmt.Println(strings.Repeat("=", 78))
 		}
 		start := time.Now()
-		report, err := harness.RunExperiment(strings.TrimSpace(name), cfg)
+		data, report, err := harness.RunExperiment(strings.TrimSpace(name), cfg)
 		if err != nil {
 			fatalf("%s: %v", name, err)
 		}
 		fmt.Print(report)
 		if *csvDir != "" {
-			path, err := harness.ExportCSV(strings.TrimSpace(name), cfg, *csvDir)
+			path, err := harness.ExportCSV(strings.TrimSpace(name), data, *csvDir)
 			if err != nil {
 				fatalf("csv %s: %v", name, err)
 			}

@@ -52,8 +52,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/apps"
 	"repro/internal/cliflags"
-	"repro/internal/compile"
-	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/harness"
 	"repro/internal/metrics"
@@ -138,9 +136,9 @@ func main() {
 	}
 
 	// Resolve the one graph this invocation inspects and runs: the -graph
-	// file when set, otherwise the system's lowering (ordered for ordered,
-	// tagged for every other system) when a flag looks at the graph.
-	// Without either, the harness compiles as usual.
+	// file when set, otherwise the app's own graph for the system's
+	// lowering (ordered for ordered, tagged for every other system) when a
+	// flag looks at the graph. The harness runs that same graph.
 	var g *dfg.Graph
 	if *graphPath != "" {
 		if machine.System == harness.SysVN || machine.System == harness.SysSeqDF {
@@ -148,12 +146,12 @@ func main() {
 			os.Exit(2)
 		}
 		g, err = loadGraph(*graphPath, machine.System)
-	} else if *dot || *asm || *check || *blocks || *heat {
-		lower := compile.Tagged
+	} else if *dot || *asm || *check || *heat {
 		if machine.System == harness.SysOrdered {
-			lower = compile.Ordered
+			g, err = app.Ordered()
+		} else {
+			g, err = app.Tagged()
 		}
-		g, err = lower(app.Prog, compile.Options{EntryArgs: app.Args})
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)
@@ -175,9 +173,9 @@ func main() {
 	}
 
 	cfg := plan.Cfg
-	if g != nil {
-		// The run executes g itself, so -check, -blocks and -heat describe
-		// the graph that ran. A loaded graph is still cross-checked against
+	if *graphPath != "" {
+		// The run executes the loaded graph, so -check, -blocks and -heat
+		// describe the graph that ran. It is still cross-checked against
 		// the reference interpreter running app.Prog, so one that does not
 		// implement the selected workload fails validation rather than
 		// passing silently.
@@ -221,26 +219,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	var spaces []core.SpaceStats
-	if *blocks && (machine.System == harness.SysTyr || machine.System == harness.SysUnordered) {
-		ecfg := core.Config{IssueWidth: machine.Width, LoadLatency: 0}
-		if machine.System == harness.SysTyr {
-			ecfg.Policy = core.PolicyTyr
-			ecfg.TagsPerBlock = machine.Tags
-		} else if *globalTags > 0 {
-			ecfg.Policy = core.PolicyGlobalBounded
-			ecfg.GlobalTags = *globalTags
-		} else {
-			ecfg.Policy = core.PolicyGlobalUnlimited
-		}
-		res, err := core.Run(g, app.NewImage(), ecfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)
-			os.Exit(1)
-		}
-		spaces = res.Spaces
-	}
-
 	fmt.Printf("%s on %s (%s)\n", app.Name, rs.System, app.Description)
 	tb := &metrics.Table{}
 	tb.Add("completed", fmt.Sprint(rs.Completed))
@@ -273,9 +251,9 @@ func main() {
 			rs.Cache.AMAT, metrics.FormatCount(rs.Cache.MSHRStallCycles))
 	}
 
-	if len(spaces) > 0 {
+	if *blocks && len(rs.Spaces) > 0 {
 		bt := &metrics.Table{Headers: []string{"block", "tags", "peak tags used", "allocs", "peak live tokens"}}
-		for _, s := range spaces {
+		for _, s := range rs.Spaces {
 			pool := fmt.Sprint(s.Tags)
 			if s.Tags == 0 {
 				pool = "unbounded"

@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"repro/internal/apps"
-	"repro/internal/compile"
 	"repro/internal/core"
 )
 
@@ -20,7 +19,7 @@ func main() {
 	app := apps.Dmv(64, 64, 3)
 	fmt.Printf("workload: %s — %s\n\n", app.Name, app.Description)
 
-	g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
+	g, err := app.Tagged()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,9 +58,9 @@ func main() {
 	fmt.Println()
 	for _, tags := range []int{2, 4} {
 		res, err := core.Run(g, app.NewImage(), core.Config{
-			Policy:          core.PolicyTyr,
-			TagsPerBlock:    tags,
-			CheckInvariants: true,
+			Policy:       core.PolicyTyr,
+			TagsPerBlock: tags,
+			Sanitize:     true,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -57,10 +57,10 @@ func main() {
 	for _, tags := range []int{2, 8, 64} {
 		im := prog.DefaultImage(p)
 		res, err := core.Run(g, im, core.Config{
-			Policy:          core.PolicyTyr,
-			TagsPerBlock:    tags,
-			IssueWidth:      128,
-			CheckInvariants: true,
+			Policy:       core.PolicyTyr,
+			TagsPerBlock: tags,
+			IssueWidth:   128,
+			Sanitize:     true,
 		})
 		if err != nil {
 			log.Fatalf("tyr run (tags=%d): %v", tags, err)

@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"repro/internal/apps"
-	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -27,14 +26,14 @@ func main() {
 	}}
 	for _, n := range []int{6, 10, 14, 18} {
 		app := apps.FibStack(n)
-		g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
+		g, err := app.Tagged()
 		if err != nil {
 			log.Fatal(err)
 		}
 		res, err := core.Run(g, app.NewImage(), core.Config{
-			Policy:          core.PolicyTyr,
-			TagsPerBlock:    4,
-			CheckInvariants: true,
+			Policy:       core.PolicyTyr,
+			TagsPerBlock: 4,
+			Sanitize:     true,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"repro/internal/apps"
-	"repro/internal/compile"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/tuner"
@@ -66,7 +65,7 @@ func main() {
 	// Sec. VII-E suggests runtime systems could search these budgets
 	// automatically; internal/tuner implements that search.
 	fmt.Println("\n--- automatic search (internal/tuner) ---")
-	g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
+	g, err := app.Tagged()
 	if err != nil {
 		log.Fatal(err)
 	}

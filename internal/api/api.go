@@ -87,10 +87,12 @@ var suites = [...]func() []*apps.App{
 // SharedSuite returns the process-wide suite at scale s, built once and
 // shared by every request that names a suite kernel: validation, workload
 // resolution and sweep grids all read the same apps instead of building a
-// suite each. Callers must not modify the slice or the apps. Sharing is
-// safe because runs clone each app's input image (App.NewImage) and every
-// Check only reads. apps.Suite still builds a fresh suite for callers that
-// want one.
+// suite each. Each app also holds its compiled graphs (App.Tagged,
+// App.Ordered), so every run of a kernel shares one graph per lowering.
+// Callers must not modify the slice or the apps. Sharing is safe because
+// runs clone each app's input image (App.NewImage), every Check only
+// reads, and the engines never write a graph. apps.Suite still builds a
+// fresh suite for callers that want one.
 func SharedSuite(s apps.Scale) []*apps.App { return suites[s]() }
 
 // CacheSpec configures the two-level memory hierarchy in the CLI's

@@ -17,7 +17,10 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
+	"repro/internal/compile"
+	"repro/internal/dfg"
 	"repro/internal/graphgen"
 	"repro/internal/mem"
 	"repro/internal/prog"
@@ -26,6 +29,8 @@ import (
 
 // App is one runnable workload: a program, its input image, and an oracle
 // that validates outputs produced by any of the simulated architectures.
+// An App also owns its program's two compiled graphs (Tagged, Ordered), so
+// Prog and Args must not change once either has been asked for.
 type App struct {
 	Name        string
 	Description string
@@ -38,10 +43,37 @@ type App struct {
 	// Inner and Outer name the innermost (hot) and outermost loop blocks,
 	// for per-region tag tuning experiments (Fig. 18).
 	Inner, Outer string
+
+	lowerOnce       sync.Once
+	tagged, ordered func() (*dfg.Graph, error)
 }
 
 // NewImage returns a fresh copy of the input image for one run.
 func (a *App) NewImage() *mem.Image { return a.Image.Clone() }
+
+// Tagged returns the program lowered for the tagged machines (tyr and
+// unordered). The first call compiles it and every later call returns the
+// same graph: like the paper's static dataflow graph, it is shared by
+// every run of the app, so callers must not modify it. Callers racing the
+// first call all wait for that one compile. A compile that panics panics
+// again, with the same value, on every later call.
+func (a *App) Tagged() (*dfg.Graph, error) {
+	a.lowerOnce.Do(a.initLowerings)
+	return a.tagged()
+}
+
+// Ordered returns the program lowered for ordered dataflow, compiled once
+// and shared exactly as Tagged's graph is.
+func (a *App) Ordered() (*dfg.Graph, error) {
+	a.lowerOnce.Do(a.initLowerings)
+	return a.ordered()
+}
+
+func (a *App) initLowerings() {
+	opts := compile.Options{EntryArgs: a.Args}
+	a.tagged = sync.OnceValues(func() (*dfg.Graph, error) { return compile.Tagged(a.Prog, opts) })
+	a.ordered = sync.OnceValues(func() (*dfg.Graph, error) { return compile.Ordered(a.Prog, opts) })
+}
 
 // Scale selects input sizes. The paper's inputs (50M–1B dynamic
 // instructions) are scaled down for a software token-level simulator; the

@@ -1,10 +1,14 @@
 package apps
 
 import (
+	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/compile"
 	"repro/internal/core"
+	"repro/internal/dfg"
 	"repro/internal/ordered"
 	"repro/internal/prog"
 	"repro/internal/seqdf"
@@ -54,9 +58,9 @@ func TestSuiteOnAllArchitectures(t *testing.T) {
 				label string
 				cfg   core.Config
 			}{
-				{"tyr2", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 2, CheckInvariants: true}},
-				{"tyr64", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 64, CheckInvariants: true}},
-				{"unordered", core.Config{Policy: core.PolicyGlobalUnlimited, CheckInvariants: true}},
+				{"tyr2", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 2, Sanitize: true}},
+				{"tyr64", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 64, Sanitize: true}},
+				{"unordered", core.Config{Policy: core.PolicyGlobalUnlimited, Sanitize: true}},
 			} {
 				im := app.NewImage()
 				res, err := core.Run(tg, im, tc.cfg)
@@ -144,5 +148,83 @@ func TestCheckersRejectWrongOutput(t *testing.T) {
 	w[0]++
 	if err := app.Check(im, 0); err == nil {
 		t.Error("corrupted output passed Check")
+	}
+}
+
+// TestLoweringIsCompiledOnce pins the graph memo behind App.Tagged and
+// App.Ordered: goroutines racing the first call all get one graph, later
+// calls return that same pointer, and the graph is the one a fresh compile
+// builds.
+func TestLoweringIsCompiledOnce(t *testing.T) {
+	app := Find(Suite(ScaleTiny), "dmv")
+	for _, l := range []struct {
+		name   string
+		memo   func() (*dfg.Graph, error)
+		direct func(*prog.Program, compile.Options) (*dfg.Graph, error)
+	}{
+		{"tagged", app.Tagged, compile.Tagged},
+		{"ordered", app.Ordered, compile.Ordered},
+	} {
+		const racers = 8
+		got := make([]*dfg.Graph, racers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				g, err := l.memo()
+				if err != nil {
+					t.Errorf("%s: %v", l.name, err)
+				}
+				got[i] = g
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		g, err := l.memo()
+		if err != nil || g == nil {
+			t.Fatalf("%s: graph %v, err %v", l.name, g, err)
+		}
+		for i, gi := range got {
+			if gi != g {
+				t.Errorf("%s: racer %d got graph %p, later call %p", l.name, i, gi, g)
+			}
+		}
+		fresh, err := l.direct(app.Prog, compile.Options{EntryArgs: app.Args})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := g.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(text, want) {
+			t.Errorf("%s: memoized graph differs from a fresh compile", l.name)
+		}
+	}
+}
+
+// TestLoweringPanicRepeats pins that a lowering which panics leaves no nil
+// graph behind: every later call panics with the same value.
+func TestLoweringPanicRepeats(t *testing.T) {
+	app := &App{Name: "noprog"} // a nil program makes the compiler panic
+	lower := func() (v any) {
+		defer func() { v = recover() }()
+		g, err := app.Tagged()
+		t.Errorf("Tagged returned graph %v, err %v; want a panic", g, err)
+		return nil
+	}
+	first := lower()
+	if first == nil {
+		t.Fatal("first call did not panic")
+	}
+	if again := lower(); fmt.Sprint(again) != fmt.Sprint(first) {
+		t.Errorf("second call panicked with %v, want %v", again, first)
 	}
 }

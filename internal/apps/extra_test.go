@@ -37,9 +37,9 @@ func runEverywhere(t *testing.T, app *App) {
 		t.Fatalf("Tagged: %v", err)
 	}
 	for _, cfg := range []core.Config{
-		{Policy: core.PolicyTyr, TagsPerBlock: 2, CheckInvariants: true},
-		{Policy: core.PolicyTyr, TagsPerBlock: 64, CheckInvariants: true},
-		{Policy: core.PolicyGlobalUnlimited, CheckInvariants: true},
+		{Policy: core.PolicyTyr, TagsPerBlock: 2, Sanitize: true},
+		{Policy: core.PolicyTyr, TagsPerBlock: 64, Sanitize: true},
+		{Policy: core.PolicyGlobalUnlimited, Sanitize: true},
 	} {
 		im := app.NewImage()
 		res, err := core.Run(tg, im, cfg)

@@ -39,9 +39,9 @@ func TestFibStackOnAllMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []core.Config{
-		{Policy: core.PolicyTyr, TagsPerBlock: 2, CheckInvariants: true},
-		{Policy: core.PolicyTyr, TagsPerBlock: 64, CheckInvariants: true},
-		{Policy: core.PolicyGlobalUnlimited, CheckInvariants: true},
+		{Policy: core.PolicyTyr, TagsPerBlock: 2, Sanitize: true},
+		{Policy: core.PolicyTyr, TagsPerBlock: 64, Sanitize: true},
+		{Policy: core.PolicyGlobalUnlimited, Sanitize: true},
 		{Policy: core.PolicyKBound, TagsPerBlock: 4},
 	} {
 		res, err := core.Run(tg, app.NewImage(), cfg)

@@ -41,7 +41,7 @@ func TestAsmRoundTripExecution(t *testing.T) {
 
 	run := func(g *dfg.Graph) core.Result {
 		im := prog.DefaultImage(p)
-		res, err := core.Run(g, im, core.Config{Policy: core.PolicyTyr, TagsPerBlock: 4, CheckInvariants: true})
+		res, err := core.Run(g, im, core.Config{Policy: core.PolicyTyr, TagsPerBlock: 4, Sanitize: true})
 		if err != nil {
 			t.Fatal(err)
 		}

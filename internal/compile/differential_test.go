@@ -65,10 +65,10 @@ func runDifferential(t *testing.T, c diffCase) {
 		label string
 		cfg   core.Config
 	}{
-		{"tyr-2tags", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 2, CheckInvariants: true, Sanitize: true}},
-		{"tyr-64tags", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 64, CheckInvariants: true}},
-		{"tyr-3tags-w4", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 3, IssueWidth: 4, CheckInvariants: true}},
-		{"unordered", core.Config{Policy: core.PolicyGlobalUnlimited, CheckInvariants: true}},
+		{"tyr-2tags", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 2, Sanitize: true}},
+		{"tyr-64tags", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 64, Sanitize: true}},
+		{"tyr-3tags-w4", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 3, IssueWidth: 4, Sanitize: true}},
+		{"unordered", core.Config{Policy: core.PolicyGlobalUnlimited, Sanitize: true}},
 	}
 	for _, tc := range tagConfigs {
 		im := buildImage(t, c)

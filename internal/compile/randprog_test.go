@@ -205,10 +205,10 @@ func TestRandomProgramDifferential(t *testing.T) {
 				label string
 				c     core.Config
 			}{
-				{"tyr-2", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 2, CheckInvariants: true, Sanitize: true}},
-				{"tyr-64", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 64, CheckInvariants: true}},
-				{"tyr-2-w1", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 2, IssueWidth: 1, CheckInvariants: true}},
-				{"unordered", core.Config{Policy: core.PolicyGlobalUnlimited, CheckInvariants: true}},
+				{"tyr-2", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 2, Sanitize: true}},
+				{"tyr-64", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 64, Sanitize: true}},
+				{"tyr-2-w1", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 2, IssueWidth: 1, Sanitize: true}},
+				{"unordered", core.Config{Policy: core.PolicyGlobalUnlimited, Sanitize: true}},
 			} {
 				im := mkImage()
 				res, err := core.Run(tg, im, cfg.c)
@@ -257,7 +257,7 @@ func TestRandomProgramDifferential(t *testing.T) {
 			mustVet(t, otg, opt)
 			imOpt := mkImage()
 			optRes, err := core.Run(otg, imOpt, core.Config{
-				Policy: core.PolicyTyr, TagsPerBlock: 2, CheckInvariants: true, Sanitize: true,
+				Policy: core.PolicyTyr, TagsPerBlock: 2, Sanitize: true,
 			})
 			if err != nil {
 				t.Fatalf("tyr(optimized): %v", err)

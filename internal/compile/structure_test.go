@@ -1,9 +1,10 @@
-package compile
+package compile_test
 
 import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/mem"
@@ -27,7 +28,7 @@ func coreRun(g *dfg.Graph, im *mem.Image, tags int) (int64, error) {
 // block fed by its barrier join.
 func TestDmvLinkageMatchesFig7(t *testing.T) {
 	app := apps.Dmv(8, 8, 1)
-	g, err := Tagged(app.Prog, Options{EntryArgs: app.Args})
+	g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestFunctionLinkageShape(t *testing.T) {
 	p.AddFunc("f", []string{"x"}, prog.Add(prog.V("x"), prog.C(1)))
 	p.AddFunc("main", nil,
 		prog.Add(prog.CallE("f", prog.C(1)), prog.CallE("f", prog.C(2))))
-	g, err := Tagged(p, Options{})
+	g, err := compile.Tagged(p, compile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestFunctionLinkageShape(t *testing.T) {
 // workloads across tag budgets.
 func TestTheorem2Bound(t *testing.T) {
 	for _, app := range []*apps.App{apps.Dmv(12, 12, 1), apps.Spmspm(10, 10, 2)} {
-		g, err := Tagged(app.Prog, Options{EntryArgs: app.Args})
+		g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
 		if err != nil {
 			t.Fatal(err)
 		}

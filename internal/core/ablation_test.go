@@ -32,7 +32,7 @@ func TestLocalNoGateMayCompleteWithAmpleTags(t *testing.T) {
 	// With pools larger than any possible demand, the gating never
 	// matters and the run completes with the right answer.
 	g := compileNested(t, 6, 6)
-	res, err := Run(g, mem.NewImage(), Config{Policy: PolicyLocalNoGate, TagsPerBlock: 512, CheckInvariants: true})
+	res, err := Run(g, mem.NewImage(), Config{Policy: PolicyLocalNoGate, TagsPerBlock: 512, Sanitize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestLocalNoGateMayCompleteWithAmpleTags(t *testing.T) {
 
 func TestKBoundCompletesAndBoundsLeafOnly(t *testing.T) {
 	g := compileNested(t, 24, 24)
-	res, err := Run(g, mem.NewImage(), Config{Policy: PolicyKBound, TagsPerBlock: 4, CheckInvariants: true})
+	res, err := Run(g, mem.NewImage(), Config{Policy: PolicyKBound, TagsPerBlock: 4, Sanitize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestKBoundOuterStateStillExplodes(t *testing.T) {
 
 func TestKBoundMatchesReferenceResults(t *testing.T) {
 	g := compileNested(t, 10, 13)
-	kb, err := Run(g, mem.NewImage(), Config{Policy: PolicyKBound, TagsPerBlock: 8, CheckInvariants: true})
+	kb, err := Run(g, mem.NewImage(), Config{Policy: PolicyKBound, TagsPerBlock: 8, Sanitize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,15 +126,12 @@ type Config struct {
 	// metrics.DefaultTracePoints; negative disables tracing.
 	TracePoints int
 
-	// CheckInvariants enables per-token accounting that verifies the free
-	// barrier: when a tag is freed, no live token may still carry it.
-	CheckInvariants bool
-
-	// Sanitize enables the runtime sanitizer: tag double-free and
-	// pool-leak detection, orphaned-token and orphaned-instance audits at
-	// completion, and join fan-in overflow checks, reported as structured
-	// Diagnostics via SanitizeError (see sanitize.go). Implies the
-	// CheckInvariants per-token accounting.
+	// Sanitize enables the runtime sanitizer: per-token accounting that
+	// verifies the free barrier (no live token may still carry a freed
+	// tag), tag double-free and pool-leak detection, orphaned-token and
+	// orphaned-instance audits at completion, and join fan-in overflow
+	// checks, reported as structured Diagnostics via SanitizeError (see
+	// sanitize.go).
 	Sanitize bool
 
 	// Tracer, when non-nil, receives the run's event stream: token
@@ -225,18 +222,6 @@ func (d *DeadlockInfo) String() string {
 	return s
 }
 
-// SpaceStats reports tag usage and state of one local tag space.
-type SpaceStats struct {
-	Block     string
-	Tags      int   // pool size
-	PeakInUse int   // maximum tags simultaneously allocated
-	Allocs    int64 // total allocations
-	// PeakLiveTokens is the peak number of tokens held by this block's
-	// instructions — where the live state actually sits, the signal a
-	// per-region tuner wants.
-	PeakLiveTokens int64
-}
-
 // Result reports one run.
 type Result struct {
 	Completed  bool
@@ -262,7 +247,7 @@ type Result struct {
 	// PeakTags is the maximum number of tags simultaneously in use across
 	// all spaces; Spaces breaks usage down per block.
 	PeakTags int
-	Spaces   []SpaceStats
+	Spaces   []metrics.SpaceStats
 
 	// KBoundPeakPerInvocation reports, under PolicyKBound, the maximum
 	// tags any single loop invocation held at once (always <= the k

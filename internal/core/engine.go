@@ -102,7 +102,7 @@ type machine struct {
 	delayed cq.Queue[token]
 
 	live       int64
-	perTagLive *tagMap // nil unless CheckInvariants or Sanitize
+	perTagLive *tagMap // nil unless Sanitize
 
 	// Per-block live-token accounting: which concurrent block's
 	// instructions are holding the state (tokens attribute to their
@@ -242,10 +242,8 @@ func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
 	m.storePeak = make([]int32, len(g.Nodes))
 	m.liveByBlock = make([]int64, len(g.Blocks))
 	m.peakByBlock = make([]int64, len(g.Blocks))
-	if cfg.CheckInvariants || cfg.Sanitize {
-		m.perTagLive = newTagMap()
-	}
 	if cfg.Sanitize {
+		m.perTagLive = newTagMap()
 		m.san = newSanitizer()
 	}
 	m.liveTrace = metrics.NewLiveTrace(cfg.TracePoints)
@@ -786,11 +784,6 @@ func (m *machine) fire(ref fireRef) (bool, error) {
 			if err := m.san.checkFree(m, n, ref.tag); err != nil {
 				return true, err
 			}
-		} else if m.perTagLive != nil {
-			if live, _ := m.perTagLive.get(ref.tag); live != 0 {
-				return true, fmt.Errorf("core: free of tag %#x (%q) with %d live tokens still carrying it (free barrier bug)",
-					ref.tag, n.Label, live)
-			}
 		}
 		m.freeTag(n.Space, ref.tag)
 		if m.rec != nil {
@@ -1101,7 +1094,7 @@ func (m *machine) finish() (Result, error) {
 				tags = override
 			}
 		}
-		res.Spaces = append(res.Spaces, SpaceStats{
+		res.Spaces = append(res.Spaces, metrics.SpaceStats{
 			Block:          m.g.Blocks[s].Name,
 			Tags:           tags,
 			PeakInUse:      m.peakInUse[s],
@@ -1115,9 +1108,6 @@ func (m *machine) finish() (Result, error) {
 			if err := m.san.atCompletion(m); err != nil {
 				return res, err
 			}
-		}
-		if m.cfg.CheckInvariants && m.live != 0 {
-			return res, fmt.Errorf("core: program completed with %d live tokens (drain bug)", m.live)
 		}
 		return res, nil
 	}

@@ -37,7 +37,7 @@ func compileNested(t *testing.T, outer, inner int64) *dfg.Graph {
 
 func TestTyrCompletesWithTwoTags(t *testing.T) {
 	g := compileNested(t, 10, 10)
-	res, err := Run(g, mem.NewImage(), Config{Policy: PolicyTyr, TagsPerBlock: 2, CheckInvariants: true})
+	res, err := Run(g, mem.NewImage(), Config{Policy: PolicyTyr, TagsPerBlock: 2, Sanitize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSpaceStatsReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make(map[string]SpaceStats)
+	names := make(map[string]metrics.SpaceStats)
 	for _, s := range res.Spaces {
 		names[s.Block] = s
 	}

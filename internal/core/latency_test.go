@@ -21,7 +21,7 @@ func TestLoadLatencyPreservesResults(t *testing.T) {
 	for i, lat := range []int{1, 3, 17} {
 		im := app.NewImage()
 		res, err := Run(g, im, Config{
-			Policy: PolicyTyr, TagsPerBlock: 8, LoadLatency: lat, CheckInvariants: true,
+			Policy: PolicyTyr, TagsPerBlock: 8, LoadLatency: lat, Sanitize: true,
 		})
 		if err != nil {
 			t.Fatalf("latency %d: %v", lat, err)
@@ -118,7 +118,7 @@ func TestLoadLatencyFreeBarrierStillHolds(t *testing.T) {
 	// checks on, any premature free would be caught as a token leak.
 	g := compileNested(t, 12, 12)
 	res, err := Run(g, mem.NewImage(), Config{
-		Policy: PolicyTyr, TagsPerBlock: 2, LoadLatency: 25, CheckInvariants: true,
+		Policy: PolicyTyr, TagsPerBlock: 2, LoadLatency: 25, Sanitize: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,10 +22,10 @@ func TestTheorem1Property(t *testing.T) {
 		tags := 2 + int(tagsRaw%96)
 		width := 1 + int(widthRaw)
 		res, err := Run(g, mem.NewImage(), Config{
-			Policy:          PolicyTyr,
-			TagsPerBlock:    tags,
-			IssueWidth:      width,
-			CheckInvariants: true,
+			Policy:       PolicyTyr,
+			TagsPerBlock: tags,
+			IssueWidth:   width,
+			Sanitize:     true,
 		})
 		if err != nil || !res.Completed {
 			return false
@@ -50,7 +50,7 @@ func TestPerBlockBudgetProperty(t *testing.T) {
 				"outer": 2 + int(outerRaw%32),
 				"inner": 2 + int(innerRaw%32),
 			},
-			CheckInvariants: true,
+			Sanitize: true,
 		}
 		res, err := Run(g, mem.NewImage(), cfg)
 		return err == nil && res.Completed && res.ResultValue == want
@@ -71,10 +71,10 @@ func TestLatencyProperty(t *testing.T) {
 	f := func(latRaw uint8) bool {
 		im := app.NewImage()
 		res, err := Run(g, im, Config{
-			Policy:          PolicyTyr,
-			TagsPerBlock:    4,
-			LoadLatency:     int(latRaw % 50),
-			CheckInvariants: true,
+			Policy:       PolicyTyr,
+			TagsPerBlock: 4,
+			LoadLatency:  int(latRaw % 50),
+			Sanitize:     true,
 		})
 		if err != nil || !res.Completed {
 			return false

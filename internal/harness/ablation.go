@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/ordered"
@@ -58,7 +57,7 @@ func AblTags(cfg ExpConfig) (*AblTagsData, string, error) {
 	suite := apps.Suite(cfg.Scale)
 	for _, appName := range []string{"dmv", "spmspm"} {
 		app := apps.Find(suite, appName)
-		g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
+		g, err := app.Tagged()
 		if err != nil {
 			return nil, "", err
 		}
@@ -127,7 +126,7 @@ func AblQueue(cfg ExpConfig) (*AblQueueData, string, error) {
 	suite := apps.Suite(cfg.Scale)
 	for _, appName := range []string{"dmv", "smv", "spmspm"} {
 		app := apps.Find(suite, appName)
-		g, err := compile.Ordered(app.Prog, compile.Options{EntryArgs: app.Args})
+		g, err := app.Ordered()
 		if err != nil {
 			return nil, "", err
 		}

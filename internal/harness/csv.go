@@ -5,65 +5,45 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 )
 
-// ExportCSV runs one experiment and writes its raw data as CSV under dir,
-// for external plotting. Returns the written file path. Experiments whose
-// artifact is inherently textual (tab2, fig11, abl-tags, uarch) export
-// their tabular core; trace experiments export (series, cycle, live) rows.
-func ExportCSV(name string, cfg ExpConfig, dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, name+".csv")
-
+// ExportCSV writes an experiment's data, as RunExperiment returned it, as
+// CSV to dir/name.csv for external plotting, and returns the file's path.
+// It runs nothing. Experiments whose artifact is inherently textual (tab2,
+// fig11, abl-tags, uarch) export their tabular core; trace experiments
+// export (series, cycle, live) rows.
+func ExportCSV(name string, data any, dir string) (string, error) {
 	var rows [][]string
-	switch name {
-	case "fig2", "fig9":
-		var d *TraceData
-		var err error
-		if name == "fig2" {
-			d, _, err = Fig2(cfg)
-		} else {
-			d, _, err = Fig9(cfg)
-		}
-		if err != nil {
-			return "", err
-		}
+	switch d := data.(type) {
+	case *TraceData:
 		rows = append(rows, []string{"series", "cycle", "live"})
 		for _, label := range d.Labels {
 			for _, pt := range d.Series[label] {
 				rows = append(rows, []string{label, i64(pt.Cycle), i64(pt.Live)})
 			}
 		}
-	case "fig12":
-		d, _, err := Fig12(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *Fig12Data:
 		rows = append(rows, []string{"app", "system", "cycles"})
 		for _, app := range d.Apps {
 			for _, sys := range Systems {
 				rows = append(rows, []string{app, sys, i64(d.Cycles[sys][app])})
 			}
 		}
-	case "fig13":
-		d, _, err := Fig13(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *Fig13Data:
 		rows = append(rows, []string{"system", "ipc", "cycles"})
 		for _, sys := range Systems {
-			for ipc, n := range d.Hist[sys] {
-				rows = append(rows, []string{sys, strconv.Itoa(ipc), i64(n)})
+			ipcs := make([]int, 0, len(d.Hist[sys]))
+			for ipc := range d.Hist[sys] {
+				ipcs = append(ipcs, ipc)
+			}
+			sort.Ints(ipcs)
+			for _, ipc := range ipcs {
+				rows = append(rows, []string{sys, strconv.Itoa(ipc), i64(d.Hist[sys][ipc])})
 			}
 		}
-	case "fig14":
-		d, _, err := Fig14(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *Fig14Data:
 		rows = append(rows, []string{"app", "system", "peak_live", "mean_live"})
 		for _, app := range d.Apps {
 			for _, sys := range Systems {
@@ -71,33 +51,21 @@ func ExportCSV(name string, cfg ExpConfig, dir string) (string, error) {
 					fmt.Sprintf("%.2f", d.Mean[sys][app])})
 			}
 		}
-	case "fig15":
-		d, _, err := Fig15(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *Fig15Data:
 		rows = append(rows, []string{"system", "issue_width", "cycles", "peak_live"})
 		for _, sys := range d.Systems {
 			for _, w := range d.Widths {
 				rows = append(rows, []string{sys, strconv.Itoa(w), i64(d.Cycles[sys][w]), i64(d.Peak[sys][w])})
 			}
 		}
-	case "fig16":
-		d, _, err := Fig16(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *Fig16Data:
 		rows = append(rows, []string{"tags", "cycle", "live"})
 		for _, tags := range d.TagWidths {
 			for _, pt := range d.Traces[tags] {
 				rows = append(rows, []string{strconv.Itoa(tags), i64(pt.Cycle), i64(pt.Live)})
 			}
 		}
-	case "fig17":
-		d, _, err := Fig17(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *Fig17Data:
 		rows = append(rows, []string{"issue_width", "tags", "ipc", "peak_live"})
 		for _, w := range d.Widths {
 			for _, tg := range d.Tags {
@@ -106,51 +74,31 @@ func ExportCSV(name string, cfg ExpConfig, dir string) (string, error) {
 					fmt.Sprintf("%.3f", d.IPC[key]), i64(d.Peak[key])})
 			}
 		}
-	case "fig18":
-		d, _, err := Fig18(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *Fig18Data:
 		rows = append(rows,
 			[]string{"config", "cycles", "peak_live"},
 			[]string{"baseline", i64(d.BaselineCycles), i64(d.BaselinePeak)},
 			[]string{"outer_restricted", i64(d.TunedCycles), i64(d.TunedPeak)})
-	case "latency":
-		d, _, err := Latency(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *LatencyData:
 		rows = append(rows, []string{"system", "load_latency", "cycles"})
 		for _, sys := range d.Rows {
 			for _, lat := range d.Latencies {
 				rows = append(rows, []string{sys, strconv.Itoa(lat), i64(d.Cycles[sys][lat])})
 			}
 		}
-	case "locality":
-		d, _, err := Locality(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *LocalityData:
 		rows = append(rows, []string{"app", "row", "l1_words", "l1_miss", "l2_miss", "amat", "cycles", "peak_live"})
 		for _, p := range d.Points {
 			rows = append(rows, []string{p.App, p.Row, strconv.Itoa(p.L1Words),
 				fmt.Sprintf("%.4f", p.L1Miss), fmt.Sprintf("%.4f", p.L2Miss),
 				fmt.Sprintf("%.2f", p.AMAT), i64(p.Cycles), i64(p.PeakLive)})
 		}
-	case "abl-queue":
-		d, _, err := AblQueue(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *AblQueueData:
 		rows = append(rows, []string{"app", "queue_depth", "cycles", "peak_live"})
 		for _, r := range d.Rows {
 			rows = append(rows, []string{r.App, strconv.Itoa(r.Depth), i64(r.Cycles), i64(r.PeakLive)})
 		}
-	case "abl-tags":
-		d, _, err := AblTags(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *AblTagsData:
 		rows = append(rows, []string{"app", "scheme", "outcome", "cycles", "peak_live", "peak_tags"})
 		for _, r := range d.Rows {
 			outcome := "completed"
@@ -159,31 +107,19 @@ func ExportCSV(name string, cfg ExpConfig, dir string) (string, error) {
 			}
 			rows = append(rows, []string{r.App, r.Scheme, outcome, i64(r.Cycles), i64(r.PeakLive), strconv.Itoa(r.PeakTags)})
 		}
-	case "uarch":
-		d, _, err := Uarch(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *UarchData:
 		rows = append(rows, []string{"app", "scheme", "peak_store_per_instr", "peak_live", "frame_pct"})
 		for _, r := range d.Rows {
 			rows = append(rows, []string{r.App, r.Scheme, strconv.Itoa(r.PeakStorePerInstr),
 				i64(r.PeakLive), fmt.Sprintf("%.4f", r.FramePct)})
 		}
-	case "tab2":
-		d, _, err := Table2(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *Table2Data:
 		rows = append(rows, []string{"app", "description", "dyn_instrs", "static_nodes", "blocks", "tag_ops"})
 		for _, r := range d.Rows {
 			rows = append(rows, []string{r.App, r.Description, i64(r.DynInstrs),
 				strconv.Itoa(r.StaticNodes), strconv.Itoa(r.Blocks), strconv.Itoa(r.TagOps)})
 		}
-	case "fig11":
-		d, _, err := Fig11(cfg)
-		if err != nil {
-			return "", err
-		}
+	case *Fig11Data:
 		rows = append(rows,
 			[]string{"metric", "value"},
 			[]string{"global_tags", strconv.Itoa(d.GlobalTags)},
@@ -193,9 +129,13 @@ func ExportCSV(name string, cfg ExpConfig, dir string) (string, error) {
 			[]string{"tyr_cycles", i64(d.TyrCycles)},
 			[]string{"unlimited_contexts_needed", strconv.Itoa(d.UnlimitedTagsNeeded)})
 	default:
-		return "", fmt.Errorf("harness: no CSV export for experiment %q", name)
+		return "", fmt.Errorf("harness: no CSV export for experiment %q (data %T)", name, data)
 	}
 
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, name+".csv")
 	f, err := os.Create(path)
 	if err != nil {
 		return "", err

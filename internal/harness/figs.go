@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cancel"
-	"repro/internal/compile"
 	"repro/internal/metrics"
 )
 
@@ -645,7 +644,7 @@ func Table2(cfg ExpConfig) (*Table2Data, string, error) {
 		if err != nil {
 			return nil, "", fmt.Errorf("table2: %s: %w", app.Name, err)
 		}
-		g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
+		g, err := app.Tagged()
 		if err != nil {
 			return nil, "", err
 		}
@@ -675,49 +674,51 @@ var Experiments = []string{
 	"abl-tags", "abl-queue", "uarch", "latency", "locality",
 }
 
-// RunExperiment dispatches by name and returns the rendered report.
-func RunExperiment(name string, cfg ExpConfig) (string, error) {
-	var report string
-	var err error
+// RunExperiment dispatches by name and returns the experiment's data (the
+// value ExportCSV renders) and its rendered report.
+func RunExperiment(name string, cfg ExpConfig) (data any, report string, err error) {
 	switch name {
 	case "tab2":
-		_, report, err = Table2(cfg)
+		return erase(Table2(cfg))
 	case "fig2":
-		_, report, err = Fig2(cfg)
+		return erase(Fig2(cfg))
 	case "fig9":
-		_, report, err = Fig9(cfg)
+		return erase(Fig9(cfg))
 	case "fig11":
-		_, report, err = Fig11(cfg)
+		return erase(Fig11(cfg))
 	case "fig12":
-		_, report, err = Fig12(cfg)
+		return erase(Fig12(cfg))
 	case "fig13":
-		_, report, err = Fig13(cfg)
+		return erase(Fig13(cfg))
 	case "fig14":
-		_, report, err = Fig14(cfg)
+		return erase(Fig14(cfg))
 	case "fig15":
-		_, report, err = Fig15(cfg)
+		return erase(Fig15(cfg))
 	case "fig16":
-		_, report, err = Fig16(cfg)
+		return erase(Fig16(cfg))
 	case "fig17":
-		_, report, err = Fig17(cfg)
+		return erase(Fig17(cfg))
 	case "fig18":
-		_, report, err = Fig18(cfg)
+		return erase(Fig18(cfg))
 	case "abl-tags":
-		_, report, err = AblTags(cfg)
+		return erase(AblTags(cfg))
 	case "abl-queue":
-		_, report, err = AblQueue(cfg)
+		return erase(AblQueue(cfg))
 	case "uarch":
-		_, report, err = Uarch(cfg)
+		return erase(Uarch(cfg))
 	case "latency":
-		_, report, err = Latency(cfg)
+		return erase(Latency(cfg))
 	case "locality":
-		_, report, err = Locality(cfg)
-	default:
-		names := append([]string(nil), Experiments...)
-		sort.Strings(names)
-		return "", fmt.Errorf("harness: unknown experiment %q (have %s)", name, strings.Join(names, ", "))
+		return erase(Locality(cfg))
 	}
-	return report, err
+	names := append([]string(nil), Experiments...)
+	sort.Strings(names)
+	return nil, "", fmt.Errorf("harness: unknown experiment %q (have %s)", name, strings.Join(names, ", "))
+}
+
+// erase returns an experiment's results with its data as an interface.
+func erase[T any](data T, report string, err error) (any, string, error) {
+	return data, report, err
 }
 
 func intHeaders(xs []int) []string {

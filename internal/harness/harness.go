@@ -14,7 +14,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cache"
 	"repro/internal/cancel"
-	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/mem"
@@ -78,9 +77,10 @@ type SysConfig struct {
 	// driven baselines (vN, seqdf). Zero keeps the engine default.
 	MaxCycles int64
 	// Compiler, when non-nil, supplies compiled graphs in place of the
-	// default compile calls — the serving layer injects its LRU cache of
-	// compiled graphs here. Implementations must return graphs that are
-	// safe to share across concurrent runs (the engines never mutate them).
+	// app's own (App.Tagged, App.Ordered): tyrd wraps those in a compile
+	// span, tyrsim -graph substitutes a loaded graph. Implementations must
+	// return graphs that are safe to share across concurrent runs (the
+	// engines never mutate them).
 	Compiler GraphSource
 	// TraceID, when non-empty, is stamped on the run record so service
 	// telemetry can be joined back to the request that produced it.
@@ -93,8 +93,8 @@ type SysConfig struct {
 }
 
 // GraphSource supplies compiled dataflow graphs for a workload. The default
-// (nil) source compiles fresh per run; the serving layer substitutes a
-// cache keyed by program identity.
+// (nil) source is the app's own graph, compiled once per App; the serving
+// layer wraps that lookup in a span.
 type GraphSource interface {
 	// Tagged returns the tagged-lowering graph for app (tyr/unordered).
 	Tagged(app *apps.App) (*dfg.Graph, error)
@@ -102,16 +102,11 @@ type GraphSource interface {
 	Ordered(app *apps.App) (*dfg.Graph, error)
 }
 
-// compileSource is the default GraphSource: a fresh compile per call.
-type compileSource struct{}
+// appGraphs is the default GraphSource: each app's own graphs.
+type appGraphs struct{}
 
-func (compileSource) Tagged(app *apps.App) (*dfg.Graph, error) {
-	return compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
-}
-
-func (compileSource) Ordered(app *apps.App) (*dfg.Graph, error) {
-	return compile.Ordered(app.Prog, compile.Options{EntryArgs: app.Args})
-}
+func (appGraphs) Tagged(app *apps.App) (*dfg.Graph, error)  { return app.Tagged() }
+func (appGraphs) Ordered(app *apps.App) (*dfg.Graph, error) { return app.Ordered() }
 
 // Run executes one workload on one system and converts the result to the
 // uniform record. Outputs are validated against the native reference
@@ -157,7 +152,7 @@ func attachCache(rs *metrics.RunStats, h *cache.Hierarchy) {
 // only configures and calls the engine, then copies the result.
 func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, error) {
 	rs := metrics.RunStats{System: system, App: app.Name}
-	graphs := GraphSource(compileSource{})
+	graphs := GraphSource(appGraphs{})
 	if cfg.Compiler != nil {
 		graphs = cfg.Compiler
 	}
@@ -244,7 +239,7 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 		ret = res.ResultValue
 		rs.Completed, rs.Cycles, rs.Fired, rs.Note = res.Completed, res.Cycles, res.Fired, res.Note
 		rs.PeakLive, rs.MeanLive, rs.IPCHist, rs.Trace = res.PeakLive, res.MeanLive, res.IPCHist, res.Trace
-		rs.PeakTags, rs.Deadlocked = res.PeakTags, res.Deadlocked
+		rs.PeakTags, rs.Deadlocked, rs.Spaces = res.PeakTags, res.Deadlocked, res.Spaces
 		if res.Deadlocked {
 			rs.Note += "; " + res.Deadlock.String()
 			rs.Deadlock = convertDeadlock(res.Deadlock)

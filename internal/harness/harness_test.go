@@ -36,7 +36,7 @@ func TestRunRejectsUnknownSystem(t *testing.T) {
 }
 
 func TestRunExperimentDispatch(t *testing.T) {
-	if _, err := RunExperiment("nonexistent", tinyCfg()); err == nil ||
+	if _, _, err := RunExperiment("nonexistent", tinyCfg()); err == nil ||
 		!strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("want unknown-experiment error, got %v", err)
 	}
@@ -46,7 +46,7 @@ func TestAllExperimentsRender(t *testing.T) {
 	for _, name := range Experiments {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			report, err := RunExperiment(name, tinyCfg())
+			_, report, err := RunExperiment(name, tinyCfg())
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -38,7 +37,7 @@ func Uarch(cfg ExpConfig) (*UarchData, string, error) {
 	suite := apps.Suite(cfg.Scale)
 	for _, appName := range []string{"dmv", "dconv", "spmspm", "tc"} {
 		app := apps.Find(suite, appName)
-		g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
+		g, err := app.Tagged()
 		if err != nil {
 			return nil, "", err
 		}

@@ -8,10 +8,10 @@ import (
 
 // GraphImmut proves the compiled-graph sharing assumption: outside the
 // graph builders (Policy.GraphBuilders), no statement writes through an
-// expression rooted in a dfg struct. The tyrd LRU (internal/server/lru.go)
-// hands one *dfg.Graph to any number of concurrent runs precisely because
-// "engines never mutate a *dfg.Graph" — this analyzer turns that comment
-// into a build break.
+// expression rooted in a dfg struct. An apps.App (internal/apps) hands
+// its one *dfg.Graph per lowering to any number of concurrent runs
+// precisely because "engines never mutate a *dfg.Graph" — this analyzer
+// turns that comment into a build break.
 //
 // Flagged writes: assignments (including op-assign), ++/--, and the copy
 // builtin, whenever the lvalue's selector/index spine passes through a

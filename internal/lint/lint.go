@@ -5,8 +5,8 @@
 // comments and spot checks:
 //
 //   - graphimmut: no package outside the graph builders writes through a
-//     *dfg.Graph — the assumption that lets the tyrd LRU share one
-//     compiled graph across concurrent runs (internal/server/lru.go).
+//     *dfg.Graph — the assumption that lets an apps.App share its one
+//     compiled graph per lowering across concurrent runs (internal/apps).
 //   - hotpath: functions annotated //tyr:hotpath contain no
 //     allocation-inducing constructs — the static complement of the
 //     AllocsPerRun gates on the matching/dispatch hot path.
@@ -64,9 +64,9 @@ type Policy struct {
 	GraphPkg string
 	// GraphBuilders are the packages allowed to write through graph
 	// types: they own freshly built graphs before publication. Once a
-	// graph is returned from a builder it is shared (the tyrd LRU hands
-	// one *dfg.Graph to any number of concurrent runs) and must never be
-	// written again.
+	// graph is returned from a builder it is shared (an apps.App hands
+	// its one *dfg.Graph per lowering to any number of concurrent runs)
+	// and must never be written again.
 	GraphBuilders []string
 	// EnginePkgs are the simulation engines: deterministic by contract
 	// (golden digests), so no wall clock, no math/rand, no map-range

@@ -12,7 +12,7 @@ import (
 //
 // Outside the accessor file, the only legal mention of a Metrics field is
 // an atomic field used as the immediate receiver of an atomic method call
-// (m.stats.cacheHits.Add(1)). Everything else — assigning a field,
+// (s.stats.busyTotal.Add(1)). Everything else — assigning a field,
 // reading the maps, locking the mutex from afar, copying the struct —
 // is reported: the next person to "just bump a counter" from a handler
 // gets a build break instead of a torn map under load.

@@ -228,6 +228,22 @@ type RunStats struct {
 	// (bounded unordered runs, Fig. 11): where the machine stopped and
 	// which tag spaces starved which allocates.
 	Deadlock *DeadlockStats `json:"deadlock,omitempty"`
+	// Spaces breaks a tagged run's tag usage and live state down per
+	// block, for tools that print it (tyrsim -blocks). It is never
+	// serialized.
+	Spaces []SpaceStats `json:"-"`
+}
+
+// SpaceStats reports tag usage and state of one local tag space.
+type SpaceStats struct {
+	Block     string
+	Tags      int   // pool size
+	PeakInUse int   // maximum tags simultaneously allocated
+	Allocs    int64 // total allocations
+	// PeakLiveTokens is the peak number of tokens held by this block's
+	// instructions — where the live state actually sits, the signal a
+	// per-region tuner wants.
+	PeakLiveTokens int64
 }
 
 // DeadlockSpace reports one starved tag space at deadlock time.

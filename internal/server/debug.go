@@ -45,39 +45,30 @@ func (s *Server) DebugHandler() http.Handler {
 	return mux
 }
 
-// spanGraphs wraps the shared graph cache with a request's trace: every
-// lookup becomes a "compile" span carrying a cache_hit attribute, and its
-// duration feeds the compile-stage histogram. The wrapper is what makes a
-// cold-cache compile visible in a slow request's span tree.
+// spanGraphs is a request's graph source: each app's own graphs
+// (apps.App.Tagged, apps.App.Ordered), every lookup under a "compile" span
+// whose duration feeds the compile-stage histogram. A suite kernel
+// compiles on its first lookup in the process and is a memo read after
+// that; an inline source compiles on its request's one lookup.
 type spanGraphs struct {
 	s *Server
 	t *obs.RequestTrace
 }
 
-// spanGraphs returns the request-scoped graph source for t (the raw cache
-// when the request is unobserved).
+// spanGraphs returns the request-scoped graph source for t.
 func (s *Server) spanGraphs(t *obs.RequestTrace) spanGraphs {
 	return spanGraphs{s: s, t: t}
 }
 
-func (sg spanGraphs) observe(lookup func() (*dfg.Graph, bool, error)) (*dfg.Graph, error) {
+func (sg spanGraphs) observe(lower func() (*dfg.Graph, error)) (*dfg.Graph, error) {
 	id := sg.t.StartSpan("compile", obs.RootSpan)
-	g, hit, err := lookup()
+	g, err := lower()
 	sg.s.endStage(sg.t, id, "compile")
-	h := int64(0)
-	if hit {
-		h = 1
-	}
-	sg.t.SetAttr(id, "cache_hit", h)
 	return g, err
 }
 
 // Tagged implements harness.GraphSource.
-func (sg spanGraphs) Tagged(app *apps.App) (*dfg.Graph, error) {
-	return sg.observe(func() (*dfg.Graph, bool, error) { return sg.s.graphs.tagged(app) })
-}
+func (sg spanGraphs) Tagged(app *apps.App) (*dfg.Graph, error) { return sg.observe(app.Tagged) }
 
 // Ordered implements harness.GraphSource.
-func (sg spanGraphs) Ordered(app *apps.App) (*dfg.Graph, error) {
-	return sg.observe(func() (*dfg.Graph, bool, error) { return sg.s.graphs.ordered(app) })
-}
+func (sg spanGraphs) Ordered(app *apps.App) (*dfg.Graph, error) { return sg.observe(app.Ordered) }

@@ -13,7 +13,7 @@ import (
 
 // DefaultLatencyBounds are the upper bucket bounds (seconds) of the
 // service latency histograms: 1ms to 10s, roughly log-spaced, bracketing
-// everything from a cache-hit micro run to a near-deadline sweep.
+// everything from a tiny-kernel run to a near-deadline sweep.
 var DefaultLatencyBounds = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // Histogram is a fixed-bucket duration histogram with Prometheus
@@ -75,16 +75,12 @@ type Metrics struct {
 
 	queueWait *Histogram // pool queue wait (submit -> job start)
 
-	busyTotal      atomic.Int64 // submissions rejected with 429
-	activeJobs     atomic.Int64 // pool jobs executing now
-	queueLen       atomic.Int64 // pool jobs queued, not yet started
-	cancels        atomic.Int64 // runs cut short by deadline or disconnect
-	panics         atomic.Int64 // pool jobs that panicked (answered 500)
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	cacheEvictions atomic.Int64 // compiled graphs evicted by LRU pressure
-	cacheSize      atomic.Int64 // compiled graphs resident in the LRU now
-	simCycles      atomic.Int64 // total simulated cycles served
+	busyTotal  atomic.Int64 // submissions rejected with 429
+	activeJobs atomic.Int64 // pool jobs executing now
+	queueLen   atomic.Int64 // pool jobs queued, not yet started
+	cancels    atomic.Int64 // runs cut short by deadline or disconnect
+	panics     atomic.Int64 // pool jobs that panicked (answered 500)
+	simCycles  atomic.Int64 // total simulated cycles served
 }
 
 // NewMetrics returns an empty counter set.
@@ -127,12 +123,6 @@ func (m *Metrics) ObserveCancel() { m.cancels.Add(1) }
 // ObservePanic counts a pool job whose panic was recovered and answered
 // with a 500.
 func (m *Metrics) ObservePanic() { m.panics.Add(1) }
-
-// ObserveEviction counts one compiled graph evicted by LRU pressure.
-func (m *Metrics) ObserveEviction() { m.cacheEvictions.Add(1) }
-
-// SetGraphCacheSize records the compiled-graph LRU's current occupancy.
-func (m *Metrics) SetGraphCacheSize(n int64) { m.cacheSize.Store(n) }
 
 // histogram returns (lazily creating) the named histogram in a labeled set.
 func (m *Metrics) histogram(set map[string]*Histogram, key string) *Histogram {
@@ -276,11 +266,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"tyrd_busy_rejections_total", "Requests rejected with 429 because the queue was full.", "counter", m.busyTotal.Load()},
 		{"tyrd_cancelled_runs_total", "Runs cut short by deadline or client disconnect.", "counter", m.cancels.Load()},
 		{"tyrd_panics_total", "Pool jobs that panicked; each failed only its own request with a 500.", "counter", m.panics.Load()},
-		{"tyrd_graph_cache_hits_total", "Compiled-graph cache hits.", "counter", m.cacheHits.Load()},
-		{"tyrd_graph_cache_misses_total", "In-memory compiled-graph cache misses (fresh compiles).", "counter", m.cacheMisses.Load()},
-		{"tyrd_graph_cache_evictions_total", "Compiled graphs evicted by LRU capacity pressure.", "counter", m.cacheEvictions.Load()},
 		{"tyrd_simulated_cycles_total", "Total simulated cycles served.", "counter", m.simCycles.Load()},
-		{"tyrd_graph_cache_size", "Compiled graphs resident in the in-memory LRU.", "gauge", m.cacheSize.Load()},
 		{"tyrd_active_jobs", "Pool jobs executing right now.", "gauge", m.activeJobs.Load()},
 		{"tyrd_queue_length", "Pool jobs queued but not yet started.", "gauge", m.queueLen.Load()},
 		{"tyrd_uptime_seconds", "Seconds since the server started.", "gauge", int64(time.Since(m.start).Seconds())},

@@ -24,10 +24,6 @@ func goldenMetrics() *Metrics {
 	m.ObserveRun("vN", 4321)
 	m.busyTotal.Add(1)
 	m.ObserveCancel()
-	m.cacheHits.Add(3)
-	m.cacheMisses.Add(2)
-	m.ObserveEviction()
-	m.SetGraphCacheSize(5)
 	m.ObservePanic()
 	m.ObserveDuration("/v1/run", 3*time.Millisecond)
 	m.ObserveDuration("/v1/run", 700*time.Millisecond)

@@ -90,9 +90,6 @@ func TestSlowRequestFlightRecord(t *testing.T) {
 	if got := spans["run"].Attrs["cycles"]; got <= 0 {
 		t.Errorf("run span cycles attr = %d, want > 0", got)
 	}
-	if _, ok := spans["compile"].Attrs["cache_hit"]; !ok {
-		t.Errorf("compile span has no cache_hit attr: %v", spans["compile"].Attrs)
-	}
 	if rec.Engine == nil {
 		t.Fatal("slow request retained no engine capture")
 	}
@@ -111,7 +108,7 @@ func TestSlowRequestFlightRecord(t *testing.T) {
 // slow run and a run whose engine panics (a 500) each keep their reason,
 // error and full span tree, and carry no engine section.
 func TestUnsampledSlowAndFailedRequests(t *testing.T) {
-	srv, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 4,
 		Flight: obs.Config{SlowThreshold: time.Nanosecond, SampleEvery: -1},
 	})
@@ -124,7 +121,7 @@ func TestUnsampledSlowAndFailedRequests(t *testing.T) {
 		{"dmv", http.StatusInternalServerError, obs.RetainFailed},
 	} {
 		if tc.status == http.StatusInternalServerError {
-			seedCorruptDmv(t, srv)
+			serveCorruptDmv(t)
 		}
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{
 			App: tc.app, Scale: "tiny", System: "tyr",
@@ -148,9 +145,6 @@ func TestUnsampledSlowAndFailedRequests(t *testing.T) {
 			if _, ok := spans[want]; !ok {
 				t.Errorf("%s: span %q missing from tree %v", tc.app, want, rec.Spans)
 			}
-		}
-		if _, ok := spans["compile"].Attrs["cache_hit"]; !ok {
-			t.Errorf("%s: compile span has no cache_hit attr: %v", tc.app, spans["compile"].Attrs)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 // Package server implements tyrd's HTTP service layer: a bounded worker
 // pool running simulations behind the tyr-api/v1 endpoints, with per-request
-// deadlines plumbed into the engines as cooperative stop flags, an LRU cache
-// of compiled graphs, structured request logging, stdlib-only Prometheus
-// metrics, and request-scoped observability (trace IDs, span trees, and the
-// internal/obs flight recorder behind /v1/debug/requests).
+// deadlines plumbed into the engines as cooperative stop flags, structured
+// request logging, stdlib-only Prometheus metrics, and request-scoped
+// observability (trace IDs, span trees, and the internal/obs flight
+// recorder behind /v1/debug/requests). Compiled graphs belong to their
+// workloads: a suite kernel's apps.App compiles each lowering once per
+// process, and an inline source compiles once per request.
 package server
 
 import (
@@ -40,8 +42,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps a request's timeout_ms (default 5m).
 	MaxTimeout time.Duration
-	// GraphCacheSize bounds the compiled-graph LRU (default 64 graphs).
-	GraphCacheSize int
 	// OracleMaxSteps caps the reference-interpreter oracle run that
 	// validates inline `source` workloads (default 2^32 dynamic
 	// instructions). The request deadline cancels the oracle too; this is
@@ -68,9 +68,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
 	}
-	if c.GraphCacheSize <= 0 {
-		c.GraphCacheSize = 64
-	}
 	if c.OracleMaxSteps <= 0 {
 		c.OracleMaxSteps = 1 << 32
 	}
@@ -83,7 +80,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg    Config
 	pool   *Pool
-	graphs *GraphCache
 	stats  *Metrics
 	flight *obs.FlightRecorder
 	log    *slog.Logger
@@ -96,14 +92,13 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:    cfg,
 		pool:   NewPool(cfg.Workers, cfg.QueueDepth, stats),
-		graphs: NewGraphCache(cfg.GraphCacheSize, stats),
 		stats:  stats,
 		flight: obs.NewFlightRecorder(cfg.Flight),
 		log:    cfg.Logger,
 	}
 }
 
-// Metrics exposes the counter set (shared with the pool and graph cache).
+// Metrics exposes the counter set (shared with the pool).
 func (s *Server) Metrics() *Metrics { return s.stats }
 
 // Flight exposes the flight recorder (shared with the debug handler).

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,7 +19,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/apps"
-	"repro/internal/compile"
 	"repro/internal/dfg"
 	"repro/internal/obs"
 )
@@ -70,7 +70,7 @@ var systems = []string{"vN", "seqdf", "ordered", "unordered", "tyr"}
 // kernels and all five systems at tiny scale, asserting every one completes,
 // memory stays bounded, and no goroutines leak.
 func TestConcurrentRuns(t *testing.T) {
-	srv := New(Config{Workers: 4, QueueDepth: 64, GraphCacheSize: 32})
+	srv := New(Config{Workers: 4, QueueDepth: 64})
 	ts := httptest.NewServer(srv.Handler())
 
 	// Baseline after the pool's workers exist but before any requests.
@@ -119,12 +119,10 @@ func TestConcurrentRuns(t *testing.T) {
 	if got := srv.Metrics().simCycles.Load(); got <= 0 {
 		t.Errorf("simulated-cycle counter not advanced: %d", got)
 	}
-	if got := srv.graphs.Len(); got > 32 {
-		t.Errorf("graph cache exceeded its bound: %d > 32", got)
-	}
 
 	// Memory bound: after GC, the heap retained by 64 tiny runs plus the
-	// graph cache must stay far below anything unbounded growth would show.
+	// shared suite's graphs must stay far below anything unbounded growth
+	// would show.
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
@@ -374,13 +372,14 @@ func checkRetiredKnob(t *testing.T, knob, note string) {
 
 // TestPanicFailsOnlyItsRequest first panics a job directly through
 // submit, which must return an error wrapping errJobPanic and count it.
-// It then seeds the graph cache with a corrupt dmv graph (a load whose
-// region index is past the region table), so the tagged engine panics
-// building its machine. On a two-worker server, /v1/run and a multi-cell
-// /v1/sweep (whose corrupt cell may land on a helper job) must answer
-// that panic with a 500 whose body carries the trace ID, the flight
-// recorder must keep the failed request, tyrd_panics_total must count
-// each panic once, and the workers must still serve a real run.
+// It then serves tiny dmv from a corrupt graph (a load whose region index
+// is past the region table), so the tagged engine panics building its
+// machine. On a two-worker server, /v1/run and a multi-cell /v1/sweep
+// (whose corrupt cell may land on a helper job) must answer that panic
+// with a 500 whose body carries the trace ID, the flight recorder must
+// keep the failed request, tyrd_panics_total must count each panic once,
+// and the workers must still serve real runs, tiny dmv's shared graph
+// among them.
 func TestPanicFailsOnlyItsRequest(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 4})
 	if err := srv.submit(nil, func() { panic("boom") }); !errors.Is(err, errJobPanic) || !strings.Contains(err.Error(), "boom") {
@@ -390,7 +389,7 @@ func TestPanicFailsOnlyItsRequest(t *testing.T) {
 		t.Fatalf("tyrd_panics_total = %d after one panic, want 1", n)
 	}
 
-	seedCorruptDmv(t, srv)
+	restore := serveCorruptDmv(t)
 	for _, ep := range []struct {
 		path string
 		body any
@@ -422,26 +421,33 @@ func TestPanicFailsOnlyItsRequest(t *testing.T) {
 		t.Errorf("tyrd_panics_total = %d, want 3", n)
 	}
 
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{App: "smv", Scale: "tiny", System: "tyr"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("run after the panics: status = %d, want 200; body: %s", resp.StatusCode, body)
-	}
-	var rr api.RunResult
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if !rr.Checked {
-		t.Error("run after the panics was not checked")
+	restore()
+	for _, app := range []string{"smv", "dmv"} {
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{App: app, Scale: "tiny", System: "tyr"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s run after the panics: status = %d, want 200; body: %s", app, resp.StatusCode, body)
+		}
+		var rr api.RunResult
+		if err := json.Unmarshal(body, &rr); err != nil {
+			t.Fatal(err)
+		}
+		if !rr.Checked || !rr.Stats.Completed {
+			t.Errorf("%s run after the panics: checked=%v completed=%v, want both true", app, rr.Checked, rr.Stats.Completed)
+		}
 	}
 }
 
-// seedCorruptDmv puts a corrupt tiny dmv graph (a load whose region index
-// is past the region table) in srv's graph cache, so the next tyr run of
-// tiny dmv panics building its machine.
-func seedCorruptDmv(t *testing.T, srv *Server) {
+// serveCorruptDmv swaps the shared tiny suite's dmv for a fresh copy whose
+// own tagged graph is corrupt (a load whose region index is past the
+// region table), so the next tyr run of tiny dmv panics building its
+// machine. The shared dmv and its graph are never touched. The returned
+// restore puts the shared dmv back; it also runs at the end of the test.
+func serveCorruptDmv(t *testing.T) (restore func()) {
 	t.Helper()
-	app := apps.Find(apps.Suite(apps.ScaleTiny), "dmv")
-	g, err := compile.Tagged(app.Prog, compile.Options{EntryArgs: app.Args})
+	suite := api.SharedSuite(apps.ScaleTiny)
+	i := slices.IndexFunc(suite, func(a *apps.App) bool { return a.Name == "dmv" })
+	shared, app := suite[i], apps.Find(apps.Suite(apps.ScaleTiny), "dmv")
+	g, err := app.Tagged()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,9 +462,10 @@ func seedCorruptDmv(t *testing.T, srv *Server) {
 	if !corrupted {
 		t.Fatal("dmv has no load to corrupt")
 	}
-	if _, _, err := srv.graphs.get("tagged", app, func() (*dfg.Graph, error) { return g, nil }); err != nil {
-		t.Fatal(err)
-	}
+	suite[i] = app
+	restore = func() { suite[i] = shared }
+	t.Cleanup(restore)
+	return restore
 }
 
 // TestOverloadSheds asserts that with the single worker pinned and the queue
@@ -617,24 +624,6 @@ func TestCompileEndpoint(t *testing.T) {
 	}
 }
 
-// TestGraphCacheHits asserts a repeated identical run compiles once.
-func TestGraphCacheHits(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	req := api.Request{Source: testSource, System: "tyr", Tags: 4}
-	for i := 0; i < 3; i++ {
-		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("run %d: status %d: %s", i, resp.StatusCode, body)
-		}
-	}
-	if hits := srv.Metrics().cacheHits.Load(); hits < 2 {
-		t.Errorf("cache hits = %d, want >= 2", hits)
-	}
-	if misses := srv.Metrics().cacheMisses.Load(); misses != 1 {
-		t.Errorf("cache misses = %d, want 1 (one compile for three identical runs)", misses)
-	}
-}
-
 // TestHealthzAndMetrics checks the health envelope and that the metrics
 // exposition parses as Prometheus text format.
 func TestHealthzAndMetrics(t *testing.T) {
@@ -695,7 +684,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"tyrd_requests_total", "tyrd_runs_total", "tyrd_active_jobs",
-		"tyrd_queue_length", "tyrd_graph_cache_hits_total", "tyrd_uptime_seconds",
+		"tyrd_queue_length", "tyrd_panics_total", "tyrd_uptime_seconds",
 	} {
 		if !seen[want] {
 			t.Errorf("metric %s missing from exposition", want)

@@ -54,7 +54,7 @@ func TestTunePreservesCorrectness(t *testing.T) {
 	im := app.NewImage()
 	final, err := core.Run(g, im, core.Config{
 		Policy: core.PolicyTyr, TagsPerBlock: 64, BlockTags: res.BlockTags,
-		CheckInvariants: true,
+		Sanitize: true,
 	})
 	if err != nil {
 		t.Fatal(err)
