@@ -56,7 +56,7 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "queued submissions beyond the workers (0 = 4x workers)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
-	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "upper bound on a request's timeout_ms")
+	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "upper bound on a request's exec.deadline_ms")
 	oracleSteps := flag.Int64("oracle-max-steps", 0, "dynamic-instruction budget for inline-source oracle runs (0 = 2^32)")
 	drain := flag.Duration("drain", 2*time.Minute, "grace period for in-flight requests on shutdown")
 	debugAddr := flag.String("debug-addr", "", "optional second listener for pprof and flight dumps (e.g. 127.0.0.1:8081; empty = off)")

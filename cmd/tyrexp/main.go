@@ -12,9 +12,11 @@
 // stdout; every run's outputs are validated against the native reference
 // before any number is printed. -csv also writes each experiment's raw
 // data as CSV, and -json writes every run's stats as tyr-telemetry/v1
-// JSON. The experiment runner takes -cpuprofile/-memprofile to capture
-// pprof profiles (see internal/profflag). Any other first argument is a
-// usage error (exit 2).
+// JSON: every experiment runs through harness.Run, the Sec. VIII
+// ablations and the uarch study included, and records its runs in the
+// order it lists them. The experiment runner takes
+// -cpuprofile/-memprofile to capture pprof profiles (see
+// internal/profflag). Any other first argument is a usage error (exit 2).
 //
 // trace -validate checks the structure of a Chrome trace-event file, such
 // as one `tyrsim -trace` wrote. The flight subcommand reads a tyr-obs/v1
@@ -73,7 +75,7 @@ func usagef(format string, args ...any) {
 
 func runExperiments(args []string) {
 	fs := flag.NewFlagSet("tyrexp", flag.ExitOnError)
-	exp := fs.String("exp", "", "experiment to run (tab2, fig2, fig9, fig11, ..., fig18, locality); empty = all")
+	exp := fs.String("exp", "", "comma-separated experiments to run ("+strings.Join(harness.Experiments(), ", ")+"); empty = all")
 	scale := cliflags.RegisterScale(fs, "small")
 	machine := cliflags.RegisterMachine(fs, "")
 	csvDir := fs.String("csv", "", "also write each experiment's raw data as CSV into this directory")
@@ -104,7 +106,7 @@ func runExperiments(args []string) {
 		cfg.Telemetry = &tel
 	}
 
-	names := harness.Experiments
+	names := harness.Experiments()
 	if *exp != "" {
 		names = strings.Split(*exp, ",")
 	}

@@ -134,9 +134,9 @@ func (s *CacheSpec) Config() (*cache.Config, error) {
 	return &cc, nil
 }
 
-// ExecSpec is the versioned execution block of a request: how the
-// simulation is scheduled, as opposed to what machine it models. Its one
-// live knob is deadline_ms.
+// ExecSpec is the versioned execution block of a /v1/run or /v1/sweep
+// request: how the simulation is scheduled, as opposed to what machine it
+// models. Its one live knob is deadline_ms.
 type ExecSpec struct {
 	// Shards and Batch are retired: sharded execution (DESIGN.md §11) and
 	// lockstep batching (§12) were removed. Both still decode so old
@@ -145,10 +145,33 @@ type ExecSpec struct {
 	// error with a migration note.
 	Shards int `json:"shards,omitempty"`
 	Batch  int `json:"batch,omitempty"`
-	// DeadlineMS bounds the run's wall clock; the service cancels the
-	// engine at the deadline and reports 504. Zero means the server
-	// default.
+	// DeadlineMS bounds the request's wall clock (a sweep's, all its
+	// cells included); the service cancels the engine at the deadline and
+	// reports 504. Zero means the server default.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+}
+
+// Deadline returns the exec deadline; zero, for a nil block too, means
+// the server or CLI default.
+func (e *ExecSpec) Deadline() int64 {
+	if e == nil {
+		return 0
+	}
+	return e.DeadlineMS
+}
+
+// check validates an exec block the same way on every endpoint.
+func (e *ExecSpec) check(errs *[]FieldError, notes *[]string) {
+	if e == nil {
+		return
+	}
+	checkNonNegative(errs, map[string]int64{
+		"exec.shards":      int64(e.Shards),
+		"exec.batch":       int64(e.Batch),
+		"exec.deadline_ms": e.DeadlineMS,
+	})
+	shardsRetired.check(errs, notes, "exec.shards", int64(e.Shards))
+	batchRetired.check(errs, notes, "exec.batch", int64(e.Batch))
 }
 
 // Request is one simulation: a workload on a system under a machine
@@ -199,10 +222,9 @@ type Request struct {
 	// Shards is the old top-level spelling of exec.shards, retired with
 	// it under the same rules.
 	Shards int `json:"shards,omitempty"`
-	// TimeoutMS is the deprecated top-level spelling of exec.deadline_ms;
-	// it still decodes (a validation failure's 400 body carries a
-	// deprecation note), but setting both to different values is an
-	// error.
+	// TimeoutMS is the retired top-level spelling of exec.deadline_ms. It
+	// decodes only so an old client gets a structured answer: 0 is
+	// ignored, anything else is a field error with a migration note.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -215,16 +237,9 @@ const (
 		`drop the field (every run is a solo run, and tyrd runs requests in parallel across its worker pool)`
 	cellRangeRemovedNote = `cell_start and cell_count are retired: the fleet coordinator that sent them was removed; ` +
 		`drop both fields (one tyrd fans a sweep's cells out over its own workers)`
+	timeoutRemovedNote = `top-level timeout_ms is retired: the deadline is spelled exec.deadline_ms on /v1/run and /v1/sweep; ` +
+		`move the value there ({"exec":{"deadline_ms":N}})`
 )
-
-// ExecDeadlineMS resolves the effective wall-clock bound across the exec
-// block and the deprecated top-level field.
-func (r *Request) ExecDeadlineMS() int64 {
-	if r.Exec != nil && r.Exec.DeadlineMS != 0 {
-		return r.Exec.DeadlineMS
-	}
-	return r.TimeoutMS
-}
 
 // RunResult is the outcome of one /v1/run request: the uniform
 // tyr-telemetry/v1 record of the run.
@@ -383,19 +398,20 @@ func countLoops(stmts []prog.Stmt) int {
 type retiredKnob struct {
 	feature string // what was removed, named in the field error
 	note    string // the migration note the 400 carries
-	max     int    // the largest value accepted and ignored: 0 or 1
+	max     int64  // the largest value accepted and ignored: 0 or 1
 }
 
 var (
 	shardsRetired    = retiredKnob{"sharded execution", shardsRemovedNote, 1}
 	batchRetired     = retiredKnob{"lockstep batching", batchRemovedNote, 1}
 	cellRangeRetired = retiredKnob{"the fleet", cellRangeRemovedNote, 0}
+	timeoutRetired   = retiredKnob{"the top-level deadline spelling", timeoutRemovedNote, 0}
 )
 
 // check rejects a value above the knob's max on field with a field error
 // and the knob's migration note, added once however many spellings
 // tripped it. Negative values are left to checkNonNegative.
-func (k retiredKnob) check(errs *[]FieldError, notes *[]string, field string, n int) {
+func (k retiredKnob) check(errs *[]FieldError, notes *[]string, field string, n int64) {
 	if n <= k.max {
 		return
 	}
@@ -457,11 +473,6 @@ func (r *Request) Validate() error {
 		"max_cycles":   r.MaxCycles,
 		"timeout_ms":   r.TimeoutMS,
 	}
-	if r.Exec != nil {
-		fields["exec.shards"] = int64(r.Exec.Shards)
-		fields["exec.batch"] = int64(r.Exec.Batch)
-		fields["exec.deadline_ms"] = r.Exec.DeadlineMS
-	}
 	checkNonNegative(&errs, fields)
 	checkMachineSize(&errs, "issue_width", r.IssueWidth)
 	checkMachineSize(&errs, "tags", r.Tags)
@@ -471,17 +482,9 @@ func (r *Request) Validate() error {
 		errs = append(errs, FieldError{"trace_points", fmt.Sprintf("must be <= %d (got %d)", MaxTracePoints, r.TracePoints)})
 	}
 	var notes []string
-	shardsRetired.check(&errs, &notes, "shards", r.Shards)
-	if r.Exec != nil {
-		shardsRetired.check(&errs, &notes, "exec.shards", r.Exec.Shards)
-		batchRetired.check(&errs, &notes, "exec.batch", r.Exec.Batch)
-	}
-	if r.TimeoutMS != 0 {
-		notes = append(notes, `top-level "timeout_ms" is deprecated; use exec.deadline_ms`)
-		if r.Exec != nil && r.Exec.DeadlineMS != 0 && r.Exec.DeadlineMS != r.TimeoutMS {
-			errs = append(errs, FieldError{"timeout_ms", fmt.Sprintf("conflicts with exec.deadline_ms (%d vs %d)", r.TimeoutMS, r.Exec.DeadlineMS)})
-		}
-	}
+	shardsRetired.check(&errs, &notes, "shards", int64(r.Shards))
+	r.Exec.check(&errs, &notes)
+	timeoutRetired.check(&errs, &notes, "timeout_ms", r.TimeoutMS)
 	if _, err := r.Cache.Config(); err != nil {
 		errs = append(errs, FieldError{"cache", err.Error()})
 	}
@@ -537,7 +540,7 @@ func (r *Request) Plan() (*Plan, error) {
 			Sanitize:    r.Sanitize,
 			MaxCycles:   r.MaxCycles,
 		},
-		DeadlineMS: r.ExecDeadlineMS(),
+		DeadlineMS: r.Exec.Deadline(),
 		req:        r,
 	}, nil
 }
@@ -598,7 +601,11 @@ type SweepRequest struct {
 	IssueWidth int        `json:"issue_width,omitempty"`
 	Tags       int        `json:"tags,omitempty"`
 	Cache      *CacheSpec `json:"cache,omitempty"`
-	// TimeoutMS bounds the whole sweep's wall clock.
+	// Exec is validated exactly like Request.Exec; its deadline_ms bounds
+	// the whole sweep's wall clock.
+	Exec *ExecSpec `json:"exec,omitempty"`
+	// TimeoutMS is the retired top-level spelling of exec.deadline_ms,
+	// retired as on Request.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
 	// CellStart and CellCount are retired: they addressed the cell range a
@@ -640,8 +647,10 @@ func (r *SweepRequest) Validate() error {
 	checkMachineSize(&errs, "issue_width", r.IssueWidth)
 	checkMachineSize(&errs, "tags", r.Tags)
 	var notes []string
-	cellRangeRetired.check(&errs, &notes, "cell_start", r.CellStart)
-	cellRangeRetired.check(&errs, &notes, "cell_count", r.CellCount)
+	r.Exec.check(&errs, &notes)
+	timeoutRetired.check(&errs, &notes, "timeout_ms", r.TimeoutMS)
+	cellRangeRetired.check(&errs, &notes, "cell_start", int64(r.CellStart))
+	cellRangeRetired.check(&errs, &notes, "cell_count", int64(r.CellCount))
 	if _, err := r.Cache.Config(); err != nil {
 		errs = append(errs, FieldError{"cache", err.Error()})
 	}

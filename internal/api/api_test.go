@@ -201,46 +201,82 @@ func TestTracePointsOptIn(t *testing.T) {
 	}
 }
 
-// TestExecBackCompat pins the deprecated top-level timeout_ms: it still
-// decodes and resolves, the exec block wins whenever both are set, and a
-// conflict is a structured error carrying the deprecation note.
-func TestExecBackCompat(t *testing.T) {
-	var r Request
-	if err := json.Unmarshal([]byte(`{"system":"tyr","app":"dmv","timeout_ms":100}`), &r); err != nil {
-		t.Fatal(err)
+// TestTimeoutMSRetired pins the retired top-level timeout_ms on both
+// endpoints: 0 is ignored, and any other value is a 400 on timeout_ms
+// carrying one note that names exec.deadline_ms, whatever the exec block
+// says. The exec block's deadline is the plan's.
+func TestTimeoutMSRetired(t *testing.T) {
+	validate := map[string]func(body string) error{
+		"/v1/run": func(body string) error {
+			r := decodeDmv(t, body)
+			return r.Validate()
+		},
+		"/v1/sweep": func(body string) error {
+			var r SweepRequest
+			if err := json.Unmarshal([]byte(`{"scale":"tiny",`+body+`}`), &r); err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			return r.Validate()
+		},
 	}
-	if err := r.Validate(); err != nil {
-		t.Fatalf("deprecated spelling must stay valid: %v", err)
-	}
-	if r.ExecDeadlineMS() != 100 {
-		t.Errorf("top-level timeout_ms did not resolve: deadline=%d", r.ExecDeadlineMS())
-	}
-
-	// Agreeing values coexist; the exec block is simply authoritative.
-	r.Exec = &ExecSpec{DeadlineMS: 100}
-	if err := r.Validate(); err != nil {
-		t.Fatalf("agreeing exec and top-level values rejected: %v", err)
-	}
-
-	// Conflicting nonzero values are a hard 400, not a silent pick.
-	r.Exec = &ExecSpec{DeadlineMS: 200}
-	err := r.Validate()
-	var ve *ValidationError
-	if !errors.As(err, &ve) {
-		t.Fatalf("conflicting timeout_ms: err = %v, want *ValidationError", err)
-	}
-	if len(ve.Fields) != 1 || ve.Fields[0].Field != "timeout_ms" {
-		t.Errorf("want a single timeout_ms conflict error, got %v", ve)
-	}
-	// The rejection carries the migration guidance as notes.
-	found := false
-	for _, n := range ve.Notes {
-		if strings.Contains(n, "exec.deadline_ms") {
-			found = true
+	for ep, v := range validate {
+		if err := v(`"timeout_ms":0,"exec":{"deadline_ms":100}`); err != nil {
+			t.Errorf("%s: timeout_ms 0 must be ignored: %v", ep, err)
+		}
+		for _, body := range []string{`"timeout_ms":100`, `"timeout_ms":100,"exec":{"deadline_ms":100}`} {
+			var ve *ValidationError
+			if err := v(body); !errors.As(err, &ve) {
+				t.Errorf("%s %s: err = %v, want *ValidationError", ep, body, err)
+				continue
+			}
+			if len(ve.Fields) != 1 || ve.Fields[0].Field != "timeout_ms" {
+				t.Errorf("%s %s: want a single timeout_ms error, got %v", ep, body, ve)
+			}
+			if len(ve.Notes) != 1 || !strings.Contains(ve.Notes[0], "exec.deadline_ms") {
+				t.Errorf("%s %s: notes %q, want one naming exec.deadline_ms", ep, body, ve.Notes)
+			}
 		}
 	}
-	if !found {
-		t.Errorf("validation error carries no deprecation note: %v", ve.Notes)
+	r := decodeDmv(t, `"exec":{"deadline_ms":100}`)
+	plan, err := r.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.DeadlineMS != 100 {
+		t.Errorf("exec.deadline_ms did not resolve: deadline=%d", plan.DeadlineMS)
+	}
+}
+
+// TestSweepExecMatchesRun checks that /v1/sweep validates its exec block
+// exactly as /v1/run does: the same field errors and the same notes.
+func TestSweepExecMatchesRun(t *testing.T) {
+	for _, exec := range []string{
+		`{"deadline_ms":50}`,
+		`{"shards":1,"batch":1}`,
+		`{"shards":2}`,
+		`{"batch":4,"deadline_ms":-1}`,
+		`{"shards":3,"batch":-2}`,
+	} {
+		var sweep SweepRequest
+		if err := json.Unmarshal([]byte(`{"scale":"tiny","exec":`+exec+`}`), &sweep); err != nil {
+			t.Fatal(err)
+		}
+		run := decodeDmv(t, `"exec":`+exec)
+		runErr, sweepErr := run.Validate(), sweep.Validate()
+		if (runErr == nil) != (sweepErr == nil) {
+			t.Errorf("exec %s: /v1/run says %v, /v1/sweep says %v", exec, runErr, sweepErr)
+			continue
+		}
+		if runErr == nil {
+			continue
+		}
+		var rve, sve *ValidationError
+		if !errors.As(runErr, &rve) || !errors.As(sweepErr, &sve) {
+			t.Fatalf("exec %s: want *ValidationError, got %v and %v", exec, runErr, sweepErr)
+		}
+		if !reflect.DeepEqual(rve, sve) {
+			t.Errorf("exec %s: /v1/run %+v, /v1/sweep %+v", exec, rve, sve)
+		}
 	}
 }
 
@@ -698,7 +734,7 @@ func FuzzRequestDecodeValidate(f *testing.F) {
 		}
 		// Validate, the exec resolver, and Plan must never panic on any
 		// decodable request; a valid request must plan cleanly.
-		_ = r.ExecDeadlineMS()
+		_ = r.Exec.Deadline()
 		if err := r.Validate(); err != nil {
 			return
 		}

@@ -189,16 +189,6 @@ type PendingAlloc struct {
 	HasReady bool   // the context was ready but no tag was available
 }
 
-// StarvedSpace aggregates the starvation of one tag space at deadlock
-// time: which block's contexts could not be created, under what budget.
-type StarvedSpace struct {
-	Block   string // block name (loop label / function name / "root")
-	Kind    string // "root", "loop", or "func"
-	Tags    int    // tag budget that applied (0 = unbounded)
-	InUse   int    // tags of this space held when the machine stopped
-	Starved int    // allocate instances parked waiting on this space
-}
-
 // DeadlockInfo reports why the machine stopped without completing.
 type DeadlockInfo struct {
 	Cycle         int64
@@ -206,7 +196,7 @@ type DeadlockInfo struct {
 	PendingAllocs []PendingAlloc
 	// Spaces names the starved blocks and their tag budgets, one entry
 	// per tag space with parked allocates.
-	Spaces []StarvedSpace
+	Spaces []metrics.DeadlockSpace
 }
 
 func (d *DeadlockInfo) String() string {

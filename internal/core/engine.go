@@ -68,6 +68,11 @@ type machine struct {
 	spacePooled []bool
 	poolGlobal  []uint64
 	globalNext  uint64
+	// spaceTags is each space's tag budget: the global pool under
+	// bounded-global, the block's pool (TagsPerBlock or its BlockTags
+	// override; per invocation under k-bounding) for pooled spaces, and 0
+	// for unbounded ones.
+	spaceTags []int
 
 	inUse      []int // tags currently allocated, per target space
 	peakInUse  []int
@@ -291,15 +296,21 @@ func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
 		}
 	}
 
+	m.spaceTags = make([]int, nspaces)
 	m.poolLocal = make([][]uint64, nspaces)
 	for s := range g.Blocks {
+		if cfg.Policy == PolicyGlobalBounded {
+			m.spaceTags[s] = cfg.GlobalTags
+		} else if m.spacePooled[s] {
+			m.spaceTags[s] = cfg.TagsPerBlock
+			if override, ok := cfg.BlockTags[g.Blocks[s].Name]; ok {
+				m.spaceTags[s] = override
+			}
+		}
 		if !m.spacePooled[s] || cfg.Policy == PolicyKBound {
 			continue
 		}
-		tags := cfg.TagsPerBlock
-		if override, ok := cfg.BlockTags[g.Blocks[s].Name]; ok {
-			tags = override
-		}
+		tags := m.spaceTags[s]
 		pool := make([]uint64, tags)
 		for t := range pool {
 			// Reverse order so pops hand out tag 0 first.
@@ -887,10 +898,7 @@ const (
 //tyr:hotpath
 func (m *machine) fireAllocateKBound(ref fireRef, n *dfg.Node, slot int32) (bool, error) {
 	ws := &m.stores[ref.node]
-	k := m.cfg.TagsPerBlock
-	if override, ok := m.cfg.BlockTags[m.g.Blocks[n.Space].Name]; ok {
-		k = override
-	}
+	k := m.spaceTags[n.Space]
 	var tag uint64
 	if n.External {
 		inv := m.kbNextInv
@@ -1081,22 +1089,9 @@ func (m *machine) finish() (Result, error) {
 		if m.allocCount[s] == 0 && s != 0 {
 			continue
 		}
-		// Tags reports the bound that applied to this space: the local
-		// pool size for pooled spaces (per invocation under k-bounding),
-		// the global pool for bounded-global, 0 for unbounded spaces.
-		tags := 0
-		switch {
-		case m.cfg.Policy == PolicyGlobalBounded:
-			tags = m.cfg.GlobalTags
-		case m.spacePooled[s]:
-			tags = m.cfg.TagsPerBlock
-			if override, ok := m.cfg.BlockTags[m.g.Blocks[s].Name]; ok {
-				tags = override
-			}
-		}
 		res.Spaces = append(res.Spaces, metrics.SpaceStats{
 			Block:          m.g.Blocks[s].Name,
-			Tags:           tags,
+			Tags:           m.spaceTags[s],
 			PeakInUse:      m.peakInUse[s],
 			Allocs:         m.allocCount[s],
 			PeakLiveTokens: m.peakByBlock[s],
@@ -1143,20 +1138,10 @@ func (m *machine) finish() (Result, error) {
 			continue
 		}
 		blk := &m.g.Blocks[s]
-		tags := 0
-		switch {
-		case m.cfg.Policy == PolicyGlobalBounded:
-			tags = m.cfg.GlobalTags
-		case m.spacePooled[s]:
-			tags = m.cfg.TagsPerBlock
-			if override, hit := m.cfg.BlockTags[blk.Name]; hit {
-				tags = override
-			}
-		}
-		info.Spaces = append(info.Spaces, StarvedSpace{
+		info.Spaces = append(info.Spaces, metrics.DeadlockSpace{
 			Block:   blk.Name,
 			Kind:    blk.Kind.String(),
-			Tags:    tags,
+			Tags:    m.spaceTags[s],
 			InUse:   m.inUse[s],
 			Starved: count,
 		})

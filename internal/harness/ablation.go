@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/ordered"
 )
 
 // Ablations back the paper's Sec. VIII discussion ("roads not traveled"):
@@ -45,45 +43,30 @@ func AblTags(cfg ExpConfig) (*AblTagsData, string, error) {
 	cfg = cfg.withDefaults()
 	const tags = 8 // tight budget so scheme differences are visible
 	d := &AblTagsData{Tags: tags}
-	schemes := []struct {
-		name string
-		ecfg core.Config
-	}{
-		{"tyr", core.Config{Policy: core.PolicyTyr, TagsPerBlock: tags}},
-		{"local-nogate", core.Config{Policy: core.PolicyLocalNoGate, TagsPerBlock: tags}},
-		{"kbound-leaf", core.Config{Policy: core.PolicyKBound, TagsPerBlock: tags}},
-		{"unordered", core.Config{Policy: core.PolicyGlobalUnlimited}},
-	}
 	suite := apps.Suite(cfg.Scale)
+	var cells []cell
 	for _, appName := range []string{"dmv", "spmspm"} {
 		app := apps.Find(suite, appName)
-		g, err := app.Tagged()
-		if err != nil {
-			return nil, "", err
+		for _, scheme := range []string{SysTyr, sysLocalNoGate, sysKBoundLeaf, SysUnordered} {
+			sc := cfg.sys()
+			sc.Tags = tags
+			cells = append(cells, cell{app, scheme, sc})
 		}
-		for _, s := range schemes {
-			ecfg := s.ecfg
-			ecfg.IssueWidth = cfg.IssueWidth
-			im := app.NewImage()
-			res, err := core.Run(g, im, ecfg)
-			if err != nil {
-				return nil, "", fmt.Errorf("abl-tags: %s/%s: %w", appName, s.name, err)
-			}
-			if res.Completed {
-				if err := app.Check(im, res.ResultValue); err != nil {
-					return nil, "", fmt.Errorf("abl-tags: %s/%s wrong output: %w", appName, s.name, err)
-				}
-			}
-			d.Rows = append(d.Rows, AblTagsRow{
-				App:        appName,
-				Scheme:     s.name,
-				Completed:  res.Completed,
-				Deadlocked: res.Deadlocked,
-				Cycles:     res.Cycles,
-				PeakLive:   res.PeakLive,
-				PeakTags:   res.PeakTags,
-			})
-		}
+	}
+	runs, err := runCells("abl-tags", cells)
+	if err != nil {
+		return nil, "", err
+	}
+	for _, rs := range runs {
+		d.Rows = append(d.Rows, AblTagsRow{
+			App:        rs.App,
+			Scheme:     rs.System,
+			Completed:  rs.Completed,
+			Deadlocked: rs.Deadlocked,
+			Cycles:     rs.Cycles,
+			PeakLive:   rs.PeakLive,
+			PeakTags:   rs.PeakTags,
+		})
 	}
 
 	tb := &metrics.Table{Headers: []string{"app", "scheme", "outcome", "cycles", "peak live", "peak tags"}}
@@ -124,25 +107,23 @@ func AblQueue(cfg ExpConfig) (*AblQueueData, string, error) {
 	cfg = cfg.withDefaults()
 	d := &AblQueueData{Depths: []int{2, 4, 8, 16, 32}}
 	suite := apps.Suite(cfg.Scale)
+	var cells []cell
 	for _, appName := range []string{"dmv", "smv", "spmspm"} {
 		app := apps.Find(suite, appName)
-		g, err := app.Ordered()
-		if err != nil {
-			return nil, "", err
-		}
 		for _, depth := range d.Depths {
-			im := app.NewImage()
-			res, err := ordered.Run(g, im, ordered.Config{IssueWidth: cfg.IssueWidth, QueueCap: depth})
-			if err != nil {
-				return nil, "", fmt.Errorf("abl-queue: %s q=%d: %w", appName, depth, err)
-			}
-			if err := app.Check(im, res.ResultValue); err != nil {
-				return nil, "", fmt.Errorf("abl-queue: %s q=%d wrong output: %w", appName, depth, err)
-			}
-			d.Rows = append(d.Rows, AblQueueRow{
-				App: appName, Depth: depth, Cycles: res.Cycles, PeakLive: res.PeakLive,
-			})
+			sc := cfg.sys()
+			sc.QueueCap = depth
+			cells = append(cells, cell{app, SysOrdered, sc})
 		}
+	}
+	runs, err := runCells("abl-queue", cells)
+	if err != nil {
+		return nil, "", err
+	}
+	for i, rs := range runs {
+		d.Rows = append(d.Rows, AblQueueRow{
+			App: rs.App, Depth: cells[i].cfg.QueueCap, Cycles: rs.Cycles, PeakLive: rs.PeakLive,
+		})
 	}
 
 	tb := &metrics.Table{Headers: []string{"app", "queue depth", "cycles", "peak live"}}

@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"context"
 	"errors"
-	"fmt"
-	"sync/atomic"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -48,42 +46,45 @@ func TestRunRecordsDeadlockTelemetry(t *testing.T) {
 	}
 }
 
-func TestParallelDoAggregatesErrors(t *testing.T) {
-	e1 := errors.New("boom-1")
-	err := parallelDo(context.Background(), 8, func(i int) error {
-		if i == 0 {
-			return fmt.Errorf("cell %d: %w", i, e1)
+// TestRunCellsNamesFailedCell checks the experiments' one runner: the
+// records come back, and go to telemetry, in cell order; a cell with an
+// unknown system fails the experiment with an error naming the
+// experiment, the app and the system, and records nothing.
+func TestRunCellsNamesFailedCell(t *testing.T) {
+	suite := apps.Suite(apps.ScaleTiny)
+	dmv, smv := apps.Find(suite, "dmv"), apps.Find(suite, "smv")
+	tel := &Telemetry{}
+	cfg := SysConfig{Telemetry: tel}
+	cells := []cell{{smv, SysTyr, cfg}, {dmv, SysVN, cfg}, {dmv, SysOrdered, cfg}, {smv, SysSeqDF, cfg}}
+	runs, err := runCells("cells", cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := tel.Snapshot()
+	if len(runs) != len(cells) || len(recorded) != len(cells) {
+		t.Fatalf("got %d runs and %d records for %d cells", len(runs), len(recorded), len(cells))
+	}
+	for i, c := range cells {
+		if runs[i].App != c.app.Name || runs[i].System != c.sys {
+			t.Errorf("run %d is %s on %s, want %s on %s", i, runs[i].App, runs[i].System, c.app.Name, c.sys)
 		}
-		return nil
-	})
-	if !errors.Is(err, e1) {
-		t.Fatalf("err = %v, want wrapped boom-1", err)
+		if recorded[i].App != c.app.Name || recorded[i].System != c.sys {
+			t.Errorf("record %d is %s on %s, want %s on %s", i, recorded[i].App, recorded[i].System, c.app.Name, c.sys)
+		}
 	}
-}
 
-func TestParallelDoHonorsContext(t *testing.T) {
-	ctx, cancelCtx := context.WithCancel(context.Background())
-	cancelCtx()
-	var calls atomic.Int64
-	err := parallelDo(ctx, 1000, func(i int) error {
-		calls.Add(1)
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	tel = &Telemetry{}
+	cfg = SysConfig{Telemetry: tel}
+	_, err = runCells("fig0", []cell{{dmv, SysTyr, cfg}, {smv, "quantum", cfg}, {dmv, SysVN, cfg}})
+	if err == nil {
+		t.Fatal("a cell with an unknown system did not fail the experiment")
 	}
-	// A done context means no (or almost no) cells run: at most one claim
-	// per worker could have raced the cancellation.
-	if n := calls.Load(); n >= 1000 {
-		t.Errorf("%d cells ran under a cancelled context", n)
+	for _, want := range []string{"fig0", "smv", "quantum"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
-}
-
-func TestExpConfigContextCancelsSweep(t *testing.T) {
-	ctx, cancelCtx := context.WithCancel(context.Background())
-	cancelCtx()
-	_, _, err := Fig12(ExpConfig{Scale: apps.ScaleTiny, Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if n := len(tel.Snapshot()); n != 0 {
+		t.Errorf("a failed experiment recorded %d runs", n)
 	}
 }

@@ -1,6 +1,10 @@
 package harness
 
 import (
+	"fmt"
+	"os"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -12,17 +16,95 @@ import (
 // scaled-down ones — so thresholds here check orderings and conservative
 // magnitudes; EXPERIMENTS.md records the measured values side by side with
 // the paper's.
+//
+// Every claim reads one memoized small-scale pass over all experiments,
+// the same pass TestExperimentsGolden compares against the committed
+// tyrexp output, so the package runs the small suite once.
 
-func smallCfg() ExpConfig { return ExpConfig{Scale: apps.ScaleSmall} }
+// smallGoldenPath holds `tyrexp -scale small`'s stdout without its
+// "[… completed in …]" lines. Regenerate it, only when a change is meant
+// to move a reported number, with
+//
+//	UPDATE_GOLDEN=1 go test ./internal/harness -run TestExperimentsGolden
+const smallGoldenPath = "testdata/tyrexp_small.txt"
 
-func TestClaimFig12TyrIsFast(t *testing.T) {
+// smallPassResult is every experiment's data at small scale and the
+// reports joined the way tyrexp prints them.
+type smallPassResult struct {
+	data   map[string]any
+	output string
+	err    error
+}
+
+var smallPass = sync.OnceValue(func() smallPassResult {
+	r := smallPassResult{data: map[string]any{}}
+	var b strings.Builder
+	for i, name := range Experiments() {
+		if i > 0 {
+			b.WriteString(strings.Repeat("=", 78) + "\n")
+		}
+		data, report, err := RunExperiment(name, ExpConfig{Scale: apps.ScaleSmall})
+		if err != nil {
+			r.err = fmt.Errorf("%s: %w", name, err)
+			return r
+		}
+		r.data[name] = data
+		b.WriteString(report)
+	}
+	r.output = b.String()
+	return r
+})
+
+// smallRun returns the memoized small pass; it skips under -short.
+func smallRun(t *testing.T) smallPassResult {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("claims need the small scale")
 	}
-	d, _, err := Fig12(smallCfg())
-	if err != nil {
-		t.Fatal(err)
+	r := smallPass()
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
+	return r
+}
+
+// smallData returns experiment name's data from the memoized small pass.
+func smallData[T any](t *testing.T, name string) T {
+	t.Helper()
+	return smallRun(t).data[name].(T)
+}
+
+// TestExperimentsGolden pins every table at small scale: the reports must
+// equal the committed tyrexp output byte for byte.
+func TestExperimentsGolden(t *testing.T) {
+	got := smallRun(t).output
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(smallGoldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(smallGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create)", err)
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gl), len(wl)); i++ {
+		g, w := "(end of output)", "(end of file)"
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s line %d differs:\n  golden: %q\n  got:    %q", smallGoldenPath, i+1, w, g)
+		}
+	}
+}
+
+func TestClaimFig12TyrIsFast(t *testing.T) {
+	d := smallData[*Fig12Data](t, "fig12")
 	// Claim: TYR vastly outperforms vN, sequential dataflow, and ordered
 	// dataflow (paper gmeans: 68x, 22.7x, 21.7x), and is close to
 	// unordered (paper: unordered is ~1.3x faster than TYR).
@@ -47,13 +129,7 @@ func TestClaimFig12TyrIsFast(t *testing.T) {
 }
 
 func TestClaimFig13IPCOrdering(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need the small scale")
-	}
-	d, _, err := Fig13(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smallData[*Fig13Data](t, "fig13")
 	// vN always executes exactly 1 instruction per cycle.
 	if len(d.Hist[SysVN]) != 1 || d.Hist[SysVN][1] == 0 {
 		t.Errorf("vN IPC histogram should be {1: n}, got %v", d.Hist[SysVN])
@@ -75,13 +151,7 @@ func TestClaimFig13IPCOrdering(t *testing.T) {
 }
 
 func TestClaimFig14TyrReducesState(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need the small scale")
-	}
-	d, _, err := Fig14(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smallData[*Fig14Data](t, "fig14")
 	// Claim: TYR's peak state is far below unordered dataflow (paper:
 	// 572.8x gmean at full scale; the ratio grows with input size and is
 	// already substantial at small scale).
@@ -106,13 +176,7 @@ func TestClaimFig14TyrReducesState(t *testing.T) {
 }
 
 func TestClaimFig11DeadlockStory(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need the small scale")
-	}
-	d, _, err := Fig11(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smallData[*Fig11Data](t, "fig11")
 	if !d.Deadlocked {
 		t.Error("naive unordered with 8 global tags should deadlock on dmv")
 	}
@@ -126,13 +190,7 @@ func TestClaimFig11DeadlockStory(t *testing.T) {
 }
 
 func TestClaimFig15WidthScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need the small scale")
-	}
-	d, _, err := Fig15(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smallData[*Fig15Data](t, "fig15")
 	lo, hi := d.Widths[0], d.Widths[len(d.Widths)-1]
 	// TYR and unordered speed up substantially with issue width.
 	for _, sys := range []string{SysTyr, SysUnordered} {
@@ -160,13 +218,7 @@ func TestClaimFig15WidthScaling(t *testing.T) {
 }
 
 func TestClaimFig16TagSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need the small scale")
-	}
-	d, _, err := Fig16(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smallData[*Fig16Data](t, "fig16")
 	// TYR completes even with 2 tags per block.
 	if d.Cycles[2] == 0 {
 		t.Fatal("no result for 2 tags")
@@ -186,13 +238,7 @@ func TestClaimFig16TagSweep(t *testing.T) {
 }
 
 func TestClaimFig17Sensitivity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need the small scale")
-	}
-	d, _, err := Fig17(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smallData[*Fig17Data](t, "fig17")
 	// Fixing width, IPC rises with tags until roughly width/2.
 	if a, b := d.IPC[[2]int{128, 2}], d.IPC[[2]int{128, 64}]; b < 4*a {
 		t.Errorf("at width 128, 64 tags (%.1f IPC) should be >= 4x of 2 tags (%.1f)", b, a)
@@ -218,13 +264,7 @@ func TestClaimFig17Sensitivity(t *testing.T) {
 }
 
 func TestClaimFig18RegionTuning(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need the small scale")
-	}
-	d, _, err := Fig18(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smallData[*Fig18Data](t, "fig18")
 	// Restricting the outer loop reduces peak state...
 	if d.PeakReduction < 0.05 {
 		t.Errorf("peak reduction %.1f%%, want >= 5%% (paper: 28.5%% at full size)", d.PeakReduction*100)
@@ -236,13 +276,7 @@ func TestClaimFig18RegionTuning(t *testing.T) {
 }
 
 func TestClaimAblationTagSchemes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need the small scale")
-	}
-	d, _, err := AblTags(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smallData[*AblTagsData](t, "abl-tags")
 	byKey := make(map[string]AblTagsRow)
 	for _, r := range d.Rows {
 		byKey[r.App+"/"+r.Scheme] = r
@@ -267,13 +301,7 @@ func TestClaimAblationTagSchemes(t *testing.T) {
 }
 
 func TestClaimAblationQueueDepth(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need the small scale")
-	}
-	d, _, err := AblQueue(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smallData[*AblQueueData](t, "abl-queue")
 	// Per app: state grows with depth; performance barely moves past 4.
 	byApp := make(map[string]map[int]AblQueueRow)
 	for _, r := range d.Rows {
@@ -293,13 +321,7 @@ func TestClaimAblationQueueDepth(t *testing.T) {
 }
 
 func TestClaimLatencyTolerance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need the small scale")
-	}
-	d, _, err := Latency(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smallData[*LatencyData](t, "latency")
 	// The ordering the paper's motivation predicts: tagged dataflow
 	// tolerates memory latency far better than sequential machines, with
 	// ordered dataflow in between; extra tags recover tolerance for TYR.
@@ -324,13 +346,7 @@ func TestClaimLatencyTolerance(t *testing.T) {
 }
 
 func TestClaimFig2TraceShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need the small scale")
-	}
-	d, _, err := Fig2(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smallData[*TraceData](t, "fig2")
 	// Unordered finishes fast with enormous state; TYR finishes nearly as
 	// fast with far less state; vN/seqdf/ordered finish much later with
 	// very little state.

@@ -9,11 +9,12 @@ import (
 	"repro/internal/apps"
 )
 
-// TestExportCSVAllExperiments exports every experiment's data as CSV. The
-// export renders the data RunExperiment returned and runs nothing: an
-// attached Telemetry holds as many records after the export as after the
-// report. Rows come out in a fixed order, so writing fig13 twice gives
-// byte-identical files.
+// TestExportCSVAllExperiments exports every experiment's data as CSV. Every
+// experiment records its runs in the attached Telemetry (abl-tags' records
+// name all four tag schemes). The export renders the data RunExperiment
+// returned and runs nothing: the Telemetry holds as many records after the
+// export as after the report. Rows come out in a fixed order, so writing
+// fig13 twice gives byte-identical files.
 func TestExportCSVAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -21,12 +22,28 @@ func TestExportCSVAllExperiments(t *testing.T) {
 	dir := t.TempDir()
 	tel := &Telemetry{}
 	cfg := ExpConfig{Scale: apps.ScaleTiny, Telemetry: tel}
-	for _, name := range Experiments {
+	for _, name := range Experiments() {
+		before := len(tel.Snapshot())
 		data, _, err := RunExperiment(name, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		runs := len(tel.Snapshot())
+		recorded := tel.Snapshot()
+		runs := len(recorded)
+		if runs == before {
+			t.Errorf("%s: no run reached the telemetry", name)
+		}
+		if name == "abl-tags" {
+			schemes := map[string]bool{}
+			for _, rs := range recorded[before:] {
+				schemes[rs.System] = true
+			}
+			for _, want := range []string{SysTyr, sysLocalNoGate, sysKBoundLeaf, SysUnordered} {
+				if !schemes[want] {
+					t.Errorf("abl-tags: no telemetry record names scheme %q (have %v)", want, schemes)
+				}
+			}
+		}
 		path, err := ExportCSV(name, data, dir)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

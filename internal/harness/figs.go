@@ -1,13 +1,15 @@
 package harness
 
 import (
-	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/apps"
-	"repro/internal/cancel"
 	"repro/internal/metrics"
 )
 
@@ -19,13 +21,6 @@ type ExpConfig struct {
 	// Telemetry, when non-nil, collects every run's RunStats for
 	// machine-readable export.
 	Telemetry *Telemetry
-	// Ctx, when non-nil, bounds the experiment: parallel sweeps stop
-	// claiming cells once it is done and report its error. Nil means no
-	// deadline (context.Background).
-	Ctx context.Context
-	// Stop, when non-nil, is handed to every run's engine so an armed flag
-	// aborts the in-flight simulation within one cycle boundary.
-	Stop *cancel.Flag
 }
 
 func (c ExpConfig) withDefaults() ExpConfig {
@@ -39,14 +34,72 @@ func (c ExpConfig) withDefaults() ExpConfig {
 }
 
 func (c ExpConfig) sys() SysConfig {
-	return SysConfig{IssueWidth: c.IssueWidth, Tags: c.Tags, Telemetry: c.Telemetry, Stop: c.Stop}
+	return SysConfig{IssueWidth: c.IssueWidth, Tags: c.Tags, Telemetry: c.Telemetry}
 }
 
-func (c ExpConfig) ctx() context.Context {
-	if c.Ctx != nil {
-		return c.Ctx
+// cell is one run of an experiment: a workload on a system under a config.
+type cell struct {
+	app *apps.App
+	sys string
+	cfg SysConfig
+}
+
+// runCells is every experiment's one way to run: each cell goes through
+// Run on up to GOMAXPROCS workers, and the records come back in cell
+// order. Once a cell fails no new cell starts, and the error names the
+// experiment, app and system of every cell that failed. Telemetry records
+// the runs in cell order too, so an experiment's output never depends on
+// scheduling.
+func runCells(exp string, cells []cell) ([]metrics.RunStats, error) {
+	out := make([]metrics.RunStats, len(cells))
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(cells)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(cells) {
+					return
+				}
+				c := cells[i]
+				c.cfg.Telemetry = nil
+				rs, err := Run(c.app, c.sys, c.cfg)
+				if err != nil {
+					errs[i] = fmt.Errorf("%s: %s on %s: %w", exp, c.app.Name, c.sys, err)
+					failed.Store(true)
+					return
+				}
+				out[i] = rs
+			}
+		}()
 	}
-	return context.Background()
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	for i, c := range cells {
+		c.cfg.Telemetry.Record(out[i])
+	}
+	return out, nil
+}
+
+// suiteRuns runs every suite app on every system, app-major: the grid
+// Figs. 12-14 share. It returns the app names in suite order.
+func suiteRuns(exp string, cfg ExpConfig) ([]string, []metrics.RunStats, error) {
+	var names []string
+	var cells []cell
+	for _, app := range apps.Suite(cfg.Scale) {
+		names = append(names, app.Name)
+		for _, sys := range Systems {
+			cells = append(cells, cell{app, sys, cfg.sys()})
+		}
+	}
+	runs, err := runCells(exp, cells)
+	return names, runs, err
 }
 
 // TraceData holds state-over-time traces for one app across labeled runs.
@@ -55,6 +108,17 @@ type TraceData struct {
 	Labels []string // presentation order
 	Series map[string][]metrics.TracePoint
 	Stats  map[string]metrics.RunStats
+}
+
+func newTraceData(app string) *TraceData {
+	return &TraceData{App: app, Series: map[string][]metrics.TracePoint{}, Stats: map[string]metrics.RunStats{}}
+}
+
+// add appends one labeled run.
+func (d *TraceData) add(label string, rs metrics.RunStats) {
+	d.Labels = append(d.Labels, label)
+	d.Series[label] = rs.Trace
+	d.Stats[label] = rs
 }
 
 func (d *TraceData) render(title string) string {
@@ -79,15 +143,17 @@ func (d *TraceData) render(title string) string {
 func Fig2(cfg ExpConfig) (*TraceData, string, error) {
 	cfg = cfg.withDefaults()
 	app := apps.Find(apps.Suite(cfg.Scale), "spmspm")
-	d := &TraceData{App: app.Name, Series: map[string][]metrics.TracePoint{}, Stats: map[string]metrics.RunStats{}}
+	var cells []cell
 	for _, sys := range Systems {
-		rs, err := Run(app, sys, cfg.sys())
-		if err != nil {
-			return nil, "", fmt.Errorf("fig2: %s: %w", sys, err)
-		}
-		d.Labels = append(d.Labels, sys)
-		d.Series[sys] = rs.Trace
-		d.Stats[sys] = rs
+		cells = append(cells, cell{app, sys, cfg.sys()})
+	}
+	runs, err := runCells("fig2", cells)
+	if err != nil {
+		return nil, "", err
+	}
+	d := newTraceData(app.Name)
+	for _, rs := range runs {
+		d.add(rs.System, rs)
 	}
 	return d, d.render("Fig. 2: live state over time, spmspm (" + app.Description + ")"), nil
 }
@@ -97,26 +163,25 @@ func Fig2(cfg ExpConfig) (*TraceData, string, error) {
 func Fig9(cfg ExpConfig) (*TraceData, string, error) {
 	cfg = cfg.withDefaults()
 	app := apps.Find(apps.Suite(cfg.Scale), "dmv")
-	d := &TraceData{App: app.Name, Series: map[string][]metrics.TracePoint{}, Stats: map[string]metrics.RunStats{}}
+	var cells []cell
 	for _, tags := range []int{2, 8, 64} {
-		label := fmt.Sprintf("%d-tags", tags)
 		sc := cfg.sys()
 		sc.Tags = tags
-		rs, err := Run(app, SysTyr, sc)
-		if err != nil {
-			return nil, "", fmt.Errorf("fig9: tags=%d: %w", tags, err)
-		}
-		d.Labels = append(d.Labels, label)
-		d.Series[label] = rs.Trace
-		d.Stats[label] = rs
+		cells = append(cells, cell{app, SysTyr, sc})
 	}
-	rs, err := Run(app, SysUnordered, cfg.sys())
+	cells = append(cells, cell{app, SysUnordered, cfg.sys()})
+	runs, err := runCells("fig9", cells)
 	if err != nil {
-		return nil, "", fmt.Errorf("fig9: unordered: %w", err)
+		return nil, "", err
 	}
-	d.Labels = append(d.Labels, "unlimited")
-	d.Series["unlimited"] = rs.Trace
-	d.Stats["unlimited"] = rs
+	d := newTraceData(app.Name)
+	for i, rs := range runs {
+		label := "unlimited"
+		if rs.System == SysTyr {
+			label = fmt.Sprintf("%d-tags", cells[i].cfg.Tags)
+		}
+		d.add(label, rs)
+	}
 	return d, d.render("Fig. 9: TYR on dmv across local tag-space sizes (u = unlimited/unordered)"), nil
 }
 
@@ -142,17 +207,22 @@ func Fig11(cfg ExpConfig) (*Fig11Data, string, error) {
 	app := apps.Find(apps.Suite(cfg.Scale), "dmv")
 	d := &Fig11Data{GlobalTags: 8, TyrTags: 2}
 
-	// The bounded-global leg goes through the shared Run entry point like
-	// every other leg: its telemetry (including the structured deadlock
-	// post-mortem) is recorded uniformly. SkipCheck because a deadlocked
-	// run has no output to validate.
-	sc := cfg.sys()
-	sc.GlobalTags = d.GlobalTags
-	sc.SkipCheck = true
-	rs, err := Run(app, SysUnordered, sc)
+	// SkipCheck on the bounded-global leg: a deadlocked run has no output
+	// to validate.
+	bounded := cfg.sys()
+	bounded.GlobalTags = d.GlobalTags
+	bounded.SkipCheck = true
+	tyr := cfg.sys()
+	tyr.Tags = d.TyrTags
+	runs, err := runCells("fig11", []cell{
+		{app, SysUnordered, bounded},
+		{app, SysTyr, tyr},
+		{app, SysUnordered, cfg.sys()},
+	})
 	if err != nil {
-		return nil, "", fmt.Errorf("fig11: bounded unordered: %w", err)
+		return nil, "", err
 	}
+	rs := runs[0]
 	d.Deadlocked = rs.Deadlocked
 	d.DeadlockCycle = rs.Cycles
 	d.LiveAtDeadlock = rs.PeakLive
@@ -161,22 +231,9 @@ func Fig11(cfg ExpConfig) (*Fig11Data, string, error) {
 		d.StarvedLabels = append(d.StarvedLabels, rs.Deadlock.Summary)
 		d.StarvedSpaces = rs.Deadlock.Spaces
 	}
-
-	// TYR contrast:
-	tc := cfg.sys()
-	tc.Tags = 2
-	trs, err := Run(app, SysTyr, tc)
-	if err != nil {
-		return nil, "", fmt.Errorf("fig11: tyr: %w", err)
-	}
-	d.TyrCompleted = trs.Completed
-	d.TyrCycles = trs.Cycles
-
-	urs, err := Run(app, SysUnordered, cfg.sys())
-	if err != nil {
-		return nil, "", fmt.Errorf("fig11: unlimited: %w", err)
-	}
-	d.UnlimitedTagsNeeded = urs.PeakTags
+	d.TyrCompleted = runs[1].Completed
+	d.TyrCycles = runs[1].Cycles
+	d.UnlimitedTagsNeeded = runs[2].PeakTags
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 11: deadlock from bounding a global tag space (dmv, %s)\n\n", app.Description)
@@ -202,29 +259,16 @@ type Fig12Data struct {
 // Fig12 reproduces the execution-time comparison across all apps/systems.
 func Fig12(cfg ExpConfig) (*Fig12Data, string, error) {
 	cfg = cfg.withDefaults()
-	suite := apps.Suite(cfg.Scale)
-	d := &Fig12Data{Cycles: map[string]map[string]int64{}, GmeanSlowdownVsTyr: map[string]float64{}}
-	for _, sys := range Systems {
-		d.Cycles[sys] = map[string]int64{}
-	}
-	for _, app := range suite {
-		d.Apps = append(d.Apps, app.Name)
-	}
-	results := make([]metrics.RunStats, len(suite)*len(Systems))
-	err := parallelDo(cfg.ctx(), len(results), func(i int) error {
-		app, sys := suite[i/len(Systems)], Systems[i%len(Systems)]
-		rs, err := Run(app, sys, cfg.sys())
-		if err != nil {
-			return fmt.Errorf("fig12: %s/%s: %w", app.Name, sys, err)
-		}
-		results[i] = rs
-		return nil
-	})
+	names, runs, err := suiteRuns("fig12", cfg)
 	if err != nil {
 		return nil, "", err
 	}
-	for i, rs := range results {
-		d.Cycles[Systems[i%len(Systems)]][suite[i/len(Systems)].Name] = rs.Cycles
+	d := &Fig12Data{Apps: names, Cycles: map[string]map[string]int64{}, GmeanSlowdownVsTyr: map[string]float64{}}
+	for _, sys := range Systems {
+		d.Cycles[sys] = map[string]int64{}
+	}
+	for _, rs := range runs {
+		d.Cycles[rs.System][rs.App] = rs.Cycles
 	}
 	for _, sys := range Systems {
 		var ratios []float64
@@ -263,28 +307,17 @@ type Fig13Data struct {
 // Fig13 reproduces the IPC CDF comparison.
 func Fig13(cfg ExpConfig) (*Fig13Data, string, error) {
 	cfg = cfg.withDefaults()
-	suite := apps.Suite(cfg.Scale)
+	_, runs, err := suiteRuns("fig13", cfg)
+	if err != nil {
+		return nil, "", err
+	}
 	d := &Fig13Data{Hist: map[string]map[int]int64{}, Median: map[string]int{}, P90: map[string]int{}}
 	for _, sys := range Systems {
 		d.Hist[sys] = map[int]int64{}
 	}
-	results := make([]metrics.RunStats, len(suite)*len(Systems))
-	err := parallelDo(cfg.ctx(), len(results), func(i int) error {
-		app, sys := suite[i/len(Systems)], Systems[i%len(Systems)]
-		rs, err := Run(app, sys, cfg.sys())
-		if err != nil {
-			return fmt.Errorf("fig13: %s/%s: %w", app.Name, sys, err)
-		}
-		results[i] = rs
-		return nil
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	for i, rs := range results {
-		sys := Systems[i%len(Systems)]
+	for _, rs := range runs {
 		for ipc, n := range rs.IPCHist {
-			d.Hist[sys][ipc] += n
+			d.Hist[rs.System][ipc] += n
 		}
 	}
 	for _, sys := range Systems {
@@ -318,32 +351,18 @@ type Fig14Data struct {
 // Fig14 reproduces the live-token comparison (peak and mean).
 func Fig14(cfg ExpConfig) (*Fig14Data, string, error) {
 	cfg = cfg.withDefaults()
-	suite := apps.Suite(cfg.Scale)
-	d := &Fig14Data{Peak: map[string]map[string]int64{}, Mean: map[string]map[string]float64{}}
+	names, runs, err := suiteRuns("fig14", cfg)
+	if err != nil {
+		return nil, "", err
+	}
+	d := &Fig14Data{Apps: names, Peak: map[string]map[string]int64{}, Mean: map[string]map[string]float64{}}
 	for _, sys := range Systems {
 		d.Peak[sys] = map[string]int64{}
 		d.Mean[sys] = map[string]float64{}
 	}
-	for _, app := range suite {
-		d.Apps = append(d.Apps, app.Name)
-	}
-	results := make([]metrics.RunStats, len(suite)*len(Systems))
-	err := parallelDo(cfg.ctx(), len(results), func(i int) error {
-		app, sys := suite[i/len(Systems)], Systems[i%len(Systems)]
-		rs, err := Run(app, sys, cfg.sys())
-		if err != nil {
-			return fmt.Errorf("fig14: %s/%s: %w", app.Name, sys, err)
-		}
-		results[i] = rs
-		return nil
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	for i, rs := range results {
-		sys, app := Systems[i%len(Systems)], suite[i/len(Systems)]
-		d.Peak[sys][app.Name] = rs.PeakLive
-		d.Mean[sys][app.Name] = rs.MeanLive
+	for _, rs := range runs {
+		d.Peak[rs.System][rs.App] = rs.PeakLive
+		d.Mean[rs.System][rs.App] = rs.MeanLive
 	}
 	var ratios []float64
 	for _, app := range d.Apps {
@@ -387,19 +406,24 @@ func Fig15(cfg ExpConfig) (*Fig15Data, string, error) {
 		Cycles:  map[string]map[int]int64{},
 		Peak:    map[string]map[int]int64{},
 	}
+	var cells []cell
 	for _, sys := range systems {
 		d.Cycles[sys] = map[int]int64{}
 		d.Peak[sys] = map[int]int64{}
 		for _, w := range d.Widths {
 			sc := cfg.sys()
 			sc.IssueWidth = w
-			rs, err := Run(app, sys, sc)
-			if err != nil {
-				return nil, "", fmt.Errorf("fig15: %s w=%d: %w", sys, w, err)
-			}
-			d.Cycles[sys][w] = rs.Cycles
-			d.Peak[sys][w] = rs.PeakLive
+			cells = append(cells, cell{app, sys, sc})
 		}
+	}
+	runs, err := runCells("fig15", cells)
+	if err != nil {
+		return nil, "", err
+	}
+	for i, rs := range runs {
+		w := cells[i].cfg.IssueWidth
+		d.Cycles[rs.System][w] = rs.Cycles
+		d.Peak[rs.System][w] = rs.PeakLive
 	}
 
 	var b strings.Builder
@@ -444,22 +468,24 @@ func Fig16(cfg ExpConfig) (*Fig16Data, string, error) {
 		Peak:      map[int]int64{},
 		Traces:    map[int][]metrics.TracePoint{},
 	}
-	td := &TraceData{App: app.Name, Series: map[string][]metrics.TracePoint{}, Stats: map[string]metrics.RunStats{}}
-	for i, tags := range d.TagWidths {
+	var cells []cell
+	for _, tags := range d.TagWidths {
 		sc := cfg.sys()
 		sc.Tags = tags
-		rs, err := Run(app, SysTyr, sc)
-		if err != nil {
-			return nil, "", fmt.Errorf("fig16: tags=%d: %w", tags, err)
-		}
+		cells = append(cells, cell{app, SysTyr, sc})
+	}
+	runs, err := runCells("fig16", cells)
+	if err != nil {
+		return nil, "", err
+	}
+	td := newTraceData(app.Name)
+	for i, rs := range runs {
+		tags := d.TagWidths[i]
 		d.Cycles[tags] = rs.Cycles
 		d.Peak[tags] = rs.PeakLive
 		d.Traces[tags] = rs.Trace
 		// Distinct leading letters keep the plot markers unambiguous.
-		label := fmt.Sprintf("%c: %d tags", 'a'+i, tags)
-		td.Labels = append(td.Labels, label)
-		td.Series[label] = rs.Trace
-		td.Stats[label] = rs
+		td.add(fmt.Sprintf("%c: %d tags", 'a'+i, tags), rs)
 	}
 	report := "Fig. 16: TYR state vs execution time across tags-per-block, spmspm\n\n" +
 		td.render("(one marker letter per tag count)")
@@ -488,38 +514,32 @@ func Fig17(cfg ExpConfig) (*Fig17Data, string, error) {
 		IPC:    map[[2]int]float64{},
 		Peak:   map[[2]int]int64{},
 	}
-	grid := make([]metrics.RunStats, len(d.Widths)*len(d.Tags))
-	err := parallelDo(cfg.ctx(), len(grid), func(i int) error {
-		w, tg := d.Widths[i/len(d.Tags)], d.Tags[i%len(d.Tags)]
+	var cells []cell
+	add := func(w, tg int) {
 		sc := cfg.sys()
 		sc.IssueWidth = w
 		sc.Tags = tg
-		rs, err := Run(app, SysTyr, sc)
-		if err != nil {
-			return fmt.Errorf("fig17: w=%d t=%d: %w", w, tg, err)
+		cells = append(cells, cell{app, SysTyr, sc})
+	}
+	for _, w := range d.Widths {
+		for _, tg := range d.Tags {
+			add(w, tg)
 		}
-		grid[i] = rs
-		return nil
-	})
+	}
+	grid := len(cells)
+	for _, w := range d.Widths {
+		add(w, max(w/2, 2))
+	}
+	runs, err := runCells("fig17", cells)
 	if err != nil {
 		return nil, "", err
 	}
-	for i, rs := range grid {
-		key := [2]int{d.Widths[i/len(d.Tags)], d.Tags[i%len(d.Tags)]}
-		d.IPC[key] = rs.IPC()
-		d.Peak[key] = rs.PeakLive
-	}
-	for _, w := range d.Widths {
-		tg := w / 2
-		if tg < 2 {
-			tg = 2
-		}
-		sc := cfg.sys()
-		sc.IssueWidth = w
-		sc.Tags = tg
-		rs, err := Run(app, SysTyr, sc)
-		if err != nil {
-			return nil, "", fmt.Errorf("fig17: proportional w=%d: %w", w, err)
+	for i, rs := range runs {
+		w, tg := cells[i].cfg.IssueWidth, cells[i].cfg.Tags
+		if i < grid {
+			d.IPC[[2]int{w, tg}] = rs.IPC()
+			d.Peak[[2]int{w, tg}] = rs.PeakLive
+			continue
 		}
 		d.PropWidths = append(d.PropWidths, w)
 		d.PropIPC = append(d.PropIPC, rs.IPC())
@@ -587,16 +607,13 @@ func Fig18(cfg ExpConfig) (*Fig18Data, string, error) {
 	app := apps.Dmm(n, 2)
 	d := &Fig18Data{BaselineTags: cfg.Tags, OuterTags: 8}
 
-	base, err := Run(app, SysTyr, cfg.sys())
-	if err != nil {
-		return nil, "", fmt.Errorf("fig18: baseline: %w", err)
-	}
 	sc := cfg.sys()
 	sc.BlockTags = map[string]int{app.Outer: d.OuterTags}
-	tuned, err := Run(app, SysTyr, sc)
+	runs, err := runCells("fig18", []cell{{app, SysTyr, cfg.sys()}, {app, SysTyr, sc}})
 	if err != nil {
-		return nil, "", fmt.Errorf("fig18: tuned: %w", err)
+		return nil, "", err
 	}
+	base, tuned := runs[0], runs[1]
 	d.BaselineCycles, d.TunedCycles = base.Cycles, tuned.Cycles
 	d.BaselinePeak, d.TunedPeak = base.PeakLive, tuned.PeakLive
 	if base.PeakLive > 0 {
@@ -638,12 +655,17 @@ type Table2Row struct {
 // statistics.
 func Table2(cfg ExpConfig) (*Table2Data, string, error) {
 	cfg = cfg.withDefaults()
-	d := &Table2Data{}
+	var cells []cell
 	for _, app := range apps.Suite(cfg.Scale) {
-		rs, err := Run(app, SysVN, cfg.sys())
-		if err != nil {
-			return nil, "", fmt.Errorf("table2: %s: %w", app.Name, err)
-		}
+		cells = append(cells, cell{app, SysVN, cfg.sys()})
+	}
+	runs, err := runCells("tab2", cells)
+	if err != nil {
+		return nil, "", err
+	}
+	d := &Table2Data{}
+	for i, rs := range runs {
+		app := cells[i].app
 		g, err := app.Tagged()
 		if err != nil {
 			return nil, "", err
@@ -667,51 +689,50 @@ func Table2(cfg ExpConfig) (*Table2Data, string, error) {
 	return d, report, nil
 }
 
-// Experiments lists all experiment names: the paper's artifacts in
-// presentation order, then the Sec. VIII ablations.
-var Experiments = []string{
-	"tab2", "fig2", "fig9", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-	"abl-tags", "abl-queue", "uarch", "latency", "locality",
+// experiments is the one registry: every experiment in presentation
+// order (the paper's artifacts, then the Sec. VIII ablations) with its
+// entry point. The entries capture nothing, so the table is static data
+// that only binaries running experiments link; tyrd and tyrsim do not.
+var experiments = []struct {
+	name string
+	run  func(ExpConfig) (any, string, error)
+}{
+	{"tab2", func(c ExpConfig) (any, string, error) { return erase(Table2(c)) }},
+	{"fig2", func(c ExpConfig) (any, string, error) { return erase(Fig2(c)) }},
+	{"fig9", func(c ExpConfig) (any, string, error) { return erase(Fig9(c)) }},
+	{"fig11", func(c ExpConfig) (any, string, error) { return erase(Fig11(c)) }},
+	{"fig12", func(c ExpConfig) (any, string, error) { return erase(Fig12(c)) }},
+	{"fig13", func(c ExpConfig) (any, string, error) { return erase(Fig13(c)) }},
+	{"fig14", func(c ExpConfig) (any, string, error) { return erase(Fig14(c)) }},
+	{"fig15", func(c ExpConfig) (any, string, error) { return erase(Fig15(c)) }},
+	{"fig16", func(c ExpConfig) (any, string, error) { return erase(Fig16(c)) }},
+	{"fig17", func(c ExpConfig) (any, string, error) { return erase(Fig17(c)) }},
+	{"fig18", func(c ExpConfig) (any, string, error) { return erase(Fig18(c)) }},
+	{"abl-tags", func(c ExpConfig) (any, string, error) { return erase(AblTags(c)) }},
+	{"abl-queue", func(c ExpConfig) (any, string, error) { return erase(AblQueue(c)) }},
+	{"uarch", func(c ExpConfig) (any, string, error) { return erase(Uarch(c)) }},
+	{"latency", func(c ExpConfig) (any, string, error) { return erase(Latency(c)) }},
+	{"locality", func(c ExpConfig) (any, string, error) { return erase(Locality(c)) }},
+}
+
+// Experiments lists all experiment names in presentation order.
+func Experiments() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
 }
 
 // RunExperiment dispatches by name and returns the experiment's data (the
 // value ExportCSV renders) and its rendered report.
 func RunExperiment(name string, cfg ExpConfig) (data any, report string, err error) {
-	switch name {
-	case "tab2":
-		return erase(Table2(cfg))
-	case "fig2":
-		return erase(Fig2(cfg))
-	case "fig9":
-		return erase(Fig9(cfg))
-	case "fig11":
-		return erase(Fig11(cfg))
-	case "fig12":
-		return erase(Fig12(cfg))
-	case "fig13":
-		return erase(Fig13(cfg))
-	case "fig14":
-		return erase(Fig14(cfg))
-	case "fig15":
-		return erase(Fig15(cfg))
-	case "fig16":
-		return erase(Fig16(cfg))
-	case "fig17":
-		return erase(Fig17(cfg))
-	case "fig18":
-		return erase(Fig18(cfg))
-	case "abl-tags":
-		return erase(AblTags(cfg))
-	case "abl-queue":
-		return erase(AblQueue(cfg))
-	case "uarch":
-		return erase(Uarch(cfg))
-	case "latency":
-		return erase(Latency(cfg))
-	case "locality":
-		return erase(Locality(cfg))
+	for _, e := range experiments {
+		if e.name == name {
+			return e.run(cfg)
+		}
 	}
-	names := append([]string(nil), Experiments...)
+	names := Experiments()
 	sort.Strings(names)
 	return nil, "", fmt.Errorf("harness: unknown experiment %q (have %s)", name, strings.Join(names, ", "))
 }

@@ -36,6 +36,14 @@ const (
 // Systems lists all five architectures in presentation order.
 var Systems = []string{SysVN, SysSeqDF, SysOrdered, SysUnordered, SysTyr}
 
+// The tag schemes the abl-tags ablation runs besides tyr and unordered:
+// local pools without TYR's readiness protocol, and TTDA-style k-bounding
+// of leaf loops. Only experiments name them; they are not in Systems.
+const (
+	sysLocalNoGate = "local-nogate"
+	sysKBoundLeaf  = "kbound-leaf"
+)
+
 // SysConfig parameterizes a single run of one system.
 type SysConfig struct {
 	IssueWidth int // default 128 (paper)
@@ -162,7 +170,7 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 	case SysVN, SysSeqDF:
 	case SysOrdered:
 		g, err = graphs.Ordered(app)
-	case SysUnordered, SysTyr:
+	case SysUnordered, SysTyr, sysLocalNoGate, sysKBoundLeaf:
 		g, err = graphs.Tagged(app)
 	default:
 		return rs, fmt.Errorf("harness: unknown system %q", system)
@@ -229,7 +237,7 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 		ret = res.ResultValue
 		rs.Completed, rs.Cycles, rs.Fired, rs.Note = res.Completed, res.Cycles, res.Fired, res.Note
 		rs.PeakLive, rs.MeanLive, rs.IPCHist, rs.Trace = res.PeakLive, res.MeanLive, res.IPCHist, res.Trace
-	default: // SysUnordered, SysTyr
+	default: // the tagged machine: SysUnordered, SysTyr and the ablation schemes
 		ecfg := coreConfigFor(system, cfg)
 		ecfg.Memory = memory
 		res, err := core.Run(g, im, ecfg)
@@ -240,6 +248,7 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 		rs.Completed, rs.Cycles, rs.Fired, rs.Note = res.Completed, res.Cycles, res.Fired, res.Note
 		rs.PeakLive, rs.MeanLive, rs.IPCHist, rs.Trace = res.PeakLive, res.MeanLive, res.IPCHist, res.Trace
 		rs.PeakTags, rs.Deadlocked, rs.Spaces = res.PeakTags, res.Deadlocked, res.Spaces
+		rs.PeakStorePerInstr, rs.FrameTokens, rs.CrossTokens = res.PeakStorePerInstr, res.FrameTokens, res.CrossTokens
 		if res.Deadlocked {
 			rs.Note += "; " + res.Deadlock.String()
 			rs.Deadlock = convertDeadlock(res.Deadlock)
@@ -256,8 +265,8 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 }
 
 // coreConfigFor translates the harness config into the tagged engine's
-// config for a system (tyr or unordered), minus the per-run memory
-// hierarchy (which is built against each run's own image).
+// config for a system (tyr, unordered or an ablation scheme), minus the
+// per-run memory hierarchy (which is built against each run's own image).
 func coreConfigFor(system string, cfg SysConfig) core.Config {
 	ecfg := core.Config{
 		IssueWidth:  cfg.IssueWidth,
@@ -268,16 +277,25 @@ func coreConfigFor(system string, cfg SysConfig) core.Config {
 		Tracer:      cfg.Tracer,
 		Stop:        cfg.Stop,
 	}
-	if system == SysTyr {
+	switch system {
+	case SysTyr:
 		ecfg.Policy = core.PolicyTyr
-		ecfg.TagsPerBlock = cfg.Tags
-		ecfg.BlockTags = cfg.BlockTags
-	} else if cfg.GlobalTags > 0 {
-		ecfg.Policy = core.PolicyGlobalBounded
-		ecfg.GlobalTags = cfg.GlobalTags
-	} else {
-		ecfg.Policy = core.PolicyGlobalUnlimited
+	case sysLocalNoGate:
+		ecfg.Policy = core.PolicyLocalNoGate
+	case sysKBoundLeaf:
+		ecfg.Policy = core.PolicyKBound
+	default: // SysUnordered
+		if cfg.GlobalTags > 0 {
+			ecfg.Policy = core.PolicyGlobalBounded
+			ecfg.GlobalTags = cfg.GlobalTags
+		} else {
+			ecfg.Policy = core.PolicyGlobalUnlimited
+		}
+		return ecfg
 	}
+	// The local-pool policies size each block's pool.
+	ecfg.TagsPerBlock = cfg.Tags
+	ecfg.BlockTags = cfg.BlockTags
 	return ecfg
 }
 
@@ -287,17 +305,11 @@ func convertDeadlock(d *core.DeadlockInfo) *metrics.DeadlockStats {
 	if d == nil {
 		return nil
 	}
-	out := &metrics.DeadlockStats{
+	return &metrics.DeadlockStats{
 		Cycle:         d.Cycle,
 		LiveTokens:    d.LiveTokens,
 		StarvedAllocs: len(d.PendingAllocs),
+		Spaces:        d.Spaces,
 		Summary:       d.String(),
 	}
-	for _, sp := range d.Spaces {
-		out.Spaces = append(out.Spaces, metrics.DeadlockSpace{
-			Block: sp.Block, Kind: sp.Kind, Tags: sp.Tags,
-			InUse: sp.InUse, Starved: sp.Starved,
-		})
-	}
-	return out
 }

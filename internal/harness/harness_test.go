@@ -43,7 +43,7 @@ func TestRunExperimentDispatch(t *testing.T) {
 }
 
 func TestAllExperimentsRender(t *testing.T) {
-	for _, name := range Experiments {
+	for _, name := range Experiments() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			_, report, err := RunExperiment(name, tinyCfg())

@@ -40,28 +40,29 @@ func Latency(cfg ExpConfig) (*LatencyData, string, error) {
 	for _, sys := range rows {
 		d.Cycles[sys] = map[int]int64{}
 	}
-	results := make([]metrics.RunStats, len(rows)*len(d.Latencies))
-	err := parallelDo(cfg.ctx(), len(results), func(i int) error {
-		sys, lat := rows[i/len(d.Latencies)], d.Latencies[i%len(d.Latencies)]
-		sc := cfg.sys()
-		sc.LoadLatency = lat
-		if sys == "tyr+" {
-			sc.Tags = cfg.Tags * 4
-			sys = SysTyr
+	var cells []cell
+	for _, row := range rows {
+		for _, lat := range d.Latencies {
+			sc := cfg.sys()
+			sc.LoadLatency = lat
+			sys := row
+			if row == "tyr+" {
+				sc.Tags = cfg.Tags * 4
+				sys = SysTyr
+			}
+			cells = append(cells, cell{app, sys, sc})
 		}
-		rs, err := Run(app, sys, sc)
-		if err != nil {
-			return fmt.Errorf("latency: %s L=%d: %w", sys, lat, err)
-		}
-		results[i] = rs
-		return nil
-	})
+	}
+	runs, err := runCells("latency", cells)
 	if err != nil {
 		return nil, "", err
 	}
-	for i, rs := range results {
-		sys, lat := rows[i/len(d.Latencies)], d.Latencies[i%len(d.Latencies)]
-		d.Cycles[sys][lat] = rs.Cycles
+	// The runs come back in the order the loop above built the cells.
+	for _, row := range rows {
+		for _, lat := range d.Latencies {
+			d.Cycles[row][lat] = runs[0].Cycles
+			runs = runs[1:]
+		}
 	}
 	last := d.Latencies[len(d.Latencies)-1]
 	for _, sys := range rows {

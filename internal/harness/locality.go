@@ -97,40 +97,35 @@ func Locality(cfg ExpConfig) (*LocalityData, string, error) {
 	}
 	d.DefaultCap = cache.DefaultConfig().L1.Words()
 
-	suite := apps.Suite(cfg.Scale)
-	for _, app := range suite {
+	// One cell per point; each point is filled from the run at its index.
+	var cells []cell
+	for _, app := range apps.Suite(cfg.Scale) {
 		d.Apps = append(d.Apps, app.Name)
+		for _, row := range d.Rows {
+			for _, cc := range caches {
+				sc := cfg.sys()
+				sc.Cache = &cc
+				sys := SysUnordered
+				if b, ok := strings.CutPrefix(row, "tyr@"); ok {
+					sys = SysTyr
+					fmt.Sscan(b, &sc.Tags)
+				}
+				cells = append(cells, cell{app, sys, sc})
+				d.Points = append(d.Points, LocalityPoint{App: app.Name, Row: row, L1Words: cc.L1.Words()})
+			}
+		}
 	}
-
-	d.Points = make([]LocalityPoint, len(d.Apps)*len(d.Rows)*len(caches))
-	err := parallelDo(cfg.ctx(), len(d.Points), func(i int) error {
-		app := suite[i/(len(d.Rows)*len(caches))]
-		row := d.Rows[i/len(caches)%len(d.Rows)]
-		cc := caches[i%len(caches)]
-
-		sc := cfg.sys()
-		sc.Cache = &cc
-		sys := SysUnordered
-		if b, ok := strings.CutPrefix(row, "tyr@"); ok {
-			sys = SysTyr
-			fmt.Sscan(b, &sc.Tags)
-		}
-		rs, err := Run(app, sys, sc)
-		if err != nil {
-			return fmt.Errorf("locality: %s/%s L1=%dw: %w", app.Name, row, cc.L1.Words(), err)
-		}
-		if rs.Cache == nil {
-			return fmt.Errorf("locality: %s/%s produced no cache stats", app.Name, row)
-		}
-		d.Points[i] = LocalityPoint{
-			App: app.Name, Row: row, L1Words: cc.L1.Words(),
-			L1Miss: rs.Cache.L1.MissRate, L2Miss: rs.Cache.L2.MissRate,
-			AMAT: rs.Cache.AMAT, Cycles: rs.Cycles, PeakLive: rs.PeakLive,
-		}
-		return nil
-	})
+	runs, err := runCells("locality", cells)
 	if err != nil {
 		return nil, "", err
+	}
+	for i, rs := range runs {
+		p := &d.Points[i]
+		if rs.Cache == nil {
+			return nil, "", fmt.Errorf("locality: %s/%s produced no cache stats", p.App, p.Row)
+		}
+		p.L1Miss, p.L2Miss, p.AMAT = rs.Cache.L1.MissRate, rs.Cache.L2.MissRate, rs.Cache.AMAT
+		p.Cycles, p.PeakLive = rs.Cycles, rs.PeakLive
 	}
 
 	tight := d.Rows[1] // tyr@<smallest budget>

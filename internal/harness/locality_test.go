@@ -12,13 +12,7 @@ import (
 // majority of the seven kernels, and the working-set effect is monotone —
 // the tight budget never averages worse than unlimited across the sweep.
 func TestClaimLocality(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need the small scale")
-	}
-	d, _, err := Locality(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smallData[*LocalityData](t, "locality")
 	if len(d.Apps) != 7 {
 		t.Fatalf("locality swept %d kernels, want 7", len(d.Apps))
 	}

@@ -15,7 +15,7 @@ func readGoldenDigests(t *testing.T) map[string]string {
 	t.Helper()
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatalf("missing golden file (generate with TYR_UPDATE_GOLDEN=1): %v", err)
+		t.Fatalf("missing golden file (generate with UPDATE_GOLDEN=1): %v", err)
 	}
 	var want map[string]string
 	if err := json.Unmarshal(data, &want); err != nil {

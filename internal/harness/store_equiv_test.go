@@ -29,7 +29,7 @@ import (
 // Regenerate goldens (only legitimate when intentionally changing engine
 // semantics) with:
 //
-//	TYR_UPDATE_GOLDEN=1 go test ./internal/harness -run TestStoreEquivalenceGolden
+//	UPDATE_GOLDEN=1 go test ./internal/harness -run TestStoreEquivalenceGolden
 const goldenPath = "testdata/engine_golden.json"
 
 // fnv1a accumulates 64-bit values into an FNV-1a hash.
@@ -256,7 +256,7 @@ func TestStoreEquivalenceGolden(t *testing.T) {
 	}
 	got := computeDigests(t)
 
-	if os.Getenv("TYR_UPDATE_GOLDEN") != "" {
+	if os.Getenv("UPDATE_GOLDEN") != "" {
 		// Determinism check before recording: a second sweep must agree,
 		// or the goldens would be flaky by construction.
 		again := computeDigests(t)
@@ -290,7 +290,7 @@ func TestStoreEquivalenceGolden(t *testing.T) {
 
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatalf("missing golden file (generate with TYR_UPDATE_GOLDEN=1): %v", err)
+		t.Fatalf("missing golden file (generate with UPDATE_GOLDEN=1): %v", err)
 	}
 	var want map[string]string
 	if err := json.Unmarshal(data, &want); err != nil {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -35,41 +34,29 @@ func Uarch(cfg ExpConfig) (*UarchData, string, error) {
 	cfg = cfg.withDefaults()
 	d := &UarchData{Tags: cfg.Tags}
 	suite := apps.Suite(cfg.Scale)
+	var cells []cell
 	for _, appName := range []string{"dmv", "dconv", "spmspm", "tc"} {
 		app := apps.Find(suite, appName)
-		g, err := app.Tagged()
-		if err != nil {
-			return nil, "", err
+		for _, sys := range []string{SysTyr, SysUnordered} {
+			cells = append(cells, cell{app, sys, cfg.sys()})
 		}
-		for _, s := range []struct {
-			name string
-			ecfg core.Config
-		}{
-			{"tyr", core.Config{Policy: core.PolicyTyr, TagsPerBlock: cfg.Tags}},
-			{"unordered", core.Config{Policy: core.PolicyGlobalUnlimited}},
-		} {
-			ecfg := s.ecfg
-			ecfg.IssueWidth = cfg.IssueWidth
-			im := app.NewImage()
-			res, err := core.Run(g, im, ecfg)
-			if err != nil {
-				return nil, "", fmt.Errorf("uarch: %s/%s: %w", appName, s.name, err)
-			}
-			if err := app.Check(im, res.ResultValue); err != nil {
-				return nil, "", fmt.Errorf("uarch: %s/%s wrong output: %w", appName, s.name, err)
-			}
-			framePct := 0.0
-			if tot := res.FrameTokens + res.CrossTokens; tot > 0 {
-				framePct = float64(res.FrameTokens) / float64(tot)
-			}
-			d.Rows = append(d.Rows, UarchRow{
-				App:               appName,
-				Scheme:            s.name,
-				PeakStorePerInstr: res.PeakStorePerInstr,
-				PeakLive:          res.PeakLive,
-				FramePct:          framePct,
-			})
+	}
+	runs, err := runCells("uarch", cells)
+	if err != nil {
+		return nil, "", err
+	}
+	for _, rs := range runs {
+		framePct := 0.0
+		if tot := rs.FrameTokens + rs.CrossTokens; tot > 0 {
+			framePct = float64(rs.FrameTokens) / float64(tot)
 		}
+		d.Rows = append(d.Rows, UarchRow{
+			App:               rs.App,
+			Scheme:            rs.System,
+			PeakStorePerInstr: rs.PeakStorePerInstr,
+			PeakLive:          rs.PeakLive,
+			FramePct:          framePct,
+		})
 	}
 
 	tb := &metrics.Table{Headers: []string{

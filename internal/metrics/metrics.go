@@ -232,6 +232,12 @@ type RunStats struct {
 	// block, for tools that print it (tyrsim -blocks). It is never
 	// serialized.
 	Spaces []SpaceStats `json:"-"`
+	// PeakStorePerInstr, FrameTokens and CrossTokens are the tagged
+	// machine's token-store figures (core.Result documents them), for the
+	// uarch study. They are never serialized.
+	PeakStorePerInstr int   `json:"-"`
+	FrameTokens       int64 `json:"-"`
+	CrossTokens       int64 `json:"-"`
 }
 
 // SpaceStats reports tag usage and state of one local tag space.
@@ -246,12 +252,13 @@ type SpaceStats struct {
 	PeakLiveTokens int64
 }
 
-// DeadlockSpace reports one starved tag space at deadlock time.
+// DeadlockSpace reports one starved tag space at deadlock time: which
+// block's contexts could not be created, under what budget.
 type DeadlockSpace struct {
-	Block   string `json:"block"`
-	Kind    string `json:"kind"` // "root", "loop", or "func"
-	Tags    int    `json:"tags"` // tag budget (0 = unbounded)
-	InUse   int    `json:"in_use"`
+	Block   string `json:"block"`   // loop label, function name or "root"
+	Kind    string `json:"kind"`    // "root", "loop", or "func"
+	Tags    int    `json:"tags"`    // tag budget that applied (0 = unbounded)
+	InUse   int    `json:"in_use"`  // tags held when the machine stopped
 	Starved int    `json:"starved"` // allocates parked on this space
 }
 

@@ -28,6 +28,7 @@ func FuzzServeRun(f *testing.F) {
 		`{"app":"dmv","scale":"tiny","system":"tyr","issue_width":1000000000,"tags":4000000}`,
 		`{"source":"program \"big\" entry main\nmem a[1000000000]\n\nfunc main() {\n  return 0\n}\n","system":"tyr"}`,
 		`{"system": "tyr", "app"`,
+		`{"app":"dmv","scale":"tiny","system":"tyr","timeout_ms":50}`,
 	}, func(reply []byte) (string, error) {
 		var rr api.RunResult
 		err := json.Unmarshal(reply, &rr)
@@ -44,6 +45,8 @@ func FuzzServeSweep(f *testing.F) {
 		`{"scale":"tiny","apps":["dmv"],"systems":["tyr"],"cell_start":2}`,
 		overflowSweep,
 		`{"scale": "tiny", "apps"`,
+		`{"scale":"tiny","apps":["dmv"],"systems":["tyr"],"exec":{"deadline_ms":50}}`,
+		`{"scale":"tiny","apps":["dmv"],"systems":["tyr"],"timeout_ms":50,"exec":{"shards":2}}`,
 	}, func(reply []byte) (string, error) {
 		var sr api.SweepResult
 		err := json.Unmarshal(reply, &sr)

@@ -38,9 +38,10 @@ type Config struct {
 	// QueueDepth bounds submissions waiting for a worker; anything beyond it
 	// is rejected with 429 (default: 4x workers).
 	QueueDepth int
-	// DefaultTimeout applies when a request has no timeout_ms (default 30s).
+	// DefaultTimeout applies when a request has no exec.deadline_ms
+	// (default 30s).
 	DefaultTimeout time.Duration
-	// MaxTimeout caps a request's timeout_ms (default 5m).
+	// MaxTimeout caps a request's exec.deadline_ms (default 5m).
 	MaxTimeout time.Duration
 	// OracleMaxSteps caps the reference-interpreter oracle run that
 	// validates inline `source` workloads (default 2^32 dynamic
@@ -230,10 +231,10 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, code int, er
 	var ve *api.ValidationError
 	if errors.As(err, &ve) {
 		body.Fields = ve.Fields
-		// Migration notes (e.g. top-level "timeout_ms" vs
-		// exec.deadline_ms, or the retired exec.shards) ride the
-		// structured error body so clients migrating the API surface see
-		// the guidance on the same 400 that rejected them.
+		// Migration notes (e.g. the retired top-level timeout_ms or
+		// exec.shards) ride the structured error body so clients
+		// migrating the API surface see the guidance on the same 400
+		// that rejected them.
 		body.Notes = ve.Notes
 	}
 	writeJSON(w, code, body)
@@ -338,8 +339,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// timeout resolves a request's deadline from its timeout_ms, clamped to the
-// server's maximum.
+// timeout resolves a request's deadline from its exec.deadline_ms, clamped
+// to the server's maximum.
 func (s *Server) timeout(ms int64) time.Duration {
 	to := s.cfg.DefaultTimeout
 	if ms > 0 {
@@ -697,7 +698,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.endStage(t, adm, "admission")
 
-	ctx, cancelCtx := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
+	ctx, cancelCtx := context.WithTimeout(r.Context(), s.timeout(req.Exec.Deadline()))
 	defer cancelCtx()
 	flag := &cancel.Flag{}
 	release := cancel.WatchContext(ctx, flag)

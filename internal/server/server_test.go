@@ -146,7 +146,7 @@ func TestConcurrentRuns(t *testing.T) {
 func TestDeadlineExceededMidRun(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 4})
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{
-		App: "spmspm", Scale: "medium", System: "tyr", TimeoutMS: 1,
+		App: "spmspm", Scale: "medium", System: "tyr", Exec: &api.ExecSpec{DeadlineMS: 1},
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504; body: %s", resp.StatusCode, body)
@@ -182,7 +182,7 @@ func TestDeadlineCancelsSourceOracle(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
 	start := time.Now()
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{
-		Source: spinSource, System: "tyr", TimeoutMS: 1,
+		Source: spinSource, System: "tyr", Exec: &api.ExecSpec{DeadlineMS: 1},
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504; body: %s", resp.StatusCode, body)
@@ -322,6 +322,47 @@ func TestRetiredShards(t *testing.T) {
 // lockstep batching.
 func TestRetiredBatch(t *testing.T) {
 	checkRetiredKnob(t, "batch", "exec.batch is retired")
+}
+
+// TestRetiredTimeoutMS drives the retired top-level timeout_ms through the
+// real handlers of both endpoints: any nonzero value is a 400 on
+// timeout_ms whose one note names exec.deadline_ms, and the same request
+// spelled with exec.deadline_ms runs.
+func TestRetiredTimeoutMS(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	for path, body := range map[string]string{
+		"/v1/run":   `{"app":"dmv","scale":"tiny","system":"tyr",%s}`,
+		"/v1/sweep": `{"scale":"tiny","apps":["dmv"],"systems":["tyr"],%s}`,
+	} {
+		for deadline, want := range map[string]int{
+			`"timeout_ms":5000`:           http.StatusBadRequest,
+			`"exec":{"deadline_ms":5000}`: http.StatusOK,
+		} {
+			resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(fmt.Sprintf(body, deadline)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("%s %s: status = %d, want %d; body: %s", path, deadline, resp.StatusCode, want, reply)
+				continue
+			}
+			if want == http.StatusOK {
+				continue
+			}
+			var eb api.ErrorBody
+			if err := json.Unmarshal(reply, &eb); err != nil {
+				t.Fatal(err)
+			}
+			if len(eb.Fields) != 1 || eb.Fields[0].Field != "timeout_ms" {
+				t.Errorf("%s: want a single timeout_ms field error, got %+v", path, eb.Fields)
+			}
+			if len(eb.Notes) != 1 || !strings.Contains(eb.Notes[0], "exec.deadline_ms") {
+				t.Errorf("%s: want one note naming exec.deadline_ms, got %q", path, eb.Notes)
+			}
+		}
+	}
 }
 
 // checkRetiredKnob posts exec.<knob> = 2 and = 1 to the real handler: the

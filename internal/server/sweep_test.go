@@ -196,7 +196,7 @@ var runStageCount = regexp.MustCompile(`(?m)^tyrd_stage_duration_seconds_count\{
 // and draining the pool (late helpers included) adds none.
 func TestSweepDeadlineStopsClaims(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/sweep", api.SweepRequest{Scale: "medium", TimeoutMS: 200})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/sweep", api.SweepRequest{Scale: "medium", Exec: &api.ExecSpec{DeadlineMS: 200}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504; body: %s", resp.StatusCode, body)
 	}
