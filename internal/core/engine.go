@@ -12,14 +12,16 @@ import (
 	"repro/internal/trace"
 )
 
-// token is one in-flight value addressed to an input port. src is the
-// producing node (dfg.InvalidNode for entry injections), kept for the
-// trace's dependency edges.
+// token is one in-flight value, addressed to input port in of node node;
+// 32 bytes, two to a cache line. src is the producing node
+// (dfg.InvalidNode for entry injections), kept for the trace's dependency
+// edges.
 type token struct {
-	to  dfg.Port
-	src dfg.NodeID
-	tag uint64
-	val int64
+	tag  uint64
+	val  int64
+	node dfg.NodeID
+	in   int32
+	src  dfg.NodeID
 }
 
 type fireRef struct {
@@ -254,10 +256,6 @@ func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
 	m.liveTrace = metrics.NewLiveTrace(cfg.TracePoints)
 	m.rec = cfg.Tracer
 
-	for i := range g.Nodes {
-		ni := &info[i]
-		m.stores[i].init(g.Nodes[i].NIn, ni.words, ni.needInit, ni.constVals)
-	}
 	m.fireVals = make([]int64, maxIn)
 
 	nspaces := len(g.Blocks)
@@ -317,6 +315,20 @@ func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
 			pool[t] = uint64(s)<<32 | uint64(tags-1-t)
 		}
 		m.poolLocal[s] = pool
+	}
+
+	// Under tyr and local-nogate a node's tokens carry tags of its block's
+	// pool, space<<32 | i, so the pool index i names the waiting instance
+	// directly. global-bounded's tags are dense too, but every node would
+	// see the whole global pool's indices, so its stores hash.
+	for i := range g.Nodes {
+		ni := &info[i]
+		blk := g.Nodes[i].Block
+		var base, pool uint64
+		if cfg.Policy == PolicyTyr || cfg.Policy == PolicyLocalNoGate {
+			base, pool = uint64(blk)<<32, uint64(m.spaceTags[blk])
+		}
+		m.stores[i].init(g.Nodes[i].NIn, ni.words, ni.needInit, ni.constVals, base, pool)
 	}
 	return m, nil
 }
@@ -510,7 +522,11 @@ func (m *machine) pendingIndex(space dfg.BlockID) dfg.BlockID {
 //
 //tyr:hotpath
 func (m *machine) emit(src dfg.NodeID, to dfg.Port, tag uint64, val int64) {
-	m.outbox = append(m.outbox, token{to: to, src: src, tag: tag, val: val})
+	// Fill the token in place: building it as a literal and copying it in
+	// stalls on store forwarding.
+	m.outbox = append(m.outbox, token{})
+	t := &m.outbox[len(m.outbox)-1]
+	t.tag, t.val, t.node, t.in, t.src = tag, val, to.Node, int32(to.In), src
 	m.live++
 	blk := m.g.Nodes[to.Node].Block
 	m.liveByBlock[blk]++
@@ -564,7 +580,7 @@ func (m *machine) memLatency(kind mem.AccessKind, nid dfg.NodeID, addr int64) in
 //tyr:hotpath
 func (m *machine) emitAllDelayed(n *dfg.Node, out int, tag uint64, val int64, due int64) {
 	for _, d := range n.Outs[out] {
-		m.delayed.Push(due, token{to: d, src: n.ID, tag: tag, val: val})
+		m.delayed.Push(due, token{tag: tag, val: val, node: d.Node, in: int32(d.In), src: n.ID})
 		m.live++
 		blk := m.g.Nodes[d.Node].Block
 		m.liveByBlock[blk]++
@@ -603,33 +619,40 @@ func (m *machine) evSeq() uint64 {
 // an instance and scheduling it.
 //
 //tyr:hotpath
-func (m *machine) deliver(t token) error {
-	nid := t.to.Node
+func (m *machine) deliver(t *token) error {
+	nid := t.node
+	port := int(t.in)
 	n := &m.g.Nodes[nid]
 	ws := &m.stores[nid]
 	slot := ws.lookup(t.tag)
 	if slot < 0 {
 		slot = ws.insert(t.tag)
+		if slot < 0 {
+			// A pooled store has no slot for a tag from outside its
+			// block's pool, which no allocate of the block handed out.
+			return fmt.Errorf("core: token for %s %q carries tag %#x, outside block %q's pool of %d tags",
+				n.Op, n.Label, t.tag, m.g.Blocks[n.Block].Name, m.spaceTags[n.Block])
+		}
 		if occ := int32(ws.len()); occ > m.storePeak[nid] {
 			m.storePeak[nid] = occ
 		}
 	}
-	if ws.has(slot, t.to.In) {
+	if ws.has(slot, port) {
 		if m.san != nil {
 			return m.san.fail(Diagnostic{
 				Kind: DiagTokenCollision, Cycle: m.cycle, Node: nid, Label: n.Label, Tag: t.tag, Event: m.evSeq(),
 				Detail: fmt.Sprintf("second token at %s port %d for tag %#x (fan-in overflow; free barrier violated?)",
-					n.Op, t.to.In, t.tag),
+					n.Op, port, t.tag),
 			})
 		}
 		return fmt.Errorf("core: token collision at %s %q port %d tag %#x (free barrier violated?)",
-			n.Op, n.Label, t.to.In, t.tag)
+			n.Op, n.Label, port, t.tag)
 	}
-	if n.ConstIn[t.to.In].Valid {
-		return fmt.Errorf("core: token delivered to const-bound port %d of %q", t.to.In, n.Label)
+	if n.ConstIn[port].Valid {
+		return fmt.Errorf("core: token delivered to const-bound port %d of %q", port, n.Label)
 	}
-	ws.set(slot, t.to.In)
-	ws.valSlice(slot)[t.to.In] = t.val
+	ws.set(slot, port)
+	ws.valSlice(slot)[port] = t.val
 	ws.need[slot]--
 	if m.rec != nil {
 		kind := trace.KindDeliver
@@ -638,7 +661,7 @@ func (m *machine) deliver(t token) error {
 		}
 		m.rec.Record(trace.Event{Cycle: m.cycle, Kind: kind,
 			Node: int32(nid), Src: int32(t.src), Block: int32(n.Block),
-			Port: int16(t.to.In), Tag: t.tag, Val: t.val})
+			Port: int16(port), Tag: t.tag, Val: t.val})
 	}
 
 	if n.Op == dfg.OpAllocate {
@@ -970,15 +993,16 @@ func (m *machine) stepCycle() (bool, error) {
 	// the spare while the previous cycle's batch drains.
 	box := m.outbox
 	m.outbox = m.outboxSpare[:0]
-	for _, t := range box {
-		if err := m.deliver(t); err != nil {
+	for i := range box {
+		if err := m.deliver(&box[i]); err != nil {
 			return false, err
 		}
 	}
 	m.outboxSpare = box
 	if m.delayed.Len() > 0 {
-		for _, t := range m.delayed.Take(m.cycle) {
-			if err := m.deliver(t); err != nil {
+		due := m.delayed.Take(m.cycle)
+		for i := range due {
+			if err := m.deliver(&due[i]); err != nil {
 				return false, err
 			}
 		}

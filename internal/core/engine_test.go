@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"repro/internal/apps"
 	"repro/internal/compile"
 	"repro/internal/dfg"
 	"repro/internal/mem"
@@ -339,5 +342,117 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("run %d differs: %+v vs %+v", i, res, prev)
 		}
 		prev = res
+	}
+}
+
+// TestPooledStoreMemoryFollowsOccupancy runs small dconv on 65,536-tag
+// pools and checks that no pooled store sized itself by its pool: each
+// arena holds at most twice the node's peak occupancy (at least
+// wsMinCap), and each directory is no longer than its block's peak tags
+// in use, which bounds the highest pool index the node can have seen,
+// rounded up to a power of two. Under global-bounded every store hashes:
+// a directory there would follow the whole global pool's peak on every
+// node.
+func TestPooledStoreMemoryFollowsOccupancy(t *testing.T) {
+	app := apps.Dconv(28, 28, 5, 3)
+	g, err := app.Tagged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{Policy: PolicyTyr, TagsPerBlock: 65536},
+		{Policy: PolicyGlobalBounded, GlobalTags: 65536},
+	} {
+		im := app.NewImage()
+		m, err := newMachine(g, im, cfg.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Fatalf("%v: did not complete: %v", cfg.Policy, res.Deadlock)
+		}
+		if err := app.Check(im, res.ResultValue); err != nil {
+			t.Fatal(err)
+		}
+		for nid := range m.stores {
+			ws := &m.stores[nid]
+			n := &g.Nodes[nid]
+			if cfg.Policy == PolicyGlobalBounded {
+				if ws.pool != 0 || ws.dir != nil {
+					t.Fatalf("%q: global-bounded store is pooled (pool %d, directory %d)", n.Label, ws.pool, len(ws.dir))
+				}
+				continue
+			}
+			if ws.pool != 65536 {
+				t.Fatalf("%q: store pool %d, want the block's 65536", n.Label, ws.pool)
+			}
+			if arena, limit := len(ws.tags), max(wsMinCap, 2*int(m.storePeak[nid])); arena > limit {
+				t.Errorf("%q: arena of %d records for a peak of %d waiting instances", n.Label, arena, m.storePeak[nid])
+			}
+			peak := m.peakInUse[n.Block]
+			if limit := 1 << bits.Len(uint(max(peak, 1)-1)); cap(ws.dir) > limit {
+				t.Errorf("%q: directory of %d entries for a block peak of %d tags in use", n.Label, cap(ws.dir), peak)
+			}
+		}
+	}
+}
+
+// foreignTagGraph forges a token in the root block that carries the
+// first tag of block 1's pool (1<<32), which lies outside the root
+// block's pool.
+const foreignTagGraph = `graph "foreign"
+block 1 loop parent=0 name="other"
+node 0 forward blk=0 nin=1 label="entry"
+node 1 changeTag blk=0 nin=2 const0=4294967296 label="forge"
+node 2 join blk=0 nin=2 label="victim"
+node 3 free blk=0 nin=1 space=0 label="root.free"
+edge 0.0 -> 1.1
+edge 0.0 -> 3.0
+edge 1.0 -> 2.0
+inject 0.0 = 1
+rootfree 3
+`
+
+// TestForeignTagFailsRun: under the policies whose stores index tags by
+// pool index, a token whose tag lies outside its destination block's pool
+// fails the run with an error naming the node and the tag, instead of
+// landing in another instance's slot. Hashed stores (unlimited tags, one
+// bounded global pool) take any tag.
+func TestForeignTagFailsRun(t *testing.T) {
+	g, err := dfg.ParseGraph([]byte(foreignTagGraph))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{Policy: PolicyTyr, TagsPerBlock: 8},
+		{Policy: PolicyLocalNoGate, TagsPerBlock: 8},
+	} {
+		_, err := Run(g, mem.NewImage(), cfg)
+		if err == nil {
+			t.Errorf("%v: a foreign tag ran without error", cfg.Policy)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"victim"`) || !strings.Contains(msg, "0x100000000") {
+			t.Errorf("%v: error does not name the node and the tag: %v", cfg.Policy, err)
+		}
+	}
+	for _, cfg := range []Config{
+		{Policy: PolicyGlobalUnlimited},
+		{Policy: PolicyGlobalBounded, GlobalTags: 8},
+	} {
+		if _, err := Run(g, mem.NewImage(), cfg); err != nil {
+			t.Errorf("%v: a hashed store refused the token: %v", cfg.Policy, err)
+		}
+	}
+}
+
+// TestTokenIs32Bytes pins the in-flight token's size: two per cache line.
+func TestTokenIs32Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(token{}); size != 32 {
+		t.Fatalf("token is %d bytes, want 32", size)
 	}
 }

@@ -1,18 +1,34 @@
 package core
 
+import "math/bits"
+
 // The waiting-token store. The seed engine matched tokens through a
 // per-node map[uint64]*entry with one heap-allocated entry per waiting
 // dynamic instance; on the simulator's hot loop that means a Go map probe
 // plus a pointer chase per token, and GC pressure proportional to the
 // token rate. waitStore replaces it with the software analogue of
-// Monsoon's explicit token store (DESIGN.md §6): an open-addressed,
-// power-of-two hash table keyed by tag, with every per-instance field —
+// Monsoon's explicit token store (DESIGN.md §6): every per-instance field —
 // operand values (slots sized by the node's fan-in), presence bitset,
-// remaining-operand count, and firing flags — stored inline in
-// slot-parallel arrays. Matching is a linear probe over a flat array;
-// insert and delete never allocate once the table has grown to the run's
-// peak occupancy (the table is the entry arena, and open addressing is
-// its freelist).
+// remaining-operand count, and firing flags — lives inline in
+// record-parallel arrays, and only the slot function that names a tag's
+// record depends on the tag space:
+//
+//   - Pooled (tyr, local-nogate): every tag the node sees is its block
+//     pool's base plus an index below the pool size, so a directory
+//     indexed by that index names the record directly — no hash, no
+//     probe, no shift. The directory grows to the highest index
+//     the node has seen (never past the pool), so every node of a block
+//     pays 4 B per index the block has handed out, whatever its own
+//     occupancy; the records form an arena sized by occupancy whose free
+//     records chain through need.
+//   - Hashed (unlimited, k-bound, global-bounded): the records are an
+//     open-addressed, power-of-two hash table keyed by tag; the table is
+//     the arena, and open addressing is its freelist. Unlimited and
+//     k-bound tags are unbounded, and global-bounded's one pool is
+//     shared by every block, so a directory would cover it on every node.
+//
+// Insert and delete never allocate once the store has grown to the run's
+// peak occupancy.
 
 // Slot flag bits (the entry's allocate-specific state).
 const (
@@ -21,7 +37,7 @@ const (
 	wsParked                   // starved of tags; waiting in a pending list
 )
 
-// wsMinCap is the initial table capacity (power of two).
+// wsMinCap is the initial table and arena capacity (power of two).
 const wsMinCap = 8
 
 // hashTag mixes a tag into a table index base. Tags are highly structured
@@ -35,39 +51,70 @@ func hashTag(tag uint64) uint32 {
 
 // waitStore is one static node's token store.
 type waitStore struct {
-	nIn      int     // operand slots per instance
-	words    int     // presence-bitset words per instance
-	needInit int32   // operands a fresh instance still waits for
-	consts   []int64 // constant-port prefill (len nIn, shared, read-only)
+	// Pooled slot function (pool > 0): dir[tag-base] is the tag's record,
+	// or -1; free heads the list of free records, linked through need.
+	pool uint64
+	base uint64
+	dir  []int32
+	free int32
 
-	mask    uint32 // capacity - 1
-	n       int    // occupied slots
-	growAt  int    // occupancy threshold that triggers doubling
-	used    []bool
+	// Hashed slot function (pool == 0).
+	mask   uint32 // capacity - 1
+	used   []bool
+	growAt int // occupancy threshold that triggers doubling
+
+	// The records: per-instance state, indexed by slot.
+	n       int // occupied slots
 	tags    []uint64
 	need    []int32
 	flags   []uint8
 	vals    []int64  // capacity * nIn
 	present []uint64 // capacity * words
+
+	nIn      int     // operand slots per instance
+	words    int     // presence-bitset words per instance
+	needInit int32   // operands a fresh instance still waits for
+	consts   []int64 // constant-port prefill (len nIn, shared, read-only)
 }
 
-func (ws *waitStore) init(nIn, words int, needInit int32, consts []int64) {
+// init sets the store up for a node with nIn operand ports. pool is the
+// size of the tag pool the node's tags come from when they are dense
+// (base+i with i < pool), 0 when they are unbounded.
+func (ws *waitStore) init(nIn, words int, needInit int32, consts []int64, base, pool uint64) {
 	ws.nIn = nIn
 	ws.words = words
 	ws.needInit = needInit
 	ws.consts = consts
+	ws.base = base
+	ws.pool = pool
+	ws.free = -1
 	ws.alloc(wsMinCap)
+	if pool > 0 {
+		ws.link(0)
+	}
 }
 
+// alloc replaces the records with capacity empty ones.
 func (ws *waitStore) alloc(capacity int) {
-	ws.mask = uint32(capacity - 1)
-	ws.growAt = capacity * 13 / 16
-	ws.used = make([]bool, capacity)
 	ws.tags = make([]uint64, capacity)
 	ws.need = make([]int32, capacity)
 	ws.flags = make([]uint8, capacity)
 	ws.vals = make([]int64, capacity*ws.nIn)
 	ws.present = make([]uint64, capacity*ws.words)
+	if ws.pool == 0 {
+		ws.mask = uint32(capacity - 1)
+		ws.growAt = capacity * 13 / 16
+		ws.used = make([]bool, capacity)
+	}
+}
+
+// link pushes the pooled arena's records from first on onto the free
+// list, lowest first out.
+func (ws *waitStore) link(first int) {
+	for i := len(ws.need) - 1; i >= first; i-- {
+		ws.need[i] = ws.free
+		ws.free = int32(i)
+	}
 }
 
 //tyr:hotpath
@@ -77,6 +124,12 @@ func (ws *waitStore) len() int { return ws.n }
 //
 //tyr:hotpath
 func (ws *waitStore) lookup(tag uint64) int32 {
+	if ws.pool > 0 {
+		if idx := tag - ws.base; idx < uint64(len(ws.dir)) {
+			return ws.dir[idx]
+		}
+		return -1
+	}
 	i := hashTag(tag) & ws.mask
 	for ws.used[i] {
 		if ws.tags[i] == tag {
@@ -89,19 +142,38 @@ func (ws *waitStore) lookup(tag uint64) int32 {
 
 // insert adds a fresh instance for tag (which must not be present) and
 // returns its slot: operands prefilled with the node's constants, presence
-// cleared, flags zeroed. Grows first if the load factor would be exceeded,
-// so the returned slot stays valid until the next insert or delete.
+// cleared, flags zeroed. A pooled store refuses a tag outside its pool
+// with -1. Grows first if needed, so the returned slot stays valid until
+// the next insert or delete.
 //
 //tyr:hotpath
 func (ws *waitStore) insert(tag uint64) int32 {
-	if ws.n >= ws.growAt {
-		ws.grow()
+	var i int32
+	if ws.pool > 0 {
+		idx := tag - ws.base
+		if idx >= ws.pool {
+			return -1
+		}
+		if idx >= uint64(len(ws.dir)) {
+			ws.growDir(idx)
+		}
+		if ws.free < 0 {
+			ws.growArena()
+		}
+		i = ws.free
+		ws.free = ws.need[i]
+		ws.dir[idx] = i
+	} else {
+		if ws.n >= ws.growAt {
+			ws.grow()
+		}
+		h := hashTag(tag) & ws.mask
+		for ws.used[h] {
+			h = (h + 1) & ws.mask
+		}
+		ws.used[h] = true
+		i = int32(h)
 	}
-	i := hashTag(tag) & ws.mask
-	for ws.used[i] {
-		i = (i + 1) & ws.mask
-	}
-	ws.used[i] = true
 	ws.tags[i] = tag
 	ws.need[i] = ws.needInit
 	ws.flags[i] = 0
@@ -111,7 +183,30 @@ func (ws *waitStore) insert(tag uint64) int32 {
 		pw[w] = 0
 	}
 	ws.n++
-	return int32(i)
+	return i
+}
+
+// growDir extends a pooled store's directory to cover pool index idx:
+// the next power of two above idx, capped at the pool.
+func (ws *waitStore) growDir(idx uint64) {
+	dir := make([]int32, min(uint64(1)<<bits.Len64(idx), ws.pool))
+	n := copy(dir, ws.dir)
+	for i := n; i < len(dir); i++ {
+		dir[i] = -1
+	}
+	ws.dir = dir
+}
+
+// growArena doubles a pooled store's records once every one is occupied.
+func (ws *waitStore) growArena() {
+	old := *ws
+	ws.alloc(2 * len(old.tags))
+	copy(ws.tags, old.tags)
+	copy(ws.need, old.need)
+	copy(ws.flags, old.flags)
+	copy(ws.vals, old.vals)
+	copy(ws.present, old.present)
+	ws.link(len(old.tags))
 }
 
 func (ws *waitStore) grow() {
@@ -135,15 +230,23 @@ func (ws *waitStore) grow() {
 	}
 }
 
-// delSlot removes the instance at slot using backward-shift deletion (no
-// tombstones: subsequent entries whose probe chains pass through the hole
-// are shifted back, keeping lookups tombstone-free forever).
+// delSlot removes the instance at slot. A pooled store clears its
+// directory entry and frees the record; a hashed one uses backward-shift
+// deletion (no tombstones: subsequent entries whose probe chains pass
+// through the hole are shifted back, keeping lookups tombstone-free
+// forever).
 //
 //tyr:hotpath
 func (ws *waitStore) delSlot(slot int32) {
+	ws.n--
+	if ws.pool > 0 {
+		ws.dir[ws.tags[slot]-ws.base] = -1
+		ws.need[slot] = ws.free
+		ws.free = slot
+		return
+	}
 	i := uint32(slot)
 	ws.used[i] = false
-	ws.n--
 	j := i
 	for {
 		j = (j + 1) & ws.mask
@@ -200,9 +303,18 @@ func (ws *waitStore) setFlag(slot int32, f uint8) { ws.flags[slot] |= f }
 //tyr:hotpath
 func (ws *waitStore) clearFlag(slot int32, f uint8) { ws.flags[slot] &^= f }
 
-// forEach visits every waiting instance in slot order (deterministic).
-// The callback must not insert into or delete from the store.
+// forEach visits every waiting instance in a deterministic order: pool
+// index order for a pooled store, slot order for a hashed one. The
+// callback must not insert into or delete from the store.
 func (ws *waitStore) forEach(fn func(tag uint64, slot int32)) {
+	if ws.pool > 0 {
+		for _, slot := range ws.dir {
+			if slot >= 0 {
+				fn(ws.tags[slot], slot)
+			}
+		}
+		return
+	}
 	for i := range ws.used {
 		if ws.used[i] {
 			fn(ws.tags[i], int32(i))

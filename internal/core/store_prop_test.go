@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -12,7 +13,9 @@ import (
 // toward small dense values and pool-style space<<32|idx encodings —
 // exactly the structured keys the engines produce, and the worst case for
 // a weak hash — plus deliberately colliding keys to exercise linear
-// probing and backward-shift deletion across wrap-around.
+// probing and backward-shift deletion across wrap-around. The same op
+// streams drive a pooled store with every key drawn from one pool, so its
+// directory and arena grow mid-stream.
 
 // storeOp is one randomized store operation.
 type storeOp struct {
@@ -29,6 +32,18 @@ func propTag(key uint16) uint64 {
 		return uint64(key >> 1)
 	}
 	return uint64(key>>8)<<32 | uint64(key&0xff)
+}
+
+// The pool the pooled property store draws its tags from: space 3 of a
+// per-space policy, 300 tags.
+const (
+	propPoolBase = uint64(3) << 32
+	propPoolSize = 300
+)
+
+// propPoolTag maps a key to a tag of the property pool.
+func propPoolTag(key uint16) uint64 {
+	return propPoolBase + uint64(key)%propPoolSize
 }
 
 // refInstance is the reference model's per-instance state.
@@ -84,7 +99,9 @@ func checkAgainstRef(t *testing.T, ws *waitStore, ref map[uint64]*refInstance) b
 	return ok
 }
 
-func runStoreOps(t *testing.T, nIn int, ops []storeOp) bool {
+// runStoreOps applies ops to a fresh store and to the reference model: a
+// hashed store over propTag's keys, or a pooled one over propPoolTag's.
+func runStoreOps(t *testing.T, nIn int, pooled bool, ops []storeOp) bool {
 	t.Helper()
 	words := (nIn + 63) / 64
 	consts := make([]int64, nIn)
@@ -92,11 +109,17 @@ func runStoreOps(t *testing.T, nIn int, ops []storeOp) bool {
 		consts[p] = int64(100 + p)
 	}
 	var ws waitStore
-	ws.init(nIn, words, int32(nIn), consts)
+	tagOf := propTag
+	if pooled {
+		ws.init(nIn, words, int32(nIn), consts, propPoolBase, propPoolSize)
+		tagOf = propPoolTag
+	} else {
+		ws.init(nIn, words, int32(nIn), consts, 0, 0)
+	}
 	ref := map[uint64]*refInstance{}
 
 	for _, op := range ops {
-		tag := propTag(op.Key)
+		tag := tagOf(op.Key)
 		port := int(op.Port) % nIn
 		switch op.Kind % 4 {
 		case 0:
@@ -107,7 +130,7 @@ func runStoreOps(t *testing.T, nIn int, ops []storeOp) bool {
 			ri := &refInstance{need: int32(nIn), vals: make([]int64, nIn), present: make([]bool, nIn)}
 			copy(ri.vals, consts)
 			ref[tag] = ri
-			if int(slot) >= len(ws.used) || !ws.used[slot] || ws.tags[slot] != tag {
+			if slot < 0 || ws.lookup(tag) != slot || ws.tags[slot] != tag {
 				t.Logf("insert %#x returned bad slot %d", tag, slot)
 				return false
 			}
@@ -160,14 +183,51 @@ func runStoreOps(t *testing.T, nIn int, ops []storeOp) bool {
 // TestPropStoreMatchesMapReference: a waitStore driven by a random
 // insert/delete/operand/flag stream agrees with a map-backed reference
 // model on membership, slot data, presence bits, and flags, across grows
-// and backward-shift deletions.
+// and backward-shift deletions (hashed) or directory and arena growth and
+// record reuse (pooled).
 func TestPropStoreMatchesMapReference(t *testing.T) {
-	for _, nIn := range []int{1, 2, 3, 7} {
-		nIn := nIn
-		prop := func(ops []storeOp) bool { return runStoreOps(t, nIn, ops) }
-		if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-			t.Fatalf("nIn=%d: %v", nIn, err)
+	for _, pooled := range []bool{false, true} {
+		for _, nIn := range []int{1, 2, 3, 7} {
+			prop := func(ops []storeOp) bool { return runStoreOps(t, nIn, pooled, ops) }
+			if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
+				t.Fatalf("pooled=%v nIn=%d: %v", pooled, nIn, err)
+			}
 		}
+	}
+}
+
+// TestStorePooledRefusesForeignTag: a pooled store has no slot for a tag
+// outside its pool, whether below the base, past the last index, or from
+// another space's pool, and refusing one leaves the store untouched.
+func TestStorePooledRefusesForeignTag(t *testing.T) {
+	var ws waitStore
+	ws.init(2, 1, 2, []int64{0, 0}, propPoolBase, propPoolSize)
+	ws.insert(propPoolBase + 5)
+	dirLen, arenaLen := len(ws.dir), len(ws.tags)
+	for _, tag := range []uint64{
+		propPoolBase - 1,
+		propPoolBase + propPoolSize,
+		propPoolBase + propPoolSize<<1,
+		uint64(4) << 32,
+		0,
+	} {
+		if slot := ws.insert(tag); slot != -1 {
+			t.Errorf("insert(%#x) = slot %d, want -1", tag, slot)
+		}
+		if slot := ws.lookup(tag); slot != -1 {
+			t.Errorf("lookup(%#x) = slot %d, want -1", tag, slot)
+		}
+	}
+	if ws.len() != 1 || len(ws.dir) != dirLen || len(ws.tags) != arenaLen {
+		t.Errorf("refused inserts changed the store: len %d, dir %d (was %d), arena %d (was %d)",
+			ws.len(), len(ws.dir), dirLen, len(ws.tags), arenaLen)
+	}
+	last := propPoolBase + propPoolSize - 1
+	if slot := ws.insert(last); slot < 0 || ws.lookup(last) != slot {
+		t.Fatalf("the pool's last index was refused")
+	}
+	if len(ws.dir) != propPoolSize {
+		t.Errorf("directory grew to %d entries, want the pool's %d", len(ws.dir), propPoolSize)
 	}
 }
 
@@ -179,7 +239,7 @@ func TestPropStoreCollisionChains(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var ws waitStore
-		ws.init(1, 1, 1, []int64{0})
+		ws.init(1, 1, 1, []int64{0}, 0, 0)
 		ref := map[uint64]int64{}
 
 		// Keys whose hash lands in the same 8-slot home bucket: step the
@@ -288,26 +348,51 @@ func TestPropTagMapMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestStoreSteadyStateAllocFree: once the table has grown to the
-// working-set size, an insert/fill/delete churn loop performs zero heap
-// allocations — the property the whole store design exists for.
-func TestStoreSteadyStateAllocFree(t *testing.T) {
-	var ws waitStore
-	ws.init(2, 1, 2, []int64{0, 0})
-	warm := func(base uint64) {
-		for k := uint64(0); k < 64; k++ {
-			slot := ws.insert(base + k)
-			ws.valSlice(slot)[0] = int64(k)
-			ws.set(slot, 0)
-			ws.need[slot]--
-		}
-		for k := uint64(0); k < 64; k++ {
-			ws.delSlot(ws.lookup(base + k))
-		}
+// mallocs counts the heap allocations of rounds calls of f, after one
+// warm-up call. Unlike testing.AllocsPerRun it does not average and
+// truncate, so a structure that allocates once in many rounds shows.
+func mallocs(rounds int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		f()
 	}
-	warm(0) // grow to capacity
-	if allocs := testing.AllocsPerRun(50, func() { warm(1000) }); allocs != 0 {
-		t.Fatalf("steady-state churn allocated %v times per run", allocs)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestStoreSteadyStateAllocFree: once the store has grown to the
+// working-set size, an insert/fill/delete churn loop performs zero heap
+// allocations over 50 rounds — the property the whole store design
+// exists for. The hashed store churns fresh tags; the pooled one churns
+// its pool's indices.
+func TestStoreSteadyStateAllocFree(t *testing.T) {
+	for _, pooled := range []bool{false, true} {
+		var ws waitStore
+		base, churnBase := uint64(0), uint64(1000)
+		if pooled {
+			base, churnBase = propPoolBase, propPoolBase
+			ws.init(2, 1, 2, []int64{0, 0}, propPoolBase, 64)
+		} else {
+			ws.init(2, 1, 2, []int64{0, 0}, 0, 0)
+		}
+		warm := func(base uint64) {
+			for k := uint64(0); k < 64; k++ {
+				slot := ws.insert(base + k)
+				ws.valSlice(slot)[0] = int64(k)
+				ws.set(slot, 0)
+				ws.need[slot]--
+			}
+			for k := uint64(0); k < 64; k++ {
+				ws.delSlot(ws.lookup(base + k))
+			}
+		}
+		warm(base) // grow to capacity
+		if n := mallocs(50, func() { warm(churnBase) }); n != 0 {
+			t.Fatalf("pooled=%v: steady-state churn allocated %d times in 50 rounds", pooled, n)
+		}
 	}
 	tm := newTagMap()
 	churn := func(base uint64) {
@@ -319,7 +404,7 @@ func TestStoreSteadyStateAllocFree(t *testing.T) {
 		}
 	}
 	churn(0)
-	if allocs := testing.AllocsPerRun(50, func() { churn(1000) }); allocs != 0 {
-		t.Fatalf("tagMap steady-state churn allocated %v times per run", allocs)
+	if n := mallocs(50, func() { churn(1000) }); n != 0 {
+		t.Fatalf("tagMap steady-state churn allocated %d times in 50 rounds", n)
 	}
 }

@@ -320,6 +320,33 @@ func TestClaimAblationQueueDepth(t *testing.T) {
 	}
 }
 
+func TestClaimUarchStoreBound(t *testing.T) {
+	d := smallData[*UarchData](t, "uarch")
+	// Problem #2: under TYR no instruction holds more waiting instances
+	// than its tag pool; unlimited tags need more than that on every app.
+	// Either way most tokens stay inside their block (frame-indexable).
+	for _, r := range d.Rows {
+		switch r.Scheme {
+		case SysTyr:
+			if r.PeakStorePerInstr > d.Tags {
+				t.Errorf("%s/tyr: an instruction held %d waiting instances, above the %d-tag pool", r.App, r.PeakStorePerInstr, d.Tags)
+			}
+		case SysUnordered:
+			if r.PeakStorePerInstr <= d.Tags {
+				t.Errorf("%s/unordered: peak store %d per instruction, want above %d", r.App, r.PeakStorePerInstr, d.Tags)
+			}
+		default:
+			t.Errorf("%s: unexpected scheme %q", r.App, r.Scheme)
+		}
+		if r.FramePct < 0.85 {
+			t.Errorf("%s/%s: %.1f%% of tokens frame-indexable, want >= 85%%", r.App, r.Scheme, r.FramePct*100)
+		}
+	}
+	if len(d.Rows) != 8 {
+		t.Errorf("%d uarch rows, want 4 apps x 2 schemes", len(d.Rows))
+	}
+}
+
 func TestClaimLatencyTolerance(t *testing.T) {
 	d := smallData[*LatencyData](t, "latency")
 	// The ordering the paper's motivation predicts: tagged dataflow
