@@ -438,6 +438,14 @@ func KnownSystem(name string) bool {
 // Validate checks the request shape without running anything. The returned
 // error is a *ValidationError listing every bad field.
 func (r *Request) Validate() error {
+	_, err := r.validate()
+	return err
+}
+
+// validate is Validate that also returns the parsed inline source, nil
+// for a suite kernel.
+func (r *Request) validate() (*prog.Program, error) {
+	var src *prog.Program
 	var errs []FieldError
 	checkVersion(r.Version, &errs)
 	if !KnownSystem(r.System) {
@@ -459,8 +467,11 @@ func (r *Request) Validate() error {
 			errs = append(errs, FieldError{"source", err.Error()})
 		} else if err := checkSourceWords(p); err != nil {
 			errs = append(errs, FieldError{"source", err.Error()})
-		} else if r.System == harness.SysTyr {
-			checkTagPools(&errs, p, r.Tags, r.BlockTags)
+		} else {
+			src = p
+			if r.System == harness.SysTyr {
+				checkTagPools(&errs, p, r.Tags, r.BlockTags)
+			}
 		}
 	}
 	fields := map[string]int64{
@@ -489,9 +500,9 @@ func (r *Request) Validate() error {
 		errs = append(errs, FieldError{"cache", err.Error()})
 	}
 	if len(errs) > 0 {
-		return &ValidationError{Fields: errs, Notes: notes}
+		return nil, &ValidationError{Fields: errs, Notes: notes}
 	}
-	return nil
+	return src, nil
 }
 
 // Plan is the one validated execution plan every tool consumes (tyrd,
@@ -508,12 +519,17 @@ type Plan struct {
 	DeadlineMS int64
 
 	req *Request
+	// src is the inline source as validation parsed it, nil for a suite
+	// kernel. Resolving only reads it: prog.Optimize returns a new
+	// program.
+	src *prog.Program
 }
 
 // Plan validates the request and converts it into the execution plan. The
 // returned error is the same *ValidationError Validate reports.
 func (r *Request) Plan() (*Plan, error) {
-	if err := r.Validate(); err != nil {
+	src, err := r.validate()
+	if err != nil {
 		return nil, err
 	}
 	cc, err := r.Cache.Config()
@@ -542,6 +558,7 @@ func (r *Request) Plan() (*Plan, error) {
 		},
 		DeadlineMS: r.Exec.Deadline(),
 		req:        r,
+		src:        src,
 	}, nil
 }
 
@@ -564,11 +581,8 @@ func (p *Plan) ResolveApp() (*apps.App, error) {
 // entry point, never on a request goroutine through ResolveApp.
 func (p *Plan) ResolveAppBound(stop *cancel.Flag, maxSteps int64) (*apps.App, error) {
 	r := p.req
-	if r.Source != "" {
-		pr, err := prog.Parse(r.Source)
-		if err != nil {
-			return nil, err
-		}
+	if p.src != nil {
+		pr := p.src
 		if r.Optimize {
 			pr = prog.Optimize(pr)
 		}

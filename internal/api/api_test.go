@@ -455,6 +455,34 @@ func TestResolveAppInlineSourceRunsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPlanParsesSourceOnce pins that resolving a plan reuses the program
+// its validation parsed, and that optimizing it leaves that program as it
+// was.
+func TestPlanParsesSourceOnce(t *testing.T) {
+	for _, optimize := range []bool{false, true} {
+		r := Request{Source: testSource, System: "vN", Optimize: optimize}
+		plan, err := r.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed := prog.Format(plan.src)
+		a, err := plan.ResolveApp()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := plan.ResolveApp()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused := a.Prog == plan.src && b.Prog == plan.src; reused == optimize {
+			t.Errorf("optimize=%v: resolved programs %p and %p, parsed %p", optimize, a.Prog, b.Prog, plan.src)
+		}
+		if got := prog.Format(plan.src); got != parsed {
+			t.Errorf("optimize=%v: resolving changed the parsed source:\n%s", optimize, got)
+		}
+	}
+}
+
 // TestResolveAppBound pins the service-side contract: a stopped flag
 // cancels the inline-source oracle run (the error wraps cancel.ErrStopped),
 // and maxSteps bounds its dynamic instructions. Suite kernels ignore both.

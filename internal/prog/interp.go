@@ -53,13 +53,17 @@ const (
 )
 
 // CostModel observes the dynamic execution of the reference interpreter.
-// Instr is called once per dynamic instruction with the ready times of its
-// operands and returns the ready time of the result; Boundary is called at
-// concurrent-block boundaries with the number of live variable bindings.
-// Implementations provide the von Neumann and sequential-dataflow timing
-// models (internal/vn, internal/seqdf).
+// Instr is called once per dynamic instruction with the latest ready time
+// among its operands, the controlling branch decision and, for an access
+// in an ordering class, the class's previous access; it returns the ready
+// time of the result. One ready time suffices because a dataflow firing
+// rule waits for the last operand, and it keeps the call free of a
+// per-instruction slice. Boundary is called at concurrent-block
+// boundaries with the number of live variable bindings. Implementations
+// provide the von Neumann and sequential-dataflow timing models
+// (internal/vn, internal/seqdf).
 type CostModel interface {
-	Instr(class InstrClass, deps ...int64) int64
+	Instr(class InstrClass, ready int64) int64
 	Boundary(kind BoundaryKind, live int)
 }
 
@@ -75,8 +79,8 @@ type MemModel interface {
 // nopModel is used when no cost model is attached.
 type nopModel struct{}
 
-func (nopModel) Instr(InstrClass, ...int64) int64 { return 0 }
-func (nopModel) Boundary(BoundaryKind, int)       {}
+func (nopModel) Instr(InstrClass, int64) int64 { return 0 }
+func (nopModel) Boundary(BoundaryKind, int)    {}
 
 // Stats aggregates dynamic execution counts.
 type Stats struct {
@@ -124,7 +128,8 @@ const defaultMaxSteps = int64(1) << 40
 
 // Run interprets the program against the given memory image (mutated in
 // place), returning the entry function's result and execution statistics.
-// The program must have passed Check.
+// The program must have passed Check. Run resolves the program's names
+// once (see resolve.go) and then evaluates the resolved form.
 func Run(p *Program, im *mem.Image, cfg RunConfig) (Result, error) {
 	entry := p.EntryFunc()
 	if entry == nil {
@@ -134,12 +139,19 @@ func Run(p *Program, im *mem.Image, cfg RunConfig) (Result, error) {
 		return Result{}, fmt.Errorf("prog: %s: entry %q takes %d args, got %d",
 			p.Name, p.Entry, len(entry.Params), len(cfg.Args))
 	}
+	rentry, classes, err := resolve(p, im)
+	if err != nil {
+		return Result{}, err
+	}
 	it := &interp{
-		p:        p,
-		im:       im,
-		cm:       cfg.Model,
-		maxSteps: cfg.MaxSteps,
-		stop:     cfg.Stop,
+		p:          p,
+		im:         im,
+		cm:         cfg.Model,
+		maxSteps:   cfg.MaxSteps,
+		stop:       cfg.Stop,
+		stack:      make([]binding, len(cfg.Args)+rentry.nslots),
+		sp:         len(cfg.Args),
+		classReady: make([]int64, classes),
 	}
 	if it.cm == nil {
 		it.cm = nopModel{}
@@ -148,17 +160,10 @@ func Run(p *Program, im *mem.Image, cfg RunConfig) (Result, error) {
 	if it.maxSteps == 0 {
 		it.maxSteps = defaultMaxSteps
 	}
-	it.regions = make(map[string]int, im.NumRegions())
-	for i := 0; i < im.NumRegions(); i++ {
-		it.regions[im.Name(i)] = i
-	}
-	it.classReady = make(map[string]int64)
-
-	args := make([]binding, len(cfg.Args))
 	for i, v := range cfg.Args {
-		args[i] = binding{val: v}
+		it.stack[i] = binding{val: v}
 	}
-	ret, _, err := it.callFunc(entry, args, 0)
+	ret, _, err := it.callFunc(rentry, 0, 0)
 	if err != nil {
 		return Result{Stats: it.stats}, err
 	}
@@ -170,11 +175,6 @@ type binding struct {
 	ready int64
 }
 
-type envScope struct {
-	kind  scopeKind
-	names map[string]*binding
-}
-
 type interp struct {
 	p        *Program
 	im       *mem.Image
@@ -183,15 +183,23 @@ type interp struct {
 	maxSteps int64
 	stop     *cancel.Flag
 	stats    Stats
-	regions  map[string]int
 
-	scopes   []envScope
+	// stack holds the bindings of every active frame; the running
+	// function's frame is stack[fp:sp], and a call's frame starts at sp.
+	stack  []binding
+	fp, sp int
+
+	// liveVars counts the live variable bindings of all active scopes,
+	// as each scope's distinct declared names.
 	liveVars int
 	depth    int
+	// firstIter is set while the innermost running loop is in its first
+	// iteration.
+	firstIter bool
 
 	// classReady tracks the ready time of each memory ordering class's
 	// token (classes serialize all of their accesses).
-	classReady map[string]int64
+	classReady []int64
 
 	// ctrl is the ready time of the controlling branch decision; every
 	// instruction's result is at least this late (steer dependence).
@@ -234,82 +242,86 @@ func (it *interp) count(class InstrClass) error {
 	return nil
 }
 
-func (it *interp) pushScope(kind scopeKind) {
-	it.scopes = append(it.scopes, envScope{kind: kind, names: make(map[string]*binding)})
-}
-
-func (it *interp) popScope() envScope {
-	top := it.scopes[len(it.scopes)-1]
-	it.scopes = it.scopes[:len(it.scopes)-1]
-	it.liveVars -= len(top.names)
-	return top
-}
-
-func (it *interp) declare(name string, b binding) {
-	top := it.scopes[len(it.scopes)-1]
-	if _, exists := top.names[name]; !exists {
-		it.liveVars++
-		if it.liveVars+it.depth > it.stats.MaxLiveVars {
-			it.stats.MaxLiveVars = it.liveVars + it.depth
-		}
+// addLive adds n live bindings. MaxLiveVars is sampled only when a binding
+// is added, so a scope that binds nothing samples nothing, even one call
+// deeper.
+//
+//tyr:hotpath
+func (it *interp) addLive(n int) {
+	if n == 0 {
+		return
 	}
-	nb := b
-	top.names[name] = &nb
-}
-
-// lookup searches scopes of the current frame (stopping at the function
-// boundary).
-func (it *interp) lookup(name string) *binding {
-	for i := len(it.scopes) - 1; i >= 0; i-- {
-		if b, ok := it.scopes[i].names[name]; ok {
-			return b
-		}
-		if it.scopes[i].kind == scopeFunc {
-			break
-		}
+	it.liveVars += n
+	if it.liveVars+it.depth > it.stats.MaxLiveVars {
+		it.stats.MaxLiveVars = it.liveVars + it.depth
 	}
-	return nil
 }
 
-func (it *interp) callFunc(f *Func, args []binding, callReady int64) (int64, int64, error) {
+// declared counts a declaration that just ran as a new live binding. One
+// directly in a loop body runs every iteration but binds its name once
+// per loop instance, so it counts in the first iteration only.
+//
+//tyr:hotpath
+func (it *interp) declared(loopBody bool) {
+	if !loopBody || it.firstIter {
+		it.addLive(1)
+	}
+}
+
+// growStack extends the binding stack to at least n bindings. It runs
+// only when a call goes deeper than any before it in the run.
+func (it *interp) growStack(n int) {
+	s := make([]binding, max(n, 2*len(it.stack)))
+	copy(s, it.stack)
+	it.stack = s
+}
+
+// callFunc runs f with its arguments at stack[args:args+f.nparams].
+//
+//tyr:hotpath
+func (it *interp) callFunc(f *rfunc, args int, callReady int64) (int64, int64, error) {
 	it.depth++
 	if it.depth > it.stats.MaxCallDepth {
 		it.stats.MaxCallDepth = it.depth
 	}
-	it.pushScope(scopeFunc)
-	for i, p := range f.Params {
-		b := args[i]
+	base := it.sp
+	if base+f.nslots > len(it.stack) {
+		it.growStack(base + f.nslots)
+	}
+	for i := 0; i < f.nparams; i++ {
+		b := it.stack[args+i]
 		if b.ready < callReady {
 			b.ready = callReady
 		}
-		it.declare(p, b)
+		it.stack[base+i] = b
 	}
-	savedCtrl := it.ctrl
+	savedFP, savedSP, savedLive, savedCtrl := it.fp, it.sp, it.liveVars, it.ctrl
+	it.fp, it.sp = base, base+f.nslots
+	it.addLive(f.nparams)
 	if callReady > it.ctrl {
 		it.ctrl = callReady
 	}
 	it.cm.Boundary(BoundaryCallEnter, it.liveVars)
 
-	if err := it.stmts(f.Body); err != nil {
+	if err := it.stmts(f.body); err != nil {
 		return 0, 0, err
 	}
-	var ret int64
-	var ready int64
-	if f.Ret != nil {
-		v, r, err := it.expr(f.Ret)
+	var ret, ready int64
+	if f.ret != nil {
+		v, r, err := it.expr(f.ret)
 		if err != nil {
 			return 0, 0, err
 		}
 		ret, ready = v, r
 	}
 	it.cm.Boundary(BoundaryCallExit, it.liveVars)
-	it.popScope()
+	it.fp, it.sp, it.liveVars, it.ctrl = savedFP, savedSP, savedLive, savedCtrl
 	it.depth--
-	it.ctrl = savedCtrl
 	return ret, ready, nil
 }
 
-func (it *interp) stmts(stmts []Stmt) error {
+//tyr:hotpath
+func (it *interp) stmts(stmts []rstmt) error {
 	for _, s := range stmts {
 		if err := it.stmt(s); err != nil {
 			return err
@@ -318,113 +330,107 @@ func (it *interp) stmts(stmts []Stmt) error {
 	return nil
 }
 
-func (it *interp) stmt(s Stmt) error {
+//tyr:hotpath
+func (it *interp) stmt(s rstmt) error {
 	switch st := s.(type) {
-	case Let:
-		v, r, err := it.expr(st.E)
+	case *rAssign:
+		v, r, err := it.expr(st.e)
 		if err != nil {
 			return err
 		}
-		it.declare(st.Name, binding{val: v, ready: r})
+		it.stack[it.fp+st.slot] = binding{val: v, ready: r}
 		return nil
-	case Assign:
-		v, r, err := it.expr(st.E)
+	case *rLet:
+		v, r, err := it.expr(st.e)
 		if err != nil {
 			return err
 		}
-		b := it.lookup(st.Name)
-		if b == nil {
-			return it.runErr("assign to undeclared %q (checker should have caught this)", st.Name)
-		}
-		b.val, b.ready = v, r
+		it.stack[it.fp+st.slot] = binding{val: v, ready: r}
+		it.declared(st.loopBody)
 		return nil
-	case StoreStmt:
-		addr, ra, err := it.expr(st.Addr)
+	case *rStore:
+		addr, ra, err := it.expr(st.addr)
 		if err != nil {
 			return err
 		}
-		val, rv, err := it.expr(st.Val)
+		val, rv, err := it.expr(st.val)
 		if err != nil {
 			return err
 		}
 		if err := it.count(ClassStore); err != nil {
 			return err
 		}
-		region, ok := it.regions[st.Mem]
-		if !ok {
-			return it.runErr("store to unknown region %q", st.Mem)
+		if st.region < 0 {
+			return it.runErr("store to unknown region %q", st.mem)
 		}
 		if it.mm != nil {
-			it.mm.Mem(mem.AccessStore, region, addr)
+			it.mm.Mem(mem.AccessStore, st.region, addr)
 		}
-		deps := []int64{ra, rv, it.ctrl}
-		if st.Class != "" {
-			deps = append(deps, it.classReady[st.Class])
+		ready := max(ra, rv, it.ctrl)
+		if st.class >= 0 {
+			ready = max(ready, it.classReady[st.class])
 		}
-		done := it.cm.Instr(ClassStore, deps...)
-		if st.Class != "" {
-			it.classReady[st.Class] = done
+		done := it.cm.Instr(ClassStore, ready)
+		if st.class >= 0 {
+			it.classReady[st.class] = done
 		}
-		return it.im.Store(region, addr, val)
-	case If:
+		return it.im.Store(st.region, addr, val)
+	case *rIf:
 		return it.ifStmt(st)
-	case While:
+	case *rWhile:
 		return it.while(st)
-	case ExprStmt:
-		_, _, err := it.expr(st.E)
+	case *rExprStmt:
+		_, _, err := it.expr(st.e)
 		return err
 	}
 	return it.runErr("unknown statement %T", s)
 }
 
-func (it *interp) ifStmt(st If) error {
-	c, rc, err := it.expr(st.Cond)
+//tyr:hotpath
+func (it *interp) ifStmt(st *rIf) error {
+	c, rc, err := it.expr(st.cond)
 	if err != nil {
 		return err
 	}
 	if err := it.count(ClassBranch); err != nil {
 		return err
 	}
-	steered := it.cm.Instr(ClassBranch, rc, it.ctrl)
-	savedCtrl := it.ctrl
+	steered := it.cm.Instr(ClassBranch, max(rc, it.ctrl))
+	savedCtrl, savedLive := it.ctrl, it.liveVars
 	if steered > it.ctrl {
 		it.ctrl = steered
 	}
-	it.pushScope(scopeBlock)
 	if c != 0 {
-		err = it.stmts(st.Then)
+		err = it.stmts(st.then)
 	} else {
-		err = it.stmts(st.Else)
+		err = it.stmts(st.els)
 	}
-	it.popScope()
-	it.ctrl = savedCtrl
+	it.ctrl, it.liveVars = savedCtrl, savedLive
 	return err
 }
 
-func (it *interp) while(st While) error {
-	inits := make([]binding, len(st.Vars))
-	for i, v := range st.Vars {
-		val, r, err := it.expr(v.Init)
+//tyr:hotpath
+func (it *interp) while(st *rWhile) error {
+	for i, init := range st.inits {
+		v, r, err := it.expr(init)
 		if err != nil {
 			return err
 		}
-		inits[i] = binding{val: val, ready: r}
+		it.stack[it.fp+st.vars+i] = binding{val: v, ready: r}
 	}
-	it.pushScope(scopeLoop)
-	for i, v := range st.Vars {
-		it.declare(v.Name, inits[i])
-	}
+	savedLive, savedFirst, savedCtrl := it.liveVars, it.firstIter, it.ctrl
+	it.addLive(len(st.inits))
 	it.cm.Boundary(BoundaryLoopEnter, it.liveVars)
-	savedCtrl := it.ctrl
+	it.firstIter = true
 	for {
-		c, rc, err := it.expr(st.Cond)
+		c, rc, err := it.expr(st.cond)
 		if err != nil {
 			return err
 		}
 		if err := it.count(ClassBranch); err != nil {
 			return err
 		}
-		steered := it.cm.Instr(ClassBranch, rc, it.ctrl)
+		steered := it.cm.Instr(ClassBranch, max(rc, it.ctrl))
 		if steered > it.ctrl {
 			it.ctrl = steered
 		}
@@ -432,68 +438,85 @@ func (it *interp) while(st While) error {
 			break
 		}
 		it.stats.LoopIters++
-		if err := it.stmts(st.Body); err != nil {
+		if err := it.stmts(st.body); err != nil {
 			return err
 		}
+		it.firstIter = false
 		it.cm.Boundary(BoundaryLoopIter, it.liveVars)
 	}
 	it.cm.Boundary(BoundaryLoopExit, it.liveVars)
-	finals := it.popScope()
-	it.ctrl = savedCtrl
-	// Merge-out: write carried vars to enclosing bindings, or declare
-	// fresh ones in the (new) current scope.
-	for _, v := range st.Vars {
-		fb := finals.names[v.Name]
-		if eb := it.lookup(v.Name); eb != nil {
-			*eb = *fb
-		} else {
-			it.declare(v.Name, *fb)
+	it.liveVars, it.firstIter, it.ctrl = savedLive, savedFirst, savedCtrl
+	for _, m := range st.out {
+		it.stack[it.fp+m.to] = it.stack[it.fp+m.from]
+		if m.fresh {
+			it.declared(m.loopBody)
 		}
 	}
 	return nil
 }
 
-func (it *interp) expr(e Expr) (int64, int64, error) {
+//tyr:hotpath
+func (it *interp) expr(e rexpr) (int64, int64, error) {
 	switch ex := e.(type) {
-	case Const:
-		return ex.V, it.ctrl, nil
-	case Var:
-		b := it.lookup(ex.Name)
-		if b == nil {
-			return 0, 0, it.runErr("read of undeclared %q (checker should have caught this)", ex.Name)
-		}
-		r := b.ready
-		if it.ctrl > r {
-			r = it.ctrl
-		}
-		return b.val, r, nil
-	case Bin:
-		a, ra, err := it.expr(ex.A)
+	case *rVar:
+		b := it.stack[it.fp+ex.slot]
+		return b.val, max(b.ready, it.ctrl), nil
+	case *rConst:
+		return ex.v, it.ctrl, nil
+	case *rBin:
+		a, ra, err := it.expr(ex.a)
 		if err != nil {
 			return 0, 0, err
 		}
-		b, rb, err := it.expr(ex.B)
+		b, rb, err := it.expr(ex.b)
 		if err != nil {
 			return 0, 0, err
 		}
 		if err := it.count(ClassALU); err != nil {
 			return 0, 0, err
 		}
-		v, err := dfg.EvalBin(ex.Op, a, b)
+		v, err := dfg.EvalBin(ex.op, a, b)
 		if err != nil {
 			return 0, 0, err
 		}
-		return v, it.cm.Instr(ClassALU, ra, rb, it.ctrl), nil
-	case Select:
-		c, rc, err := it.expr(ex.Cond)
+		return v, it.cm.Instr(ClassALU, max(ra, rb, it.ctrl)), nil
+	case *rLoad:
+		addr, ra, err := it.expr(ex.addr)
 		if err != nil {
 			return 0, 0, err
 		}
-		t, rt, err := it.expr(ex.Then)
+		if err := it.count(ClassLoad); err != nil {
+			return 0, 0, err
+		}
+		if ex.region < 0 {
+			return 0, 0, it.runErr("load from unknown region %q", ex.mem)
+		}
+		if it.mm != nil {
+			it.mm.Mem(mem.AccessLoad, ex.region, addr)
+		}
+		ready := max(ra, it.ctrl)
+		if ex.class >= 0 {
+			ready = max(ready, it.classReady[ex.class])
+		}
+		done := it.cm.Instr(ClassLoad, ready)
+		if ex.class >= 0 {
+			it.classReady[ex.class] = done
+		}
+		v, err := it.im.Load(ex.region, addr)
 		if err != nil {
 			return 0, 0, err
 		}
-		f, rf, err := it.expr(ex.Else)
+		return v, done, nil
+	case *rSelect:
+		c, rc, err := it.expr(ex.cond)
+		if err != nil {
+			return 0, 0, err
+		}
+		t, rt, err := it.expr(ex.then)
+		if err != nil {
+			return 0, 0, err
+		}
+		f, rf, err := it.expr(ex.els)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -504,61 +527,21 @@ func (it *interp) expr(e Expr) (int64, int64, error) {
 		if c != 0 {
 			v = t
 		}
-		return v, it.cm.Instr(ClassSelect, rc, rt, rf, it.ctrl), nil
-	case Load:
-		addr, ra, err := it.expr(ex.Addr)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := it.count(ClassLoad); err != nil {
-			return 0, 0, err
-		}
-		region, ok := it.regions[ex.Mem]
-		if !ok {
-			return 0, 0, it.runErr("load from unknown region %q", ex.Mem)
-		}
-		if it.mm != nil {
-			it.mm.Mem(mem.AccessLoad, region, addr)
-		}
-		deps := []int64{ra, it.ctrl}
-		if ex.Class != "" {
-			deps = append(deps, it.classReady[ex.Class])
-		}
-		done := it.cm.Instr(ClassLoad, deps...)
-		if ex.Class != "" {
-			it.classReady[ex.Class] = done
-		}
-		v, err := it.im.Load(region, addr)
-		if err != nil {
-			return 0, 0, err
-		}
-		return v, done, nil
-	case Call:
-		callee := it.p.FindFunc(ex.Fn)
-		if callee == nil {
-			return 0, 0, it.runErr("call to unknown %q", ex.Fn)
-		}
-		args := make([]binding, len(ex.Args))
+		return v, it.cm.Instr(ClassSelect, max(rc, rt, rf, it.ctrl)), nil
+	case *rCall:
 		ready := it.ctrl
-		for i, a := range ex.Args {
+		for i, a := range ex.args {
 			v, r, err := it.expr(a)
 			if err != nil {
 				return 0, 0, err
 			}
-			args[i] = binding{val: v, ready: r}
-			if r > ready {
-				ready = r
-			}
+			it.stack[it.fp+ex.tmp+i] = binding{val: v, ready: r}
+			ready = max(ready, r)
 		}
 		if err := it.count(ClassCall); err != nil {
 			return 0, 0, err
 		}
-		callReady := it.cm.Instr(ClassCall, ready)
-		v, r, err := it.callFunc(callee, args, callReady)
-		if err != nil {
-			return 0, 0, err
-		}
-		return v, r, nil
+		return it.callFunc(ex.fn, it.fp+ex.tmp, it.cm.Instr(ClassCall, ready))
 	}
 	return 0, 0, it.runErr("unknown expression %T", e)
 }

@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -189,6 +190,29 @@ func TestLoopMergeOutRebindsOuter(t *testing.T) {
 	res, _ := runProg(t, p)
 	if res.Ret != 8 {
 		t.Errorf("got %d, want 8", res.Ret)
+	}
+}
+
+func TestLetInLoopBodyShadowsLexically(t *testing.T) {
+	// The let shadows the outer x from its declaration on, in every
+	// iteration, so the store before it always reads the outer x: the
+	// checker's scoping, and the compiled machines'.
+	p := MustParse(`program "shadow" entry main
+mem out[3]
+
+func main() {
+  let x = 1
+  loop "L" carry (i = 0) while i < 3 {
+    store out[i] = x
+    let x = x + 5
+    i = i + 1
+  }
+  return x
+}
+`)
+	res, out := runProg(t, p)
+	if res.Ret != 1 || !slices.Equal(out, []int64{1, 1, 1}) {
+		t.Errorf("ret %d, out %v; want 1, [1 1 1]", res.Ret, out)
 	}
 }
 
