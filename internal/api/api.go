@@ -763,16 +763,24 @@ type CompileRequest struct {
 	Lowering string `json:"lowering,omitempty"`
 	// Emit selects the listing format: "asm" (default), "dot", or "ir".
 	Emit string `json:"emit,omitempty"`
+
+	// parsed is Source as the last successful Validate parsed it.
+	parsed *prog.Program
 }
 
-// Validate checks the compile request shape.
+// Validate checks the compile request shape. It keeps the program it
+// parsed, which Program returns, so the source is parsed once.
 func (r *CompileRequest) Validate() error {
+	r.parsed = nil
+	var p *prog.Program
 	var errs []FieldError
 	checkVersion(r.Version, &errs)
 	if r.Source == "" {
 		errs = append(errs, FieldError{"source", "is required"})
-	} else if _, err := prog.Parse(r.Source); err != nil {
+	} else if parsed, err := prog.Parse(r.Source); err != nil {
 		errs = append(errs, FieldError{"source", err.Error()})
+	} else {
+		p = parsed
 	}
 	switch r.Lowering {
 	case "", "tagged", "ordered":
@@ -787,8 +795,13 @@ func (r *CompileRequest) Validate() error {
 	if len(errs) > 0 {
 		return &ValidationError{Fields: errs}
 	}
+	r.parsed = p
 	return nil
 }
+
+// Program returns the source as the last successful Validate parsed it,
+// nil before one. Callers must not modify it.
+func (r *CompileRequest) Program() *prog.Program { return r.parsed }
 
 // CompileResult reports a compiled graph: its listing in the requested form
 // plus static statistics.

@@ -483,6 +483,52 @@ func TestPlanParsesSourceOnce(t *testing.T) {
 	}
 }
 
+// TestCompileValidateParsesSourceOnce: CompileRequest.Validate keeps the
+// program it parsed, which /v1/compile compiles instead of parsing the
+// source again; optimizing compiles a copy and leaves it as parsed. A
+// source that fails to parse is a field error on source, and a failed
+// validation keeps no program.
+func TestCompileValidateParsesSourceOnce(t *testing.T) {
+	want, err := prog.Parse(testSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := CompileRequest{Source: testSource, Optimize: true}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	p := r.Program()
+	if p == nil || r.Program() != p {
+		t.Fatalf("Validate kept %p, then %p", p, r.Program())
+	}
+	parsed := prog.Format(p)
+	if parsed != prog.Format(want) {
+		t.Errorf("kept program differs from the source:\n%s", parsed)
+	}
+	prog.Optimize(p)
+	if got := prog.Format(r.Program()); got != parsed {
+		t.Errorf("optimizing changed the parsed source:\n%s", got)
+	}
+
+	for _, bad := range []CompileRequest{
+		{Source: "nope"},
+		{Source: testSource, Emit: "pdf"},
+	} {
+		var ve *ValidationError
+		if err := bad.Validate(); !errors.As(err, &ve) {
+			t.Fatalf("%+v: err = %v, want a ValidationError", bad, err)
+		}
+		if bad.Program() != nil {
+			t.Errorf("%+v: a failed validation kept a program", bad)
+		}
+	}
+	bad := CompileRequest{Source: "nope"}
+	var ve *ValidationError
+	if err := bad.Validate(); !errors.As(err, &ve) || len(ve.Fields) != 1 || ve.Fields[0].Field != "source" {
+		t.Errorf("unparsable source: err = %v, want one field error on source", err)
+	}
+}
+
 // TestResolveAppBound pins the service-side contract: a stopped flag
 // cancels the inline-source oracle run (the error wraps cancel.ErrStopped),
 // and maxSteps bounds its dynamic instructions. Suite kernels ignore both.

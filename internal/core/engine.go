@@ -29,13 +29,31 @@ type fireRef struct {
 	tag  uint64
 }
 
-// nodeInfo caches per-node firing metadata.
-type nodeInfo struct {
-	needInit  int32
-	constVals []int64
-	words     int // present bitset words
-	reserve   int // allocate: tags kept back for the tail-recursive edge
-	memIdx    int // load/store: region index in the memory image
+// firing is one node's firing record: all deliver, fire and emit read
+// about a node, built once by newMachine so the per-token path never
+// touches the node's dfg.Node.
+type firing struct {
+	// outs[p]..outs[p+1] is output port p's range in the machine's flat
+	// destination array; ports past the op's last are empty.
+	outs     [dfg.MaxOut + 1]int32
+	consts   uint64 // const-bound input ports below 64; higher ones are read from dfg.Node.ConstIn
+	block    dfg.BlockID
+	space    dfg.BlockID // allocate, free: the target tag space
+	needInit int32       // token-fed operands a fresh instance waits for
+	memIdx   int32       // load, store: region index in the memory image
+	reserve  int32       // allocate: tags kept back for the tail-recursive edge
+	op       dfg.Op
+	bin      dfg.BinKind
+	external bool  // allocate: enters its space from outside
+	oneBlock uint8 // bit p: output port p has destinations, all in one block
+}
+
+// dest is one destination of an output port: the input port a token goes
+// to and the block whose live count the token is charged to.
+type dest struct {
+	node dfg.NodeID
+	in   int32
+	blk  dfg.BlockID
 }
 
 const (
@@ -58,7 +76,8 @@ type machine struct {
 	im  *mem.Image
 	cfg Config
 
-	info   []nodeInfo
+	nodes  []firing
+	dests  []dest // every output port's destinations, ranged by firing.outs
 	stores []waitStore
 
 	// Tag pools. Per-space policies (TYR, local-nogate, k-bound): one
@@ -95,12 +114,15 @@ type machine struct {
 	kbNextInv    uint64
 	kbPeakPerInv int
 
-	// ready is a deque (head index + compaction) so leftover refs from a
-	// budget-limited cycle carry over without reallocating; nextReady and
-	// the double-buffered outbox recycle their backing arrays.
+	// ready is the one ready queue, a deque (head index + compaction) so
+	// leftover refs from a budget-limited cycle carry over without
+	// reallocating. deliver and wakeRefs append to it; a cycle's fire loop
+	// stops at the length it had when the loop began, so refs woken
+	// mid-loop wait for the next cycle, behind the leftovers and ahead of
+	// the next cycle's completions. The double-buffered outbox recycles
+	// its backing arrays.
 	ready       []fireRef
 	readyHead   int
-	nextReady   []fireRef
 	outbox      []token
 	outboxSpare []token
 
@@ -137,9 +159,10 @@ type machine struct {
 	// buckets also grew without bound on long runs).
 	ipcHist []int64
 
-	// fireVals is the operand scratch for fire(): values are copied out
-	// of the store slot before the instance is deleted, since deletion
-	// may shift other slots over it.
+	// fireVals is fire's operand scratch under a hashed store: values are
+	// copied out of the record before the instance is deleted, since
+	// deletion may shift other records over it. A pooled store's operands
+	// are read in place.
 	fireVals []int64
 
 	liveTrace metrics.LiveTrace
@@ -198,41 +221,60 @@ func Run(g *dfg.Graph, im *mem.Image, cfg Config) (Result, error) {
 	return m.run()
 }
 
-// newMachine derives the per-node firing metadata from the graph and the
-// memory image's region layout (constant prefills, presence-bitset widths,
-// tail-recursion reserves, region indices) and builds the machine's
-// mutable state around it.
+// newMachine derives each node's firing record from the graph and the
+// memory image's region layout (operand counts, const-bound ports,
+// destinations with their blocks, tail-recursion reserves, region
+// indices) and builds the machine's mutable state around it.
 func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
-	memIdx := make([]int, len(g.MemNames)) // graph region -> image region
+	memIdx := make([]int32, len(g.MemNames)) // graph region -> image region
 	for i, name := range g.MemNames {
 		idx, ok := im.Index(name)
 		if !ok {
 			return nil, fmt.Errorf("core: memory image missing region %q", name)
 		}
-		memIdx[i] = idx
+		memIdx[i] = int32(idx)
 	}
-	info := make([]nodeInfo, len(g.Nodes))
+	ndests := 0
+	for i := range g.Nodes {
+		for _, ds := range g.Nodes[i].Outs {
+			ndests += len(ds)
+		}
+	}
+	nodes := make([]firing, len(g.Nodes))
+	dests := make([]dest, 0, ndests)
 	maxIn := 0
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
-		ni := &info[i]
-		ni.constVals = make([]int64, n.NIn)
-		ni.words = (n.NIn + 63) / 64
+		f := &nodes[i]
+		f.op, f.bin, f.block, f.space, f.external = n.Op, n.Bin, n.Block, n.Space, n.External
 		for port := 0; port < n.NIn; port++ {
-			if n.ConstIn[port].Valid {
-				ni.constVals[port] = n.ConstIn[port].V
-			} else {
-				ni.needInit++
+			if !n.ConstIn[port].Valid {
+				f.needInit++
+			} else if port < 64 {
+				f.consts |= 1 << port
 			}
 		}
 		switch n.Op {
 		case dfg.OpAllocate:
 			if n.External && g.Blocks[n.Space].TailRecursive {
-				ni.reserve = 1
+				f.reserve = 1
 			}
 		case dfg.OpLoad, dfg.OpStore:
-			ni.memIdx = memIdx[n.Region]
+			f.memIdx = memIdx[n.Region]
 		}
+		for p := 0; p < dfg.MaxOut; p++ {
+			f.outs[p] = int32(len(dests))
+			if p >= len(n.Outs) {
+				continue
+			}
+			for _, d := range n.Outs[p] {
+				dests = append(dests, dest{node: d.Node, in: int32(d.In), blk: g.Nodes[d.Node].Block})
+			}
+			if ds := dests[f.outs[p]:]; len(ds) > 0 && sameBlock(ds) {
+				f.oneBlock |= 1 << p
+			}
+		}
+		f.outs[dfg.MaxOut] = int32(len(dests))
 		if n.NIn > maxIn {
 			maxIn = n.NIn
 		}
@@ -242,7 +284,8 @@ func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
 		g:       g,
 		im:      im,
 		cfg:     cfg,
-		info:    info,
+		nodes:   nodes,
+		dests:   dests,
 		stores:  make([]waitStore, len(g.Nodes)),
 		ipcHist: make([]int64, cfg.IssueWidth+1),
 	}
@@ -322,15 +365,39 @@ func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
 	// directly. global-bounded's tags are dense too, but every node would
 	// see the whole global pool's indices, so its stores hash.
 	for i := range g.Nodes {
-		ni := &info[i]
-		blk := g.Nodes[i].Block
+		n := &g.Nodes[i]
 		var base, pool uint64
 		if cfg.Policy == PolicyTyr || cfg.Policy == PolicyLocalNoGate {
-			base, pool = uint64(blk)<<32, uint64(m.spaceTags[blk])
+			base, pool = uint64(n.Block)<<32, uint64(m.spaceTags[n.Block])
 		}
-		m.stores[i].init(g.Nodes[i].NIn, ni.words, ni.needInit, ni.constVals, base, pool)
+		m.stores[i].init(n.NIn, (n.NIn+63)/64, nodes[i].needInit, constVals(n), base, pool)
 	}
 	return m, nil
+}
+
+// sameBlock reports whether every destination in ds is in one block.
+func sameBlock(ds []dest) bool {
+	for _, d := range ds[1:] {
+		if d.blk != ds[0].blk {
+			return false
+		}
+	}
+	return true
+}
+
+// constVals is a node's constant operand per input port (zero on
+// token-fed ports), or nil when no port is const-bound.
+func constVals(n *dfg.Node) []int64 {
+	var vals []int64
+	for port, c := range n.ConstIn[:n.NIn] {
+		if c.Valid {
+			if vals == nil {
+				vals = make([]int64, n.NIn)
+			}
+			vals[port] = c.V
+		}
+	}
+	return vals
 }
 
 // allocRoot takes the tag for the root context.
@@ -501,10 +568,10 @@ func (m *machine) wakeRefs(refs []fireRef) {
 		}
 		ws.clearFlag(slot, wsParked)
 		ws.setFlag(slot, wsQueued)
-		m.nextReady = append(m.nextReady, ref)
+		m.ready = append(m.ready, ref)
 		if m.rec != nil {
 			m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindWake,
-				Node: int32(ref.node), Block: int32(m.g.Nodes[ref.node].Space), Tag: ref.tag})
+				Node: int32(ref.node), Block: int32(m.nodes[ref.node].space), Tag: ref.tag})
 		}
 	}
 }
@@ -517,55 +584,107 @@ func (m *machine) pendingIndex(space dfg.BlockID) dfg.BlockID {
 	return space
 }
 
-// emit queues a produced token for delivery at the start of the next cycle.
-// src is the producing node, dfg.InvalidNode for entry injections.
+// push queues a token for delivery at the start of the next cycle, with no
+// accounting.
 //
 //tyr:hotpath
-func (m *machine) emit(src dfg.NodeID, to dfg.Port, tag uint64, val int64) {
+func (m *machine) push(src dfg.NodeID, d dest, tag uint64, val int64) {
 	// Fill the token in place: building it as a literal and copying it in
 	// stalls on store forwarding.
 	m.outbox = append(m.outbox, token{})
 	t := &m.outbox[len(m.outbox)-1]
-	t.tag, t.val, t.node, t.in, t.src = tag, val, to.Node, int32(to.In), src
-	m.live++
-	blk := m.g.Nodes[to.Node].Block
-	m.liveByBlock[blk]++
+	t.tag, t.val, t.node, t.in, t.src = tag, val, d.node, d.in, src
+}
+
+// charge counts k new live tokens against block blk.
+//
+//tyr:hotpath
+func (m *machine) charge(blk dfg.BlockID, k int64) {
+	m.live += k
+	m.liveByBlock[blk] += k
 	if m.liveByBlock[blk] > m.peakByBlock[blk] {
 		m.peakByBlock[blk] = m.liveByBlock[blk]
 	}
+}
+
+// emit queues one produced token and accounts for it alone: the path of
+// entry injections and changeTagDyn's computed destination. src is the
+// producing node, dfg.InvalidNode for entry injections.
+//
+//tyr:hotpath
+func (m *machine) emit(src dfg.NodeID, d dest, tag uint64, val int64) {
+	m.push(src, d, tag, val)
+	m.charge(d.blk, 1)
 	if m.perTagLive != nil {
 		m.perTagLive.add(tag, 1)
 	}
 	if m.rec != nil {
-		m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindEmit,
-			Node: int32(to.Node), Src: int32(src), Block: int32(blk),
-			Port: int16(to.In), Tag: tag, Val: val})
+		m.recordEmit(src, d, tag, val)
 	}
 }
 
-// emitAll fans a value out to every destination of an output port.
+//tyr:hotpath
+func (m *machine) recordEmit(src dfg.NodeID, d dest, tag uint64, val int64) {
+	m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindEmit,
+		Node: int32(d.node), Src: int32(src), Block: int32(d.blk),
+		Port: int16(d.in), Tag: tag, Val: val})
+}
+
+// emitAll fans a value out to every destination of output port out of
+// node src, whose firing record is f.
 //
 //tyr:hotpath
-func (m *machine) emitAll(n *dfg.Node, out int, tag uint64, val int64) {
-	cross := out == dfg.CTDataOut && (n.Op == dfg.OpChangeTag || n.Op == dfg.OpChangeTagDyn)
-	for _, d := range n.Outs[out] {
-		m.emit(n.ID, d, tag, val)
-		if cross {
-			m.crossTokens++
-		} else {
-			m.frameTokens++
+func (m *machine) emitAll(src dfg.NodeID, f *firing, out int, tag uint64, val int64) {
+	ds := m.dests[f.outs[out]:f.outs[out+1]]
+	if out == dfg.CTDataOut && (f.op == dfg.OpChangeTag || f.op == dfg.OpChangeTagDyn) {
+		m.crossTokens += int64(len(ds))
+	} else {
+		m.frameTokens += int64(len(ds))
+	}
+	for _, d := range ds {
+		m.push(src, d, tag, val)
+	}
+	if m.rec != nil {
+		for _, d := range ds {
+			m.recordEmit(src, d, tag, val)
 		}
 	}
+	m.chargePort(f, out, ds, tag)
 }
 
-// memLatency resolves the latency of one memory access: the attached
-// hierarchy model when configured, else the fixed LoadLatency for loads
-// (stores complete in a cycle on the ideal flat memory, as in the seed).
+// chargePort counts the tokens just produced on output port out, to
+// destinations ds, as live. A port whose destinations share a block is
+// charged its fan-out at once: nothing decrements between its tokens, so
+// the block's peak comes out as if they were charged one by one. Every
+// token on a port carries one tag, so the sanitizer's count for it rises
+// by the fan-out.
 //
 //tyr:hotpath
-func (m *machine) memLatency(kind mem.AccessKind, nid dfg.NodeID, addr int64) int64 {
+func (m *machine) chargePort(f *firing, out int, ds []dest, tag uint64) {
+	if len(ds) == 0 {
+		return
+	}
+	if m.perTagLive != nil {
+		m.perTagLive.add(tag, int64(len(ds)))
+	}
+	if f.oneBlock&(1<<out) != 0 {
+		m.charge(ds[0].blk, int64(len(ds)))
+		return
+	}
+	for _, d := range ds {
+		m.charge(d.blk, 1)
+	}
+}
+
+// memLatency resolves the latency of one memory access to image region
+// region: the attached hierarchy model when configured, else the fixed
+// LoadLatency for loads (stores complete in a cycle on the ideal flat
+// memory, as in the seed).
+//
+//tyr:hotpath
+func (m *machine) memLatency(kind mem.AccessKind, region int32, addr int64) int64 {
 	if m.cfg.Memory != nil {
-		return m.cfg.Memory.Access(m.cycle, kind, m.info[nid].memIdx, addr)
+		return m.cfg.Memory.Access(m.cycle, kind, int(region), addr)
 	}
 	if kind == mem.AccessLoad {
 		return int64(m.cfg.LoadLatency)
@@ -578,27 +697,22 @@ func (m *machine) memLatency(kind mem.AccessKind, nid dfg.NodeID, addr int64) in
 // The tokens count as live from emission, like their prompt counterparts.
 //
 //tyr:hotpath
-func (m *machine) emitAllDelayed(n *dfg.Node, out int, tag uint64, val int64, due int64) {
-	for _, d := range n.Outs[out] {
-		m.delayed.Push(due, token{tag: tag, val: val, node: d.Node, in: int32(d.In), src: n.ID})
-		m.live++
-		blk := m.g.Nodes[d.Node].Block
-		m.liveByBlock[blk]++
-		if m.liveByBlock[blk] > m.peakByBlock[blk] {
-			m.peakByBlock[blk] = m.liveByBlock[blk]
-		}
-		if m.perTagLive != nil {
-			m.perTagLive.add(tag, 1)
-		}
+func (m *machine) emitAllDelayed(src dfg.NodeID, f *firing, out int, tag uint64, val int64, due int64) {
+	ds := m.dests[f.outs[out]:f.outs[out+1]]
+	for _, d := range ds {
+		m.delayed.Push(due, token{tag: tag, val: val, node: d.node, in: d.in, src: src})
 	}
+	m.chargePort(f, out, ds, tag)
 }
 
+// consume retires k operand tokens of one instance of block blk.
+//
 //tyr:hotpath
-func (m *machine) consumeOne(blk dfg.BlockID, tag uint64) {
-	m.live--
-	m.liveByBlock[blk]--
+func (m *machine) consume(blk dfg.BlockID, tag uint64, k int32) {
+	m.live -= int64(k)
+	m.liveByBlock[blk] -= int64(k)
 	if m.perTagLive != nil {
-		if m.perTagLive.add(tag, -1) == 0 {
+		if m.perTagLive.add(tag, -int64(k)) == 0 {
 			m.perTagLive.del(tag)
 		}
 	}
@@ -622,7 +736,7 @@ func (m *machine) evSeq() uint64 {
 func (m *machine) deliver(t *token) error {
 	nid := t.node
 	port := int(t.in)
-	n := &m.g.Nodes[nid]
+	f := &m.nodes[nid]
 	ws := &m.stores[nid]
 	slot := ws.lookup(t.tag)
 	if slot < 0 {
@@ -630,6 +744,7 @@ func (m *machine) deliver(t *token) error {
 		if slot < 0 {
 			// A pooled store has no slot for a tag from outside its
 			// block's pool, which no allocate of the block handed out.
+			n := &m.g.Nodes[nid]
 			return fmt.Errorf("core: token for %s %q carries tag %#x, outside block %q's pool of %d tags",
 				n.Op, n.Label, t.tag, m.g.Blocks[n.Block].Name, m.spaceTags[n.Block])
 		}
@@ -638,6 +753,7 @@ func (m *machine) deliver(t *token) error {
 		}
 	}
 	if ws.has(slot, port) {
+		n := &m.g.Nodes[nid]
 		if m.san != nil {
 			return m.san.fail(Diagnostic{
 				Kind: DiagTokenCollision, Cycle: m.cycle, Node: nid, Label: n.Label, Tag: t.tag, Event: m.evSeq(),
@@ -648,28 +764,30 @@ func (m *machine) deliver(t *token) error {
 		return fmt.Errorf("core: token collision at %s %q port %d tag %#x (free barrier violated?)",
 			n.Op, n.Label, port, t.tag)
 	}
-	if n.ConstIn[port].Valid {
-		return fmt.Errorf("core: token delivered to const-bound port %d of %q", port, n.Label)
+	// Refused before its value is written, so a record's constant
+	// operands, written when the record was allocated, never change.
+	if port < 64 && f.consts&(1<<port) != 0 || port >= 64 && m.g.Nodes[nid].ConstIn[port].Valid {
+		return fmt.Errorf("core: token delivered to const-bound port %d of %q", port, m.g.Nodes[nid].Label)
 	}
 	ws.set(slot, port)
 	ws.valSlice(slot)[port] = t.val
 	ws.need[slot]--
 	if m.rec != nil {
 		kind := trace.KindDeliver
-		if n.Op == dfg.OpJoin {
+		if f.op == dfg.OpJoin {
 			kind = trace.KindJoinArrive
 		}
 		m.rec.Record(trace.Event{Cycle: m.cycle, Kind: kind,
-			Node: int32(nid), Src: int32(t.src), Block: int32(n.Block),
+			Node: int32(nid), Src: int32(t.src), Block: int32(f.block),
 			Port: int16(port), Tag: t.tag, Val: t.val})
 	}
 
-	if n.Op == dfg.OpAllocate {
-		return m.deliverAllocate(nid, t.tag, slot)
+	if f.op == dfg.OpAllocate {
+		return m.deliverAllocate(nid, f, t.tag, slot)
 	}
 	if ws.need[slot] == 0 && !ws.queued(slot) {
 		ws.setFlag(slot, wsQueued)
-		m.nextReady = append(m.nextReady, fireRef{node: nid, tag: t.tag})
+		m.ready = append(m.ready, fireRef{node: nid, tag: t.tag})
 	}
 	return nil
 }
@@ -677,15 +795,14 @@ func (m *machine) deliver(t *token) error {
 // deliverAllocate handles allocate's special firing rule on token arrival.
 //
 //tyr:hotpath
-func (m *machine) deliverAllocate(nid dfg.NodeID, tag uint64, slot int32) error {
-	n := &m.g.Nodes[nid]
+func (m *machine) deliverAllocate(nid dfg.NodeID, f *firing, tag uint64, slot int32) error {
 	ws := &m.stores[nid]
 	if ws.popped(slot) {
 		// Tag already handed out; the ready token completes the
 		// instruction and releases the control output for the barrier.
 		if ws.has(slot, allocReadyPort) {
-			m.emitAll(n, dfg.AllocCtrlOut, tag, 0)
-			m.consumeOne(n.Block, tag)
+			m.emitAll(nid, f, dfg.AllocCtrlOut, tag, 0)
+			m.consume(f.block, tag, 1)
 			ws.delSlot(slot)
 		}
 		return nil
@@ -699,7 +816,7 @@ func (m *machine) deliverAllocate(nid dfg.NodeID, tag uint64, slot int32) error 
 	}
 	if !ws.queued(slot) {
 		ws.setFlag(slot, wsQueued)
-		m.nextReady = append(m.nextReady, fireRef{node: nid, tag: tag})
+		m.ready = append(m.ready, fireRef{node: nid, tag: tag})
 	}
 	return nil
 }
@@ -707,129 +824,141 @@ func (m *machine) deliverAllocate(nid dfg.NodeID, tag uint64, slot int32) error 
 // fire executes one ready instance. It reports whether an issue slot was
 // consumed (a starved allocate parks instead).
 //
+// Under a pooled store fire reads the operands in place, from the record
+// it has just freed. That rests on one invariant: no insert into a store
+// between its delSlot and the fire's last operand read. It holds because
+// only deliver inserts, and no delivery runs during a fire; and a pooled
+// delete only relinks the record, leaving its values where they were. A
+// hashed delete may shift another record over the freed one, so its
+// operands are copied out first.
+//
 //tyr:hotpath
 func (m *machine) fire(ref fireRef) (bool, error) {
-	n := &m.g.Nodes[ref.node]
+	f := &m.nodes[ref.node]
 	ws := &m.stores[ref.node]
 	slot := ws.lookup(ref.tag)
 	if slot < 0 {
-		return false, fmt.Errorf("core: fire of missing instance %q tag %#x", n.Label, ref.tag)
+		return false, fmt.Errorf("core: fire of missing instance %q tag %#x", m.g.Nodes[ref.node].Label, ref.tag)
 	}
 	ws.clearFlag(slot, wsQueued)
 
-	if n.Op == dfg.OpAllocate {
-		return m.fireAllocate(ref, n, slot)
+	if f.op == dfg.OpAllocate {
+		return m.fireAllocate(ref, f, slot)
 	}
 
-	// Copy the operand set out of the store (deleting the instance may
-	// shift other slots over it), then consume and retire it.
-	v := m.fireVals[:ws.nIn]
-	copy(v, ws.valSlice(slot))
-	consumed := int(m.info[ref.node].needInit)
-	for i := 0; i < consumed; i++ {
-		m.consumeOne(n.Block, ref.tag)
+	v := ws.valSlice(slot)
+	if ws.pool == 0 {
+		// An element loop: for a few operands, copy's memmove call costs
+		// more than the moves.
+		held := v
+		v = m.fireVals[:len(held)]
+		for i, x := range held {
+			v[i] = x
+		}
 	}
+	m.consume(f.block, ref.tag, f.needInit)
 	ws.delSlot(slot)
 	m.fired++
 	if m.rec != nil {
 		m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindFire,
-			Node: int32(ref.node), Block: int32(n.Block), Tag: ref.tag})
+			Node: int32(ref.node), Block: int32(f.block), Tag: ref.tag})
 	}
 
-	switch n.Op {
+	switch f.op {
 	case dfg.OpBin:
-		out, err := dfg.EvalBin(n.Bin, v[0], v[1])
+		out, err := dfg.EvalBin(f.bin, v[0], v[1])
 		if err != nil {
-			return true, fmt.Errorf("core: %q: %w", n.Label, err)
+			return true, fmt.Errorf("core: %q: %w", m.g.Nodes[ref.node].Label, err)
 		}
-		m.emitAll(n, 0, ref.tag, out)
+		m.emitAll(ref.node, f, 0, ref.tag, out)
 	case dfg.OpSelect:
 		out := v[2]
 		if v[0] != 0 {
 			out = v[1]
 		}
-		m.emitAll(n, 0, ref.tag, out)
+		m.emitAll(ref.node, f, 0, ref.tag, out)
 	case dfg.OpLoad:
-		val, err := m.im.Load(m.info[ref.node].memIdx, v[0])
+		val, err := m.im.Load(int(f.memIdx), v[0])
 		if err != nil {
-			return true, fmt.Errorf("core: %q: %w", n.Label, err)
+			return true, fmt.Errorf("core: %q: %w", m.g.Nodes[ref.node].Label, err)
 		}
 		if m.rec != nil {
 			m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindMemLoad,
-				Node: int32(ref.node), Block: int32(n.Block), Tag: ref.tag, Val: v[0]})
+				Node: int32(ref.node), Block: int32(f.block), Tag: ref.tag, Val: v[0]})
 		}
-		if lat := m.memLatency(mem.AccessLoad, ref.node, v[0]); lat > 1 {
+		if lat := m.memLatency(mem.AccessLoad, f.memIdx, v[0]); lat > 1 {
 			// The value returns after the memory latency; barrier and
 			// ordering consumers wait along with everyone else.
-			m.emitAllDelayed(n, dfg.LoadValOut, ref.tag, val, m.cycle+lat)
+			m.emitAllDelayed(ref.node, f, dfg.LoadValOut, ref.tag, val, m.cycle+lat)
 		} else {
-			m.emitAll(n, dfg.LoadValOut, ref.tag, val)
+			m.emitAll(ref.node, f, dfg.LoadValOut, ref.tag, val)
 		}
 	case dfg.OpStore:
-		if err := m.im.Store(m.info[ref.node].memIdx, v[0], v[1]); err != nil {
-			return true, fmt.Errorf("core: %q: %w", n.Label, err)
+		if err := m.im.Store(int(f.memIdx), v[0], v[1]); err != nil {
+			return true, fmt.Errorf("core: %q: %w", m.g.Nodes[ref.node].Label, err)
 		}
 		if m.rec != nil {
 			m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindMemStore,
-				Node: int32(ref.node), Block: int32(n.Block), Tag: ref.tag, Val: v[0]})
+				Node: int32(ref.node), Block: int32(f.block), Tag: ref.tag, Val: v[0]})
 		}
 		// The word is written at fire time (the model shapes time, not
 		// values); only the completion token waits out the access latency.
-		if lat := m.memLatency(mem.AccessStore, ref.node, v[0]); lat > 1 {
-			m.emitAllDelayed(n, dfg.StoreCtrlOut, ref.tag, 0, m.cycle+lat)
+		if lat := m.memLatency(mem.AccessStore, f.memIdx, v[0]); lat > 1 {
+			m.emitAllDelayed(ref.node, f, dfg.StoreCtrlOut, ref.tag, 0, m.cycle+lat)
 		} else {
-			m.emitAll(n, dfg.StoreCtrlOut, ref.tag, 0)
+			m.emitAll(ref.node, f, dfg.StoreCtrlOut, ref.tag, 0)
 		}
 	case dfg.OpSteer:
 		out := dfg.SteerFalseOut
 		if v[0] != 0 {
 			out = dfg.SteerTrueOut
 		}
-		m.emitAll(n, out, ref.tag, v[1])
-		m.emitAll(n, dfg.SteerCtrlOut, ref.tag, 0)
+		m.emitAll(ref.node, f, out, ref.tag, v[1])
+		m.emitAll(ref.node, f, dfg.SteerCtrlOut, ref.tag, 0)
 	case dfg.OpJoin, dfg.OpForward:
 		if ref.node == m.g.Result {
 			m.resultVal = v[0]
 		}
-		m.emitAll(n, 0, ref.tag, v[0])
+		m.emitAll(ref.node, f, 0, ref.tag, v[0])
 	case dfg.OpGate:
-		m.emitAll(n, 0, ref.tag, v[1])
+		m.emitAll(ref.node, f, 0, ref.tag, v[1])
 	case dfg.OpExtractTag:
-		m.emitAll(n, 0, ref.tag, int64(ref.tag))
+		m.emitAll(ref.node, f, 0, ref.tag, int64(ref.tag))
 	case dfg.OpChangeTag:
 		newTag := uint64(v[0])
 		if m.rec != nil {
 			m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindChangeTag,
-				Node: int32(ref.node), Block: int32(n.Block), Tag: ref.tag, Val: int64(newTag)})
+				Node: int32(ref.node), Block: int32(f.block), Tag: ref.tag, Val: int64(newTag)})
 		}
-		m.emitAll(n, dfg.CTDataOut, newTag, v[1])
-		m.emitAll(n, dfg.CTCtrlOut, ref.tag, 0)
+		m.emitAll(ref.node, f, dfg.CTDataOut, newTag, v[1])
+		m.emitAll(ref.node, f, dfg.CTCtrlOut, ref.tag, 0)
 	case dfg.OpChangeTagDyn:
 		newTag := uint64(v[0])
 		if m.rec != nil {
 			m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindChangeTag,
-				Node: int32(ref.node), Block: int32(n.Block), Tag: ref.tag, Val: int64(newTag)})
+				Node: int32(ref.node), Block: int32(f.block), Tag: ref.tag, Val: int64(newTag)})
 		}
-		m.emit(n.ID, dfg.DecodePort(v[2]), newTag, v[1])
+		to := dfg.DecodePort(v[2])
+		m.emit(ref.node, dest{node: to.Node, in: int32(to.In), blk: m.g.Nodes[to.Node].Block}, newTag, v[1])
 		m.crossTokens++
-		m.emitAll(n, dfg.CTCtrlOut, ref.tag, 0)
+		m.emitAll(ref.node, f, dfg.CTCtrlOut, ref.tag, 0)
 	case dfg.OpFree:
 		if m.san != nil {
-			if err := m.san.checkFree(m, n, ref.tag); err != nil {
+			if err := m.san.checkFree(m, &m.g.Nodes[ref.node], ref.tag); err != nil {
 				return true, err
 			}
 		}
-		m.freeTag(n.Space, ref.tag)
+		m.freeTag(f.space, ref.tag)
 		if m.rec != nil {
 			m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindTagFree,
-				Node: int32(ref.node), Block: int32(n.Space), Tag: ref.tag,
-				Val: int64(m.inUse[n.Space])})
+				Node: int32(ref.node), Block: int32(f.space), Tag: ref.tag,
+				Val: int64(m.inUse[f.space])})
 		}
 		if ref.node == m.g.RootFree {
 			m.done = true
 		}
 	default:
-		return true, fmt.Errorf("core: op %s not executable on the tagged machine", n.Op)
+		return true, fmt.Errorf("core: op %s not executable on the tagged machine", f.op)
 	}
 	return true, nil
 }
@@ -838,9 +967,9 @@ func (m *machine) fire(ref fireRef) (bool, error) {
 // policy's forward-progress rules.
 //
 //tyr:hotpath
-func (m *machine) fireAllocate(ref fireRef, n *dfg.Node, slot int32) (bool, error) {
-	if m.cfg.Policy == PolicyKBound && m.spacePooled[n.Space] {
-		return m.fireAllocateKBound(ref, n, slot)
+func (m *machine) fireAllocate(ref fireRef, f *firing, slot int32) (bool, error) {
+	if m.cfg.Policy == PolicyKBound && m.spacePooled[f.space] {
+		return m.fireAllocateKBound(ref, f, slot)
 	}
 	ws := &m.stores[ref.node]
 	ready := ws.has(slot, allocReadyPort)
@@ -851,55 +980,55 @@ func (m *machine) fireAllocate(ref fireRef, n *dfg.Node, slot int32) (bool, erro
 		// reserve+1 line; pop the last usable tag only for a ready
 		// context; external allocates into tail-recursive blocks keep
 		// one tag back for the backedge.
-		r := m.info[ref.node].reserve
-		a := m.avail(n.Space)
+		r := int(f.reserve)
+		a := m.avail(f.space)
 		canPop = a > r+1 || (ready && a > r)
 	case PolicyGlobalBounded, PolicyLocalNoGate:
 		// No protocol at all: pop whenever a tag exists. This is the
 		// naive bounding that deadlocks (Fig. 11 / Sec. VIII).
-		canPop = m.avail(n.Space) > 0
+		canPop = m.avail(f.space) > 0
 	default:
 		canPop = true
 	}
 	if !canPop {
 		ws.setFlag(slot, wsParked)
-		idx := m.pendingIndex(n.Space)
+		idx := m.pendingIndex(f.space)
 		m.pending[idx] = append(m.pending[idx], ref)
 		if m.rec != nil {
 			m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindPark,
-				Node: int32(ref.node), Block: int32(n.Space), Tag: ref.tag,
-				Val: int64(m.avail(n.Space))})
+				Node: int32(ref.node), Block: int32(f.space), Tag: ref.tag,
+				Val: int64(m.avail(f.space))})
 		}
 		return false, nil
 	}
-	tag, _ := m.popTag(n.Space)
-	m.grantAllocate(ref, n, slot, tag)
+	tag, _ := m.popTag(f.space)
+	m.grantAllocate(ref, f, slot, tag)
 	return true, nil
 }
 
 // grantAllocate completes an allocate firing once a tag has been chosen.
 //
 //tyr:hotpath
-func (m *machine) grantAllocate(ref fireRef, n *dfg.Node, slot int32, tag uint64) {
+func (m *machine) grantAllocate(ref fireRef, f *firing, slot int32, tag uint64) {
 	ws := &m.stores[ref.node]
 	if m.san != nil {
-		m.san.held[tag] = n.Space
+		m.san.held[tag] = f.space
 	}
-	m.noteAlloc(n.Space)
+	m.noteAlloc(f.space)
 	m.fired++
 	if m.rec != nil {
 		m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindFire,
-			Node: int32(ref.node), Block: int32(n.Block), Tag: ref.tag})
+			Node: int32(ref.node), Block: int32(f.block), Tag: ref.tag})
 		m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindTagAlloc,
-			Node: int32(ref.node), Block: int32(n.Space), Tag: tag,
-			Val: int64(m.inUse[n.Space])})
+			Node: int32(ref.node), Block: int32(f.space), Tag: tag,
+			Val: int64(m.inUse[f.space])})
 	}
-	m.emitAll(n, dfg.AllocTagOut, ref.tag, int64(tag))
-	m.consumeOne(n.Block, ref.tag) // the request token
+	m.emitAll(ref.node, f, dfg.AllocTagOut, ref.tag, int64(tag))
+	m.consume(f.block, ref.tag, 1) // the request token
 	ws.setFlag(slot, wsPopped)
 	if ws.has(slot, allocReadyPort) {
-		m.emitAll(n, dfg.AllocCtrlOut, ref.tag, 0)
-		m.consumeOne(n.Block, ref.tag) // the ready token
+		m.emitAll(ref.node, f, dfg.AllocCtrlOut, ref.tag, 0)
+		m.consume(f.block, ref.tag, 1) // the ready token
 		ws.delSlot(slot)
 	}
 }
@@ -919,14 +1048,14 @@ const (
 // parallelism explosion in general.
 //
 //tyr:hotpath
-func (m *machine) fireAllocateKBound(ref fireRef, n *dfg.Node, slot int32) (bool, error) {
+func (m *machine) fireAllocateKBound(ref fireRef, f *firing, slot int32) (bool, error) {
 	ws := &m.stores[ref.node]
-	k := m.spaceTags[n.Space]
+	k := m.spaceTags[f.space]
 	var tag uint64
-	if n.External {
+	if f.external {
 		inv := m.kbNextInv
 		m.kbNextInv++
-		base := kbFlag | uint64(n.Space)<<kbSpcShift | inv<<kbInvShift
+		base := kbFlag | uint64(f.space)<<kbSpcShift | inv<<kbInvShift
 		key := base >> kbInvShift
 		rec := m.kbFor(key)
 		for t := k - 1; t >= 1; t-- {
@@ -945,7 +1074,7 @@ func (m *machine) fireAllocateKBound(ref fireRef, n *dfg.Node, slot int32) (bool
 			rec.pending = append(rec.pending, ref)
 			if m.rec != nil {
 				m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindPark,
-					Node: int32(ref.node), Block: int32(n.Space), Tag: ref.tag})
+					Node: int32(ref.node), Block: int32(f.space), Tag: ref.tag})
 			}
 			return false, nil
 		}
@@ -956,7 +1085,7 @@ func (m *machine) fireAllocateKBound(ref fireRef, n *dfg.Node, slot int32) (bool
 			m.kbPeakPerInv = rec.out
 		}
 	}
-	m.grantAllocate(ref, n, slot, tag)
+	m.grantAllocate(ref, f, slot, tag)
 	return true, nil
 }
 
@@ -968,7 +1097,8 @@ func (m *machine) start() error {
 		return err
 	}
 	for _, inj := range m.g.Entries {
-		m.emit(dfg.InvalidNode, inj.To, rootTag, inj.Val)
+		to := inj.To
+		m.emit(dfg.InvalidNode, dest{node: to.Node, in: int32(to.In), blk: m.g.Nodes[to.Node].Block}, rootTag, inj.Val)
 	}
 	return nil
 }
@@ -980,15 +1110,15 @@ func (m *machine) stopErr() error {
 }
 
 // stepCycle advances the machine by exactly one simulated cycle: deliver
-// last cycle's tokens, promote completions into the ready flow, and fire
-// up to IssueWidth instances. It reports done=true when the machine has
+// last cycle's tokens, queueing the instances they complete, and fire up
+// to IssueWidth instances. It reports done=true when the machine has
 // quiesced (nothing ready, nothing in flight) — the caller then calls
 // finish. run owns the cancel poll at every cycle boundary, which keeps
 // the step itself free of termination logic.
 //
 //tyr:hotpath
 func (m *machine) stepCycle() (bool, error) {
-	// Deliver last cycle's tokens; completions join the ready flow.
+	// Deliver last cycle's tokens; completions join the ready queue.
 	// The outbox is double-buffered: deliveries append new tokens to
 	// the spare while the previous cycle's batch drains.
 	box := m.outbox
@@ -1008,13 +1138,6 @@ func (m *machine) stepCycle() (bool, error) {
 		}
 	}
 	if m.readyHead == len(m.ready) {
-		m.ready = m.ready[:0]
-		m.readyHead = 0
-	}
-	m.ready = append(m.ready, m.nextReady...)
-	m.nextReady = m.nextReady[:0]
-
-	if m.readyHead == len(m.ready) {
 		if m.delayed.Len() > 0 {
 			// Stalled on memory: burn an idle cycle.
 			m.cycle++
@@ -1029,10 +1152,11 @@ func (m *machine) stepCycle() (bool, error) {
 		return false, fmt.Errorf("core: exceeded MaxCycles=%d (runaway program?)", m.cfg.MaxCycles)
 	}
 
+	// Refs woken while firing join the queue past end: next cycle's.
 	budget := m.cfg.IssueWidth
 	firedThisCycle := 0
-	idx := m.readyHead
-	for budget > 0 && idx < len(m.ready) {
+	idx, end := m.readyHead, len(m.ready)
+	for budget > 0 && idx < end {
 		ref := m.ready[idx]
 		idx++
 		slot, err := m.fire(ref)
@@ -1044,9 +1168,12 @@ func (m *machine) stepCycle() (bool, error) {
 			firedThisCycle++
 		}
 	}
+	// Once the fired prefix is at least as long as what is left, move the
+	// rest down: the copy is paid for by the refs fired since the last
+	// one, and the queue never holds more than twice its backlog.
 	m.readyHead = idx
-	if m.readyHead > 64 && m.readyHead*2 >= len(m.ready) {
-		n := copy(m.ready, m.ready[m.readyHead:])
+	if idx*2 >= len(m.ready) {
+		n := copy(m.ready, m.ready[idx:])
 		m.ready = m.ready[:n]
 		m.readyHead = 0
 	}

@@ -74,11 +74,13 @@ type waitStore struct {
 	nIn      int     // operand slots per instance
 	words    int     // presence-bitset words per instance
 	needInit int32   // operands a fresh instance still waits for
-	consts   []int64 // constant-port prefill (len nIn, shared, read-only)
+	consts   []int64 // constant operands (len nIn, shared, read-only), nil if none
 }
 
-// init sets the store up for a node with nIn operand ports. pool is the
-// size of the tag pool the node's tags come from when they are dense
+// init sets the store up for a node with nIn operand ports. consts holds
+// the constant operands, written into every record when it is allocated;
+// the caller never writes a const-bound port, so they stay put. pool is
+// the size of the tag pool the node's tags come from when they are dense
 // (base+i with i < pool), 0 when they are unbounded.
 func (ws *waitStore) init(nIn, words int, needInit int32, consts []int64, base, pool uint64) {
 	ws.nIn = nIn
@@ -94,13 +96,19 @@ func (ws *waitStore) init(nIn, words int, needInit int32, consts []int64, base, 
 	}
 }
 
-// alloc replaces the records with capacity empty ones.
+// alloc replaces the records with capacity empty ones, constant operands
+// in place.
 func (ws *waitStore) alloc(capacity int) {
 	ws.tags = make([]uint64, capacity)
 	ws.need = make([]int32, capacity)
 	ws.flags = make([]uint8, capacity)
 	ws.vals = make([]int64, capacity*ws.nIn)
 	ws.present = make([]uint64, capacity*ws.words)
+	if ws.consts != nil {
+		for i := 0; i < capacity; i++ {
+			copy(ws.vals[i*ws.nIn:(i+1)*ws.nIn], ws.consts)
+		}
+	}
 	if ws.pool == 0 {
 		ws.mask = uint32(capacity - 1)
 		ws.growAt = capacity * 13 / 16
@@ -141,8 +149,9 @@ func (ws *waitStore) lookup(tag uint64) int32 {
 }
 
 // insert adds a fresh instance for tag (which must not be present) and
-// returns its slot: operands prefilled with the node's constants, presence
-// cleared, flags zeroed. A pooled store refuses a tag outside its pool
+// returns its slot: presence cleared, flags zeroed, constant operands in
+// place since the record was allocated, and the other operands undefined
+// until they are delivered. A pooled store refuses a tag outside its pool
 // with -1. Grows first if needed, so the returned slot stays valid until
 // the next insert or delete.
 //
@@ -177,10 +186,10 @@ func (ws *waitStore) insert(tag uint64) int32 {
 	ws.tags[i] = tag
 	ws.need[i] = ws.needInit
 	ws.flags[i] = 0
-	copy(ws.vals[int(i)*ws.nIn:(int(i)+1)*ws.nIn], ws.consts)
-	pw := ws.present[int(i)*ws.words : (int(i)+1)*ws.words]
-	for w := range pw {
-		pw[w] = 0
+	if ws.words == 1 {
+		ws.present[i] = 0
+	} else {
+		clear(ws.present[int(i)*ws.words : (int(i)+1)*ws.words])
 	}
 	ws.n++
 	return i

@@ -84,7 +84,10 @@ func checkAgainstRef(t *testing.T, ws *waitStore, ref map[uint64]*refInstance) b
 		}
 		vals := ws.valSlice(slot)
 		for p := 0; p < ws.nIn; p++ {
-			if vals[p] != ri.vals[p] || ws.has(slot, p) != ri.present[p] {
+			// A token-fed operand is defined once delivered; a constant
+			// one always is.
+			defined := ri.present[p] || propConstPort(p)
+			if defined && vals[p] != ri.vals[p] || ws.has(slot, p) != ri.present[p] {
 				t.Logf("tag %#x port %d: val %d/%v != ref %d/%v",
 					tag, p, vals[p], ws.has(slot, p), ri.vals[p], ri.present[p])
 				ok = false
@@ -99,22 +102,34 @@ func checkAgainstRef(t *testing.T, ws *waitStore, ref map[uint64]*refInstance) b
 	return ok
 }
 
+// propConstPort reports whether port p of a property store is
+// const-bound: every odd port is, as a node's constant operands are.
+func propConstPort(p int) bool { return p%2 == 1 }
+
 // runStoreOps applies ops to a fresh store and to the reference model: a
 // hashed store over propTag's keys, or a pooled one over propPoolTag's.
+// Like the engine, the ops write only token-fed ports: a record's constant
+// operands are written when it is allocated, and must survive every
+// insert, delete, grow and shift after that.
 func runStoreOps(t *testing.T, nIn int, pooled bool, ops []storeOp) bool {
 	t.Helper()
 	words := (nIn + 63) / 64
 	consts := make([]int64, nIn)
+	needInit := int32(0)
 	for p := range consts {
-		consts[p] = int64(100 + p)
+		if propConstPort(p) {
+			consts[p] = int64(100 + p)
+		} else {
+			needInit++
+		}
 	}
 	var ws waitStore
 	tagOf := propTag
 	if pooled {
-		ws.init(nIn, words, int32(nIn), consts, propPoolBase, propPoolSize)
+		ws.init(nIn, words, needInit, consts, propPoolBase, propPoolSize)
 		tagOf = propPoolTag
 	} else {
-		ws.init(nIn, words, int32(nIn), consts, 0, 0)
+		ws.init(nIn, words, needInit, consts, 0, 0)
 	}
 	ref := map[uint64]*refInstance{}
 
@@ -127,7 +142,7 @@ func runStoreOps(t *testing.T, nIn int, pooled bool, ops []storeOp) bool {
 				continue // insert requires absence; treat as no-op
 			}
 			slot := ws.insert(tag)
-			ri := &refInstance{need: int32(nIn), vals: make([]int64, nIn), present: make([]bool, nIn)}
+			ri := &refInstance{need: needInit, vals: make([]int64, nIn), present: make([]bool, nIn)}
 			copy(ri.vals, consts)
 			ref[tag] = ri
 			if slot < 0 || ws.lookup(tag) != slot || ws.tags[slot] != tag {
@@ -145,6 +160,9 @@ func runStoreOps(t *testing.T, nIn int, pooled bool, ops []storeOp) bool {
 				delete(ref, tag)
 			}
 		case 2:
+			if propConstPort(port) {
+				continue // deliver refuses a token to a const-bound port
+			}
 			slot := ws.lookup(tag)
 			ri := ref[tag]
 			if (slot >= 0) != (ri != nil) {

@@ -253,6 +253,9 @@ const (
 	StoreCtrlOut = 0
 )
 
+// MaxOut is the most output ports any op has: NumOut(OpSteer).
+const MaxOut = 3
+
 // NumOut returns the number of output ports for an op.
 func NumOut(op Op) int {
 	switch op {

@@ -53,6 +53,19 @@ func TestEvalBinDivRemZero(t *testing.T) {
 	}
 }
 
+// TestMaxOutBoundsNumOut: the machines size each node's output-port
+// ranges by MaxOut, so no op may have more ports, and some op has that
+// many.
+func TestMaxOutBoundsNumOut(t *testing.T) {
+	most := 0
+	for op := Op(0); op < numOps; op++ {
+		most = max(most, NumOut(op))
+	}
+	if most != MaxOut {
+		t.Errorf("the most output ports of any op is %d, MaxOut is %d", most, MaxOut)
+	}
+}
+
 func TestPortEncoding(t *testing.T) {
 	f := func(node int32, in uint8) bool {
 		if node < 0 {

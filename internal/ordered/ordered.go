@@ -14,6 +14,7 @@ package ordered
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cancel"
 	"repro/internal/cq"
@@ -124,30 +125,25 @@ type push struct {
 	val int64
 }
 
-// dirtySet is a deduplicating node set: a membership bitmap plus an
-// insertion-order list, replacing the seed's map[dfg.NodeID]bool so the
-// per-cycle candidate scan touches no hash buckets and clears in O(set)
-// without reallocation. Candidate order is restored by sorting the list,
-// exactly as the seed sorted the map's keys.
-type dirtySet struct {
-	marked []bool
-	list   []dfg.NodeID
+// nodeSet is a set of node IDs kept as a bitmap, walked in ascending ID
+// order with bits.TrailingZeros64: the seed's candidate order (it sorted
+// a map's keys), with no sort and no list.
+type nodeSet struct {
+	words []uint64
+	n     int // members
+}
+
+func newNodeSet(nodes int) *nodeSet {
+	return &nodeSet{words: make([]uint64, (nodes+63)/64)}
 }
 
 //tyr:hotpath
-func (s *dirtySet) add(nid dfg.NodeID) {
-	if !s.marked[nid] {
-		s.marked[nid] = true
-		s.list = append(s.list, nid)
+func (s *nodeSet) add(nid dfg.NodeID) {
+	w, bit := nid>>6, uint64(1)<<(nid&63)
+	if s.words[w]&bit == 0 {
+		s.words[w] |= bit
+		s.n++
 	}
-}
-
-//tyr:hotpath
-func (s *dirtySet) clear() {
-	for _, nid := range s.list {
-		s.marked[nid] = false
-	}
-	s.list = s.list[:0]
 }
 
 type machine struct {
@@ -178,8 +174,10 @@ type machine struct {
 	// freed queue space can re-arm them.
 	producersOf [][]dfg.NodeID
 
-	dirty     *dirtySet
-	nextDirty *dirtySet
+	// dirty holds this cycle's candidates; nextDirty collects the next
+	// cycle's while dirty is walked.
+	dirty     *nodeSet
+	nextDirty *nodeSet
 
 	live     int64
 	cycle    int64
@@ -220,8 +218,8 @@ func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
 		im:        im,
 		cfg:       cfg,
 		queues:    make([][]fifo, len(g.Nodes)),
-		dirty:     &dirtySet{marked: make([]bool, len(g.Nodes))},
-		nextDirty: &dirtySet{marked: make([]bool, len(g.Nodes))},
+		dirty:     newNodeSet(len(g.Nodes)),
+		nextDirty: newNodeSet(len(g.Nodes)),
 		ipcHist:   make([]int64, cfg.IssueWidth+1),
 		rec:       cfg.Tracer,
 		portBase:  make([]int32, len(g.Nodes)),
@@ -243,26 +241,18 @@ func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
 		}
 		m.memIdx[i] = idx
 	}
-	producers := make([]map[dfg.NodeID]bool, len(g.Nodes))
+	// Producers are listed once each, in node order: a node feeding
+	// another through several ports is appended on its first.
+	m.producersOf = make([][]dfg.NodeID, len(g.Nodes))
 	for i := range g.Nodes {
+		pr := g.Nodes[i].ID
 		for _, dests := range g.Nodes[i].Outs {
 			for _, d := range dests {
-				if producers[d.Node] == nil {
-					producers[d.Node] = make(map[dfg.NodeID]bool)
+				if ps := m.producersOf[d.Node]; len(ps) == 0 || ps[len(ps)-1] != pr {
+					m.producersOf[d.Node] = append(ps, pr)
 				}
-				producers[d.Node][g.Nodes[i].ID] = true
 			}
 		}
-	}
-	m.producersOf = make([][]dfg.NodeID, len(g.Nodes))
-	for i, set := range producers {
-		//tyr:nondet-ok -- set flattened here, sorted immediately below
-		for pr := range set {
-			m.producersOf[i] = append(m.producersOf[i], pr)
-		}
-		// Sorted so wake-up order (and thus the dirty list) never depends
-		// on map iteration.
-		sortNodeIDs(m.producersOf[i])
 	}
 	m.stagedN = make([]int32, nports)
 	m.inFlight = make([]int32, nports)
@@ -570,7 +560,7 @@ func (m *machine) stopErr() error {
 //
 //tyr:hotpath
 func (m *machine) stepCycle() (bool, error) {
-	if len(m.dirty.list) == 0 && m.delayed.Len() == 0 {
+	if m.dirty.n == 0 && m.delayed.Len() == 0 {
 		return true, nil
 	}
 	for _, p := range m.delayed.Take(m.cycle) {
@@ -588,28 +578,32 @@ func (m *machine) stepCycle() (bool, error) {
 		return false, fmt.Errorf("ordered: exceeded MaxCycles=%d", m.cfg.MaxCycles)
 	}
 
-	// Deterministic candidate order: the dirty list holds the same
-	// set the seed kept as map keys; sorting it in place restores the
-	// seed's candidate order without a per-cycle allocation.
-	candidates := m.dirty.list
-	sortNodeIDs(candidates)
-
+	// Candidates in ascending node order, each word cleared once walked;
+	// firing only ever adds to nextDirty.
 	budget := m.cfg.IssueWidth
 	firedThisCycle := 0
-	for _, nid := range candidates {
-		if budget == 0 {
-			m.nextDirty.add(nid) // retry next cycle
+	for wi, w := range m.dirty.words {
+		if w == 0 {
 			continue
 		}
-		if !m.ready(nid) {
-			continue
+		m.dirty.words[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			nid := dfg.NodeID(wi<<6 | bits.TrailingZeros64(w))
+			if budget == 0 {
+				m.nextDirty.add(nid) // retry next cycle
+				continue
+			}
+			if !m.ready(nid) {
+				continue
+			}
+			if err := m.fireNode(nid); err != nil {
+				return false, err
+			}
+			budget--
+			firedThisCycle++
 		}
-		if err := m.fireNode(nid); err != nil {
-			return false, err
-		}
-		budget--
-		firedThisCycle++
 	}
+	m.dirty.n = 0
 
 	// Deliver staged tokens, unwinding their staged-count reservations.
 	for _, p := range m.staged {
@@ -625,7 +619,6 @@ func (m *machine) stepCycle() (bool, error) {
 	}
 	m.staged = m.staged[:0]
 
-	m.dirty.clear()
 	m.dirty, m.nextDirty = m.nextDirty, m.dirty
 
 	m.cycle++
@@ -683,13 +676,4 @@ func (m *machine) finish() (Result, error) {
 		return res, fmt.Errorf("ordered: machine quiesced without producing a result (%d tokens queued)", m.live)
 	}
 	return res, nil
-}
-
-func sortNodeIDs(ids []dfg.NodeID) {
-	// Insertion sort: candidate sets are small and mostly ordered.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -280,12 +280,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	p, err := prog.Parse(req.Source)
-	if err != nil {
-		s.endStage(t, adm, "admission")
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
+	p := req.Program()
 	if req.Optimize {
 		p = prog.Optimize(p)
 	}
