@@ -1,8 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/dfg"
 	"repro/internal/mem"
 )
 
@@ -133,5 +136,82 @@ func TestKBoundMatchesReferenceResults(t *testing.T) {
 	}
 	if kb.ResultValue != ty.ResultValue {
 		t.Errorf("k-bound result %d != tyr %d", kb.ResultValue, ty.ResultValue)
+	}
+}
+
+// TestLocalNoGateLeftoverWorkIsDeadlock: ungated, local-nogate at the
+// default 64 tags lets the root free fire while work is still live on
+// tiny dconv, small dconv and small dmm, and that work then starves. A run
+// is complete only once it has drained, so each reports a deadlock naming
+// its starved blocks, not a completion with wrong output.
+func TestLocalNoGateLeftoverWorkIsDeadlock(t *testing.T) {
+	for _, c := range []struct {
+		scale apps.Scale
+		app   string
+	}{{apps.ScaleTiny, "dconv"}, {apps.ScaleSmall, "dconv"}, {apps.ScaleSmall, "dmm"}} {
+		for _, app := range apps.Suite(c.scale) {
+			if app.Name != c.app {
+				continue
+			}
+			g, err := app.Tagged()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(g, app.NewImage(), Config{Policy: PolicyLocalNoGate})
+			if err != nil {
+				t.Fatalf("%v %s: %v", c.scale, app.Name, err)
+			}
+			if res.Completed || !res.Deadlocked || len(res.Deadlock.Spaces) == 0 || res.Deadlock.LiveTokens == 0 {
+				t.Errorf("%v %s: completed=%v deadlocked=%v, want a deadlock naming its starved blocks: %v",
+					c.scale, app.Name, res.Completed, res.Deadlocked, res.Deadlock)
+			}
+		}
+	}
+}
+
+// TestAllocateFiresOnce forges hazard D2 of the Theorem 1 analysis: an
+// allocate instance whose tag has popped, waiting for its ready, is put
+// back on the ready queue. Firing it again would hand out a second tag,
+// so the run fails instead.
+func TestAllocateFiresOnce(t *testing.T) {
+	g := compileNested(t, 8, 8)
+	m, err := newMachine(g, mem.NewImage(), Config{Policy: PolicyTyr, TagsPerBlock: 8}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.start(); err != nil {
+		t.Fatal(err)
+	}
+	forged := false
+	for !forged {
+		done, err := m.stepCycle()
+		if err != nil || done {
+			t.Fatalf("the run ended (done=%v, err=%v) before an allocate popped without its ready", done, err)
+		}
+		for nid := range m.stores {
+			ws := &m.stores[nid]
+			if m.nodes[nid].op != dfg.OpAllocate || forged {
+				continue
+			}
+			ws.forEach(func(tag uint64, slot int32) {
+				if !forged && ws.popped(slot) && !ws.queued(slot) {
+					ws.setFlag(slot, wsQueued)
+					m.ready = append(m.ready, fireRef{node: dfg.NodeID(nid), tag: tag})
+					forged = true
+				}
+			})
+		}
+	}
+	for {
+		done, err := m.stepCycle()
+		if err != nil {
+			if !strings.Contains(err.Error(), "fired again") {
+				t.Fatalf("wrong error: %v", err)
+			}
+			return
+		}
+		if done {
+			t.Fatal("the forged re-queue ran to the end without an error")
+		}
 	}
 }

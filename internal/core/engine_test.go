@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"strings"
 	"testing"
 	"unsafe"
@@ -346,13 +345,15 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestPooledStoreMemoryFollowsOccupancy runs small dconv on 65,536-tag
-// pools and checks that no pooled store sized itself by its pool: each
-// arena holds at most twice the node's peak occupancy (at least
-// wsMinCap), and each directory is no longer than its block's peak tags
-// in use, which bounds the highest pool index the node can have seen,
-// rounded up to a power of two. Under global-bounded every store hashes:
-// a directory there would follow the whole global pool's peak on every
-// node.
+// budgets under every policy (k-bound at its default k) and checks that
+// no store sized itself by its space: each arena holds at most twice the
+// node's peak occupancy (at least wsMinCap); the machine made no more
+// directory pages than its nodes' peak occupancies add up to, since a page
+// in use names at least one record, or is the last page of a store that
+// held one; each directory's top level covers at most twice the indices
+// its space has handed out (its peak tags in use for a bounded list, whose
+// lowest free index goes out first); and once the run drains, every store
+// keeps at most its last page and the rest are back in the pool.
 func TestPooledStoreMemoryFollowsOccupancy(t *testing.T) {
 	app := apps.Dconv(28, 28, 5, 3)
 	g, err := app.Tagged()
@@ -361,7 +362,10 @@ func TestPooledStoreMemoryFollowsOccupancy(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Policy: PolicyTyr, TagsPerBlock: 65536},
+		{Policy: PolicyLocalNoGate, TagsPerBlock: 65536},
+		{Policy: PolicyGlobalUnlimited},
 		{Policy: PolicyGlobalBounded, GlobalTags: 65536},
+		{Policy: PolicyKBound},
 	} {
 		im := app.NewImage()
 		m, err := newMachine(g, im, cfg.withDefaults())
@@ -378,25 +382,29 @@ func TestPooledStoreMemoryFollowsOccupancy(t *testing.T) {
 		if err := app.Check(im, res.ResultValue); err != nil {
 			t.Fatal(err)
 		}
+		occupancy, kept := 0, 0
 		for nid := range m.stores {
 			ws := &m.stores[nid]
 			n := &g.Nodes[nid]
-			if cfg.Policy == PolicyGlobalBounded {
-				if ws.pool != 0 || ws.dir != nil {
-					t.Fatalf("%q: global-bounded store is pooled (pool %d, directory %d)", n.Label, ws.pool, len(ws.dir))
-				}
-				continue
-			}
-			if ws.pool != 65536 {
-				t.Fatalf("%q: store pool %d, want the block's 65536", n.Label, ws.pool)
-			}
+			occupancy += int(m.storePeak[nid])
 			if arena, limit := len(ws.tags), max(wsMinCap, 2*int(m.storePeak[nid])); arena > limit {
-				t.Errorf("%q: arena of %d records for a peak of %d waiting instances", n.Label, arena, m.storePeak[nid])
+				t.Errorf("%v: %q: arena of %d records for a peak of %d waiting instances", cfg.Policy, n.Label, arena, m.storePeak[nid])
 			}
-			peak := m.peakInUse[n.Block]
-			if limit := 1 << bits.Len(uint(max(peak, 1)-1)); cap(ws.dir) > limit {
-				t.Errorf("%q: directory of %d entries for a block peak of %d tags in use", n.Label, cap(ws.dir), peak)
+			handed := int(m.spaces[n.Block].n)
+			if m.spaces[n.Block].bounded {
+				handed = m.peakInUse[n.Block]
 			}
+			if limit := 2 * ((handed + wsPageSize - 1) / wsPageSize); cap(ws.dir) > limit {
+				t.Errorf("%v: %q: directory of %d pages for %d indices handed out", cfg.Policy, n.Label, cap(ws.dir), handed)
+			}
+			if ws.len() != 0 || ws.npages > 1 {
+				t.Errorf("%v: %q: %d instances and %d pages left in a drained run", cfg.Policy, n.Label, ws.len(), ws.npages)
+			}
+			kept += ws.npages
+		}
+		if m.pages.made > occupancy || kept+len(m.pages.free) != m.pages.made {
+			t.Errorf("%v: %d pages made, %d kept and %d back in the pool, for nodes whose peaks add up to %d instances",
+				cfg.Policy, m.pages.made, kept, len(m.pages.free), occupancy)
 		}
 	}
 }
@@ -417,11 +425,10 @@ inject 0.0 = 1
 rootfree 3
 `
 
-// TestForeignTagFailsRun: under the policies whose stores index tags by
-// pool index, a token whose tag lies outside its destination block's pool
-// fails the run with an error naming the node and the tag, instead of
-// landing in another instance's slot. Hashed stores (unlimited tags, one
-// bounded global pool) take any tag.
+// TestForeignTagFailsRun: every store indexes tags by pool index, so
+// under every policy a token whose tag lies outside its destination
+// block's space fails the run with an error naming the node and the tag,
+// instead of landing in another instance's slot.
 func TestForeignTagFailsRun(t *testing.T) {
 	g, err := dfg.ParseGraph([]byte(foreignTagGraph))
 	if err != nil {
@@ -430,6 +437,9 @@ func TestForeignTagFailsRun(t *testing.T) {
 	for _, cfg := range []Config{
 		{Policy: PolicyTyr, TagsPerBlock: 8},
 		{Policy: PolicyLocalNoGate, TagsPerBlock: 8},
+		{Policy: PolicyGlobalUnlimited},
+		{Policy: PolicyGlobalBounded, GlobalTags: 8},
+		{Policy: PolicyKBound, TagsPerBlock: 8},
 	} {
 		_, err := Run(g, mem.NewImage(), cfg)
 		if err == nil {
@@ -438,14 +448,6 @@ func TestForeignTagFailsRun(t *testing.T) {
 		}
 		if msg := err.Error(); !strings.Contains(msg, `"victim"`) || !strings.Contains(msg, "0x100000000") {
 			t.Errorf("%v: error does not name the node and the tag: %v", cfg.Policy, err)
-		}
-	}
-	for _, cfg := range []Config{
-		{Policy: PolicyGlobalUnlimited},
-		{Policy: PolicyGlobalBounded, GlobalTags: 8},
-	} {
-		if _, err := Run(g, mem.NewImage(), cfg); err != nil {
-			t.Errorf("%v: a hashed store refused the token: %v", cfg.Policy, err)
 		}
 	}
 }

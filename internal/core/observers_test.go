@@ -14,7 +14,7 @@ import (
 // agree on every Result field, including the per-block peaks
 // (Spaces[].PeakLiveTokens), the store occupancy and the frame/cross
 // split, which the golden's untraced cells do not digest. It runs every
-// tiny and small kernel under each policy of both slot functions.
+// tiny and small kernel under tyr, unordered, local-nogate and k-bound.
 func TestObserversLeaveResultUnchanged(t *testing.T) {
 	scales := []apps.Scale{apps.ScaleTiny, apps.ScaleSmall}
 	if testing.Short() {
@@ -33,10 +33,12 @@ func TestObserversLeaveResultUnchanged(t *testing.T) {
 						t.Helper()
 						res, err := Run(g, app.NewImage(), cfg)
 						// Ungated, local-nogate can free the root with work
-						// outstanding; the sanitizer's completion audit
-						// reports it but still returns the run's Result.
+						// outstanding, which ends in a deadlock (tiny dconv,
+						// small dconv and small dmm at 64 tags). The
+						// sanitizer's completion audit reports its leaks
+						// first, alongside the same Result.
 						var se *SanitizeError
-						if err != nil && !(cfg.Sanitize && errors.As(err, &se) && res.Completed) {
+						if err != nil && !(cfg.Sanitize && errors.As(err, &se) && (res.Completed || res.Deadlocked)) {
 							t.Fatalf("%+v: %v", cfg, err)
 						}
 						return res

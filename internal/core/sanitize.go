@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/dfg"
@@ -119,16 +118,54 @@ func (e *SanitizeError) Error() string {
 	return b.String()
 }
 
-// sanitizer is the per-run check state.
+// sanitizer is the per-run check state. A tag is space<<32 | i, so both
+// its tables are per-space slices indexed by the pool index i.
 type sanitizer struct {
 	diags []Diagnostic
-	// held maps each currently allocated tag to its target space,
-	// including the root context's tag.
-	held map[uint64]dfg.BlockID
+	// held[s][i] marks tag s<<32 | i allocated, the root context's tag
+	// included.
+	held [][]bool
+	// live[s][i] counts the live tokens carrying tag s<<32 | i.
+	live [][]int64
 }
 
-func newSanitizer() *sanitizer {
-	return &sanitizer{held: make(map[uint64]dfg.BlockID)}
+func newSanitizer(nspaces int) *sanitizer {
+	return &sanitizer{held: make([][]bool, nspaces), live: make([][]int64, nspaces)}
+}
+
+// splitTag returns a tag's space and pool index.
+func splitTag(tag uint64) (int, int) { return int(tag >> 32), int(uint32(tag)) }
+
+// hold marks a granted tag allocated.
+func (s *sanitizer) hold(tag uint64) {
+	sp, i := splitTag(tag)
+	for len(s.held[sp]) <= i {
+		s.held[sp] = append(s.held[sp], false)
+	}
+	s.held[sp][i] = true
+}
+
+// count adds delta to the live tokens carrying tag. A tag past every
+// index its space has handed out is not counted: the store it is
+// delivered to refuses it and fails the run.
+func (s *sanitizer) count(m *machine, tag uint64, delta int64) {
+	sp, i := splitTag(tag)
+	if sp >= len(m.spaces) || i >= int(m.spaces[sp].n) {
+		return
+	}
+	for len(s.live[sp]) <= i {
+		s.live[sp] = append(s.live[sp], 0)
+	}
+	s.live[sp][i] += delta
+}
+
+// liveOf reports the live tokens carrying tag.
+func (s *sanitizer) liveOf(tag uint64) int64 {
+	sp, i := splitTag(tag)
+	if sp < len(s.live) && i < len(s.live[sp]) {
+		return s.live[sp][i]
+	}
+	return 0
 }
 
 // fail records a diagnostic and returns it as the run-aborting error.
@@ -139,50 +176,47 @@ func (s *sanitizer) fail(d Diagnostic) error {
 
 // checkFree validates a free firing; a nil return means the free is sound.
 func (s *sanitizer) checkFree(m *machine, n *dfg.Node, tag uint64) error {
-	if live, _ := m.perTagLive.get(tag); live != 0 {
+	if live := s.liveOf(tag); live != 0 {
 		return s.fail(Diagnostic{
 			Kind: DiagFreeWithLive, Cycle: m.cycle, Node: n.ID, Label: n.Label, Tag: tag, Event: m.evSeq(),
 			Detail: fmt.Sprintf("tag %#x freed with %d live tokens still carrying it (free barrier does not cover the block)", tag, live),
 		})
 	}
-	space, ok := s.held[tag]
-	if !ok {
+	sp, i := splitTag(tag)
+	if sp >= len(s.held) || i >= len(s.held[sp]) || !s.held[sp][i] {
 		return s.fail(Diagnostic{
 			Kind: DiagDoubleFree, Cycle: m.cycle, Node: n.ID, Label: n.Label, Tag: tag, Event: m.evSeq(),
 			Detail: fmt.Sprintf("tag %#x is not allocated (freed twice, or never granted)", tag),
 		})
 	}
-	if space != n.Space {
+	if dfg.BlockID(sp) != n.Space {
 		return s.fail(Diagnostic{
 			Kind: DiagDoubleFree, Cycle: m.cycle, Node: n.ID, Label: n.Label, Tag: tag, Event: m.evSeq(),
 			Detail: fmt.Sprintf("tag %#x belongs to space %q but is freed into %q",
-				tag, m.g.Blocks[space].Name, m.g.Blocks[n.Space].Name),
+				tag, m.g.Blocks[sp].Name, m.g.Blocks[n.Space].Name),
 		})
 	}
-	delete(s.held, tag)
+	s.held[sp][i] = false
 	return nil
 }
 
 // atCompletion runs the end-of-program audits. It returns nil when the
 // machine drained cleanly.
 func (s *sanitizer) atCompletion(m *machine) error {
-	if len(s.held) > 0 {
-		// Report leaks in sorted tag order: with more leaks than maxDiags,
-		// map iteration would make both the order and the surviving subset
-		// of diagnostics vary run to run.
-		leaked := make([]uint64, 0, len(s.held))
-		//tyr:nondet-ok -- keys only collected here, sorted before use
-		for tag := range s.held {
-			leaked = append(leaked, tag)
-		}
-		sort.Slice(leaked, func(i, j int) bool { return leaked[i] < leaked[j] })
-		for _, tag := range leaked {
+	// Leaks come in tag order: space, then pool index.
+leaks:
+	for sp, held := range s.held {
+		for i, h := range held {
+			if !h {
+				continue
+			}
+			tag := uint64(sp)<<32 | uint64(i)
 			s.diags = append(s.diags, Diagnostic{
 				Kind: DiagTagLeak, Cycle: m.cycle, Node: dfg.InvalidNode, Tag: tag, Event: m.evSeq(),
-				Detail: fmt.Sprintf("tag %#x of space %q still allocated at completion", tag, m.g.Blocks[s.held[tag]].Name),
+				Detail: fmt.Sprintf("tag %#x of space %q still allocated at completion", tag, m.g.Blocks[sp].Name),
 			})
 			if len(s.diags) >= maxDiags {
-				break
+				break leaks
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/dfg"
@@ -50,7 +51,9 @@ func TestSanitizeCleanRun(t *testing.T) {
 }
 
 // TestSanitizeDoubleFree frees a tag that was never granted: a changeTag
-// fabricates context 7 and routes it straight into a free.
+// fabricates context 7 and routes it straight into a free. It runs under
+// tyr, whose root pool of 8 holds index 7; every store refuses a tag its
+// space's list does not hold, before any free could see it.
 func TestSanitizeDoubleFree(t *testing.T) {
 	g := dfg.NewGraph("dblfree")
 	fwd := g.AddNode(dfg.OpForward, 0, 1, "entry")
@@ -66,7 +69,7 @@ func TestSanitizeDoubleFree(t *testing.T) {
 	g.Connect(ct, dfg.CTDataOut, f2, 0)
 	g.Inject(dfg.Port{Node: fwd, In: 0}, 1)
 
-	diags := sanDiag(t, g, Config{Policy: PolicyGlobalUnlimited})
+	diags := sanDiag(t, g, Config{Policy: PolicyTyr, TagsPerBlock: 8})
 	if !hasDiag(diags, DiagDoubleFree) {
 		t.Fatalf("no double-free diagnostic: %v", diags)
 	}
@@ -93,8 +96,11 @@ func TestSanitizeFreeWithLiveTokens(t *testing.T) {
 }
 
 // TestSanitizeOrphansAtCompletion retags a token into a context that nobody
-// frees and parks it at a half-filled join; the program still completes, so
-// only the completion audit can see the leak.
+// allocated, 9 of the root pool's 16 under tyr, and parks it at a
+// half-filled join. The root free still fires, so the machine quiesces
+// with a token left over and no allocate starved. With the sanitizer on,
+// its completion audit reports the orphans; without it, the run is an
+// orphan error, never a completion.
 func TestSanitizeOrphansAtCompletion(t *testing.T) {
 	g := dfg.NewGraph("orphan")
 	fwd := g.AddNode(dfg.OpForward, 0, 1, "entry")
@@ -108,12 +114,17 @@ func TestSanitizeOrphansAtCompletion(t *testing.T) {
 	g.Connect(ct, dfg.CTDataOut, b, 0) // port 1 never fed
 	g.Inject(dfg.Port{Node: fwd, In: 0}, 1)
 
-	diags := sanDiag(t, g, Config{Policy: PolicyGlobalUnlimited})
+	cfg := Config{Policy: PolicyTyr, TagsPerBlock: 16}
+	diags := sanDiag(t, g, cfg)
 	if !hasDiag(diags, DiagOrphanTokens) {
 		t.Errorf("no orphan-tokens diagnostic: %v", diags)
 	}
 	if !hasDiag(diags, DiagOrphanInstance) {
 		t.Errorf("no orphan-instance diagnostic: %v", diags)
+	}
+	res, err := Run(g, mem.NewImage(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "1 tokens left over") || res.Completed || res.Deadlocked {
+		t.Errorf("unsanitized: completed=%v deadlocked=%v err=%v, want an orphan error", res.Completed, res.Deadlocked, err)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // HotPath is the static complement of the AllocsPerRun gates: functions
-// annotated //tyr:hotpath (the engine step loops, the token store and
-// tagMap ops, the calendar queue) must contain no allocation-inducing
-// construct. PR 4 made the matching/dispatch path allocation-free in
+// annotated //tyr:hotpath (the engine step loops, the token store ops,
+// the calendar queue) must contain no allocation-inducing construct.
+// The token store made the matching/dispatch path allocation-free in
 // steady state; this analyzer keeps it that way at review time instead of
 // bench time.
 //
@@ -23,9 +23,9 @@ import (
 // Two escapes are deliberate: constructs lexically inside a return
 // statement or a panic call are error/abort paths (the run is over — the
 // steady-state claim no longer applies), and amortized growth lives in
-// unannotated helpers (waitStore.grow, cq.Queue.grow) that the annotated
-// ops may call — the dynamic AllocsPerRun gates bound how often those
-// fire.
+// unannotated helpers (waitStore.growArena, cq.Queue.grow) that the
+// annotated ops may call — the dynamic AllocsPerRun gates bound how often
+// those fire.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "//tyr:hotpath functions contain no allocation-inducing constructs outside abort paths",
