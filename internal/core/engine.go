@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/cancel"
@@ -62,36 +61,59 @@ const (
 	allocReadyPort   = 1
 )
 
-// kbRec is one live loop invocation's k-bound state: the tags of its k
-// indices not handed out, the count of tags out, and the allocates parked
-// on exhaustion. Records live in a machine-owned arena and recycle
-// through a freelist, keeping their pool/pending capacity across
-// invocations.
-type kbRec struct {
-	pool    []uint64
+// budget bounds the tags out of the spaces that draw on it: a block's
+// pool under tyr and local-nogate, the machine's under global-bounded,
+// and one leaf-loop invocation's k under k-bound. An allocate it cannot
+// admit parks on pending until one of its tags is freed.
+type budget struct {
+	limit   int // tags it admits at once
+	out     int // tags it has out
 	pending []fireRef
-	out     int
 }
+
+// A tag space's budget, when it is not an index into machine.budgets.
+const (
+	noBudget  int32 = -1 // nothing bounds the space (unordered)
+	invBudget int32 = -2 // each live invocation has its own (k-bound's leaf loops)
+)
 
 // tagSpace is one tag space's free list of pool indices: every tag of
-// space s is s<<32 | i with i below n. A bounded list (tyr, local-nogate)
-// is preloaded with its pool and never grows; an unbounded one starts
-// empty, hands out index n when nothing is free, and reuses an index
-// once it is freed.
+// space s is s<<32 | i with i below n. The list hands out the index freed
+// last, or else index n, so n is always the space's peak tags in use.
 type tagSpace struct {
-	free    []uint32 // free indices, the next one last
-	n       uint32   // indices in the list, free or handed out
-	bounded bool
+	free []uint32 // freed indices, the one freed last on top
+	n    uint32   // indices handed out so far
+	// bud is the budget every allocate into the space draws on: an index
+	// into machine.budgets, noBudget or invBudget. Under invBudget, inv[i]
+	// is the budget of the invocation holding index i, or -1.
+	bud int32
+	inv []int32
 }
 
-// preload fills a bounded list with pool indices 0..size-1, 0 first out.
-func (ts *tagSpace) preload(size int) {
-	ts.free = make([]uint32, size)
-	for t := range ts.free {
-		ts.free[t] = uint32(size - 1 - t)
+// pop hands out a tag of space: the index freed last, or else index n.
+//
+//tyr:hotpath
+func (ts *tagSpace) pop(space dfg.BlockID) uint64 {
+	var i uint32
+	if k := len(ts.free); k > 0 {
+		i = ts.free[k-1]
+		ts.free = ts.free[:k-1]
+	} else {
+		i = ts.n
+		ts.n++
 	}
-	ts.n = uint32(size)
-	ts.bounded = true
+	return uint64(space)<<32 | uint64(i)
+}
+
+// invocation returns the budget of the live invocation holding tag, a tag
+// of space, or -1 when none does.
+//
+//tyr:hotpath
+func (ts *tagSpace) invocation(space dfg.BlockID, tag uint64) int32 {
+	if i := tag - uint64(space)<<32; i < uint64(len(ts.inv)) {
+		return ts.inv[i]
+	}
+	return -1
 }
 
 type machine struct {
@@ -103,33 +125,22 @@ type machine struct {
 	dests  []dest // every output port's destinations, ranged by firing.outs
 	stores []waitStore
 
-	// The tag sources: one free list per space, under every policy.
-	// global-bounded draws from the same unbounded lists against one
-	// machine-wide budget, cfg.GlobalTags, checked against totalInUse.
-	spaces []tagSpace
-	// spaceTags is each space's tag budget: the global budget under
-	// bounded-global, the block's pool (TagsPerBlock or its BlockTags
-	// override; per invocation under k-bounding) for bounded spaces, and 0
-	// for unbounded ones.
+	// The tag sources: one free list per space, under every policy, and
+	// the budgets that bound them. A k-bound invocation's budget goes
+	// back on idleBudgets when its last tag retires, for the next one.
+	spaces      []tagSpace
+	budgets     []budget
+	idleBudgets []int32
+	// spaceTags is each space's reported tag budget: the global budget
+	// under global-bounded, the block's pool (TagsPerBlock or its
+	// BlockTags override; per invocation under k-bounding) for bounded
+	// spaces, and 0 for unbounded ones.
 	spaceTags []int
 
-	inUse      []int // tags currently allocated, per target space
-	peakInUse  []int
-	allocCount []int64
-	totalInUse int
-	peakTags   int
-
-	pending [][]fireRef // starved allocates per space (global: index 0)
-
-	// k-bounding state (PolicyKBound): TTDA gives every loop *invocation*
-	// of a leaf loop (kbLeaf) its own block of k tags. An invocation takes
-	// k indices of its space's list at the external transfer point and
-	// returns them when its last tag retires. kbInv[s][i] is the kbRecs
-	// index of the invocation holding index i of space s, or -1.
-	kbLeaf       []bool
-	kbInv        [][]int32
-	kbRecs       []kbRec
-	kbFree       []int32
+	inUse        []int // tags currently allocated, per target space
+	allocCount   []int64
+	totalInUse   int
+	peakTags     int
 	kbPeakPerInv int
 
 	// ready is the one ready queue, a deque (head index + compaction) so
@@ -310,40 +321,46 @@ func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
 	m.rec = cfg.Tracer
 
 	m.inUse = make([]int, nspaces)
-	m.peakInUse = make([]int, nspaces)
 	m.allocCount = make([]int64, nspaces)
-	m.pending = make([][]fireRef, nspaces)
 	m.spaces = make([]tagSpace, nspaces)
 	m.spaceTags = make([]int, nspaces)
+	for s := range m.spaces {
+		m.spaces[s].bud = noBudget
+	}
 	switch cfg.Policy {
 	case PolicyTyr, PolicyLocalNoGate:
+		m.budgets = make([]budget, nspaces)
 		for s := range g.Blocks {
 			m.spaceTags[s] = blockTags(cfg, &g.Blocks[s])
-			m.spaces[s].preload(m.spaceTags[s])
+			m.budgets[s].limit = m.spaceTags[s]
+			m.spaces[s].bud = int32(s)
 		}
 	case PolicyKBound:
 		// TTDA-style: only leaf loops are bounded — blocks that are
 		// tail-recursive and spawn no other concurrent block (no
-		// allocate inside them targets a different space).
-		m.kbLeaf = make([]bool, nspaces)
+		// allocate inside them targets a different space). The root
+		// block is never tail-recursive.
 		for s := range g.Blocks {
-			m.kbLeaf[s] = g.Blocks[s].TailRecursive
+			if g.Blocks[s].TailRecursive {
+				m.spaces[s].bud = invBudget
+			}
 		}
 		for i := range g.Nodes {
 			n := &g.Nodes[i]
 			if n.Op == dfg.OpAllocate && n.Space != n.Block {
-				m.kbLeaf[n.Block] = false
+				m.spaces[n.Block].bud = noBudget
 			}
 		}
-		m.kbInv = make([][]int32, nspaces)
 		for s := range g.Blocks {
-			if m.kbLeaf[s] {
+			if m.spaces[s].bud == invBudget {
 				m.spaceTags[s] = blockTags(cfg, &g.Blocks[s])
 			}
 		}
 	case PolicyGlobalBounded:
+		m.budgets = []budget{{limit: cfg.GlobalTags}}
 		for s := range g.Blocks {
 			m.spaceTags[s] = cfg.GlobalTags
+			m.spaces[s].bud = 0
 		}
 	}
 
@@ -390,12 +407,15 @@ func constVals(n *dfg.Node) []int64 {
 	return vals
 }
 
-// allocRoot takes the tag for the root context.
-func (m *machine) allocRoot() (uint64, error) {
-	tag, ok := m.popTag(0)
-	if !ok {
-		return 0, fmt.Errorf("core: no tag available for the root context")
+// allocRoot takes the tag for the root context. Every budget admits at
+// least one tag (validateConfig), and the root block is never a k-bound
+// leaf loop.
+func (m *machine) allocRoot() uint64 {
+	ts := &m.spaces[0]
+	if b := ts.bud; b >= 0 {
+		m.budgets[b].out++
 	}
+	tag := ts.pop(0)
 	if m.san != nil {
 		m.san.hold(tag)
 	}
@@ -404,50 +424,12 @@ func (m *machine) allocRoot() (uint64, error) {
 		m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindTagAlloc,
 			Node: trace.NoNode, Block: 0, Tag: tag, Val: int64(m.inUse[0])})
 	}
-	return tag, nil
-}
-
-// popTag takes a tag of the given space from its free list, within the
-// machine-wide budget under global-bounded. It does not update usage
-// statistics.
-//
-//tyr:hotpath
-func (m *machine) popTag(space dfg.BlockID) (uint64, bool) {
-	if m.cfg.Policy == PolicyGlobalBounded && m.totalInUse >= m.cfg.GlobalTags {
-		return 0, false
-	}
-	ts := &m.spaces[space]
-	var i uint32
-	if k := len(ts.free); k > 0 {
-		i = ts.free[k-1]
-		ts.free = ts.free[:k-1]
-	} else if ts.bounded {
-		return 0, false
-	} else {
-		i = ts.n
-		ts.n++
-	}
-	return uint64(space)<<32 | uint64(i), true
-}
-
-//tyr:hotpath
-func (m *machine) avail(space dfg.BlockID) int {
-	switch {
-	case m.cfg.Policy == PolicyGlobalBounded:
-		return m.cfg.GlobalTags - m.totalInUse
-	case m.spaces[space].bounded:
-		return len(m.spaces[space].free)
-	default:
-		return 1 << 30
-	}
+	return tag
 }
 
 //tyr:hotpath
 func (m *machine) noteAlloc(space dfg.BlockID) {
 	m.inUse[space]++
-	if m.inUse[space] > m.peakInUse[space] {
-		m.peakInUse[space] = m.inUse[space]
-	}
 	m.allocCount[space]++
 	m.totalInUse++
 	if m.totalInUse > m.peakTags {
@@ -455,62 +437,33 @@ func (m *machine) noteAlloc(space dfg.BlockID) {
 	}
 }
 
-// kbAcquire hands out a (possibly recycled) invocation record index.
+// openInvocation hands out a budget of limit tags for a new invocation of
+// a k-bound leaf loop: an idle one when there is one.
 //
 //tyr:hotpath
-func (m *machine) kbAcquire() int32 {
-	if n := len(m.kbFree); n > 0 {
-		ri := m.kbFree[n-1]
-		m.kbFree = m.kbFree[:n-1]
-		return ri
+func (m *machine) openInvocation(limit int) int32 {
+	if k := len(m.idleBudgets); k > 0 {
+		b := m.idleBudgets[k-1]
+		m.idleBudgets = m.idleBudgets[:k-1]
+		m.budgets[b].limit = limit
+		return b
 	}
-	m.kbRecs = append(m.kbRecs, kbRec{})
-	return int32(len(m.kbRecs) - 1)
+	m.budgets = append(m.budgets, budget{limit: limit})
+	return int32(len(m.budgets) - 1)
 }
 
-// kbRelease retires an invocation whose last tag, tag, has just been
-// freed: its k indices go back to the space's list, and its record is
-// kept, with its slice capacity, for the next invocation.
-//
-//tyr:hotpath
-func (m *machine) kbRelease(ri int32, space dfg.BlockID, tag uint64) {
-	rec := &m.kbRecs[ri]
-	ts := &m.spaces[space]
-	inv := m.kbInv[space]
-	inv[uint32(tag)] = -1
-	ts.free = append(ts.free, uint32(tag))
-	for _, t := range rec.pool {
-		inv[uint32(t)] = -1
-		ts.free = append(ts.free, uint32(t))
+// enterInvocation records that invocation b holds index i of ts's space.
+func (ts *tagSpace) enterInvocation(i uint32, b int32) {
+	for uint32(len(ts.inv)) <= i {
+		ts.inv = append(ts.inv, -1)
 	}
-	rec.pool = rec.pool[:0]
-	rec.pending = rec.pending[:0]
-	rec.out = 0
-	m.kbFree = append(m.kbFree, ri)
+	ts.inv[i] = b
 }
 
-// kbRecOf returns the kbRecs index of the live invocation holding tag, a
-// tag of leaf space space, or -1 when none does.
-//
-//tyr:hotpath
-func (m *machine) kbRecOf(space dfg.BlockID, tag uint64) int32 {
-	inv := m.kbInv[space]
-	if i := tag - uint64(space)<<32; i < uint64(len(inv)) {
-		return inv[i]
-	}
-	return -1
-}
-
-// kbIndex records that invocation ri holds index i of space.
-func (m *machine) kbIndex(space dfg.BlockID, i uint32, ri int32) {
-	for uint32(len(m.kbInv[space])) <= i {
-		m.kbInv[space] = append(m.kbInv[space], -1)
-	}
-	m.kbInv[space][i] = ri
-}
-
-// freeTag returns a tag to its space's list and wakes starved allocates.
-// A tag the space never handed out is a run error.
+// freeTag returns a tag to its space's list and the tag to its budget,
+// then wakes the allocates parked on that budget. A tag the space never
+// handed out is a run error. A k-bound invocation whose last tag retires
+// leaves its budget idle for the next one.
 //
 //tyr:hotpath
 func (m *machine) freeTag(space dfg.BlockID, tag uint64) error {
@@ -519,44 +472,32 @@ func (m *machine) freeTag(space dfg.BlockID, tag uint64) error {
 	if i >= uint64(ts.n) {
 		return fmt.Errorf("core: free of tag %#x, which space %q never handed out", tag, m.g.Blocks[space].Name)
 	}
-	m.inUse[space]--
-	m.totalInUse--
-	if m.kbLeaf != nil && m.kbLeaf[space] {
-		ri := m.kbRecOf(space, tag)
-		if ri < 0 {
+	b := ts.bud
+	if b == invBudget {
+		if b = ts.invocation(space, tag); b < 0 {
 			return fmt.Errorf("core: free of tag %#x outside every live invocation of %q", tag, m.g.Blocks[space].Name)
 		}
-		rec := &m.kbRecs[ri]
-		rec.out--
-		if rec.out == 0 {
-			// Last tag of the invocation retired; reclaim its block.
-			m.kbRelease(ri, space, tag)
-			return nil
-		}
-		rec.pool = append(rec.pool, tag)
-		if len(rec.pending) > 0 {
-			m.wakeRefs(rec.pending)
-			rec.pending = rec.pending[:0]
-		}
+		ts.inv[i] = -1
+	}
+	m.inUse[space]--
+	m.totalInUse--
+	ts.free = append(ts.free, uint32(i))
+	if b < 0 {
 		return nil
 	}
-	ts.free = append(ts.free, uint32(i))
-	m.wake(m.pendingIndex(space))
+	bu := &m.budgets[b]
+	bu.out--
+	if refs := bu.pending; len(refs) > 0 {
+		bu.pending = refs[:0]
+		m.wakeRefs(refs)
+	} else if bu.out == 0 && ts.bud == invBudget {
+		m.idleBudgets = append(m.idleBudgets, b)
+	}
 	return nil
 }
 
-// wake moves a space's starved allocates back into the ready flow.
+// wakeRefs moves starved allocates back into the ready flow.
 //
-//tyr:hotpath
-func (m *machine) wake(pendingIdx dfg.BlockID) {
-	refs := m.pending[pendingIdx]
-	if len(refs) == 0 {
-		return
-	}
-	m.pending[pendingIdx] = refs[:0]
-	m.wakeRefs(refs)
-}
-
 //tyr:hotpath
 func (m *machine) wakeRefs(refs []fireRef) {
 	for _, ref := range refs {
@@ -573,14 +514,6 @@ func (m *machine) wakeRefs(refs []fireRef) {
 				Node: int32(ref.node), Block: int32(m.nodes[ref.node].space), Tag: ref.tag})
 		}
 	}
-}
-
-//tyr:hotpath
-func (m *machine) pendingIndex(space dfg.BlockID) dfg.BlockID {
-	if m.cfg.Policy == PolicyGlobalBounded {
-		return 0
-	}
-	return space
 }
 
 // push queues a token for delivery at the start of the next cycle, with no
@@ -951,8 +884,11 @@ func (m *machine) fire(ref fireRef) (bool, error) {
 	return true, nil
 }
 
-// fireAllocate attempts to pop a tag for a requesting context, applying the
-// policy's forward-progress rules.
+// fireAllocate attempts to pop a tag for a requesting context: it finds
+// the budget the allocate draws on and pops when the budget admits a tag,
+// else parks the allocate on it. Every policy allocates here; they differ
+// only in their budgets (newMachine) and in whether ready gates the last
+// free tags (tyr's rule).
 //
 //tyr:hotpath
 func (m *machine) fireAllocate(ref fireRef, f *firing, slot int32) (bool, error) {
@@ -962,48 +898,51 @@ func (m *machine) fireAllocate(ref fireRef, f *firing, slot int32) (bool, error)
 		return false, fmt.Errorf("core: allocate %q fired again for tag %#x after its tag popped",
 			m.g.Nodes[ref.node].Label, ref.tag)
 	}
-	if m.kbLeaf != nil && m.kbLeaf[f.space] {
-		return m.fireAllocateKBound(ref, f, slot)
-	}
-	ready := ws.has(slot, allocReadyPort)
-	canPop := false
-	switch m.cfg.Policy {
-	case PolicyTyr:
-		// The paper's forward-progress rule: pop freely above the
-		// reserve+1 line; pop the last usable tag only for a ready
-		// context; external allocates into tail-recursive blocks keep
-		// one tag back for the backedge.
-		r := int(f.reserve)
-		a := m.avail(f.space)
-		canPop = a > r+1 || (ready && a > r)
-	case PolicyGlobalBounded, PolicyLocalNoGate:
-		// No protocol at all: pop whenever a tag exists. This is the
-		// naive bounding that deadlocks (Fig. 11 / Sec. VIII).
-		canPop = m.avail(f.space) > 0
-	default:
-		canPop = true
-	}
-	if !canPop {
-		ws.setFlag(slot, wsParked)
-		idx := m.pendingIndex(f.space)
-		m.pending[idx] = append(m.pending[idx], ref)
-		if m.rec != nil {
-			m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindPark,
-				Node: int32(ref.node), Block: int32(f.space), Tag: ref.tag,
-				Val: int64(m.avail(f.space))})
+	ts := &m.spaces[f.space]
+	b := ts.bud
+	if b == invBudget {
+		// TTDA-style k-bounding: an external allocate opens a new
+		// invocation with a budget of k; a backedge draws on its own
+		// invocation's, waiting for iteration i+1-k to retire when all k
+		// are out. Invocations themselves are unbounded — the reason
+		// k-bounding does not solve parallelism explosion in general.
+		if f.external {
+			b = m.openInvocation(m.spaceTags[f.space])
+		} else if b = ts.invocation(f.space, ref.tag); b < 0 {
+			return false, fmt.Errorf("core: allocate %q for tag %#x outside every live invocation of %q",
+				m.g.Nodes[ref.node].Label, ref.tag, m.g.Blocks[f.space].Name)
 		}
-		return false, nil
 	}
-	tag, _ := m.popTag(f.space)
-	m.grantAllocate(ref, f, slot, tag)
-	return true, nil
-}
-
-// grantAllocate completes an allocate firing once a tag has been chosen.
-//
-//tyr:hotpath
-func (m *machine) grantAllocate(ref fireRef, f *firing, slot int32, tag uint64) {
-	ws := &m.stores[ref.node]
+	if b >= 0 {
+		bu := &m.budgets[b]
+		a := bu.limit - bu.out
+		// Without a protocol, pop whenever the budget has a tag: the
+		// naive bounding that deadlocks (Fig. 11 / Sec. VIII).
+		canPop := a > 0
+		if m.cfg.Policy == PolicyTyr {
+			// The paper's forward-progress rule: pop freely above the
+			// reserve+1 line; pop the last usable tag only for a ready
+			// context; external allocates into tail-recursive blocks keep
+			// one tag back for the backedge.
+			r := int(f.reserve)
+			canPop = a > r+1 || (ws.has(slot, allocReadyPort) && a > r)
+		}
+		if !canPop {
+			ws.setFlag(slot, wsParked)
+			bu.pending = append(bu.pending, ref)
+			if m.rec != nil {
+				m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindPark,
+					Node: int32(ref.node), Block: int32(f.space), Tag: ref.tag, Val: int64(a)})
+			}
+			return false, nil
+		}
+		bu.out++
+	}
+	tag := ts.pop(f.space)
+	if ts.bud == invBudget {
+		ts.enterInvocation(uint32(tag), b)
+		m.kbPeakPerInv = max(m.kbPeakPerInv, m.budgets[b].out)
+	}
 	if m.san != nil {
 		m.san.hold(tag)
 	}
@@ -1024,75 +963,17 @@ func (m *machine) grantAllocate(ref fireRef, f *firing, slot int32, tag uint64) 
 		m.consume(f.block, ref.tag, 1) // the ready token
 		ws.delSlot(ref.tag, slot)
 	}
-}
-
-// fireAllocateKBound implements TTDA-style k-bounding: every external
-// transfer point (loop invocation) takes k indices of its space's list;
-// backedge allocates rotate within their own invocation's k, waiting for
-// iteration i+1-k to retire when all are out. Invocations themselves are
-// unbounded — the reason k-bounding does not solve parallelism explosion
-// in general.
-//
-//tyr:hotpath
-func (m *machine) fireAllocateKBound(ref fireRef, f *firing, slot int32) (bool, error) {
-	ws := &m.stores[ref.node]
-	var tag uint64
-	if f.external {
-		ri := m.kbAcquire()
-		rec := &m.kbRecs[ri]
-		tag, _ = m.popTag(f.space)
-		m.kbIndex(f.space, uint32(tag), ri)
-		for j := 1; j < m.spaceTags[f.space]; j++ {
-			t, _ := m.popTag(f.space)
-			m.kbIndex(f.space, uint32(t), ri)
-			rec.pool = append(rec.pool, t)
-		}
-		// The pool hands out its last tag first: reversed, the index
-		// popped second goes to the invocation's first backedge.
-		slices.Reverse(rec.pool)
-		rec.out = 1
-		if m.kbPeakPerInv < 1 {
-			m.kbPeakPerInv = 1
-		}
-	} else {
-		ri := m.kbRecOf(f.space, ref.tag)
-		if ri < 0 {
-			return false, fmt.Errorf("core: allocate %q for tag %#x outside every live invocation of %q",
-				m.g.Nodes[ref.node].Label, ref.tag, m.g.Blocks[f.space].Name)
-		}
-		rec := &m.kbRecs[ri]
-		if len(rec.pool) == 0 {
-			ws.setFlag(slot, wsParked)
-			rec.pending = append(rec.pending, ref)
-			if m.rec != nil {
-				m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindPark,
-					Node: int32(ref.node), Block: int32(f.space), Tag: ref.tag})
-			}
-			return false, nil
-		}
-		tag = rec.pool[len(rec.pool)-1]
-		rec.pool = rec.pool[:len(rec.pool)-1]
-		rec.out++
-		if rec.out > m.kbPeakPerInv {
-			m.kbPeakPerInv = rec.out
-		}
-	}
-	m.grantAllocate(ref, f, slot, tag)
 	return true, nil
 }
 
 // start allocates the root context and injects the entry tokens: the
 // machine's state at cycle zero, before the first stepCycle.
-func (m *machine) start() error {
-	rootTag, err := m.allocRoot()
-	if err != nil {
-		return err
-	}
+func (m *machine) start() {
+	rootTag := m.allocRoot()
 	for _, inj := range m.g.Entries {
 		to := inj.To
 		m.emit(dfg.InvalidNode, dest{node: to.Node, in: int32(to.In), blk: m.g.Nodes[to.Node].Block}, rootTag, inj.Val)
 	}
-	return nil
 }
 
 // stopErr is the error a cancelled run returns; split out so the loop's
@@ -1185,9 +1066,7 @@ func (m *machine) stepCycle() (bool, error) {
 //tyr:cycleloop
 //tyr:hotpath
 func (m *machine) run() (Result, error) {
-	if err := m.start(); err != nil {
-		return Result{}, err
-	}
+	m.start()
 	for {
 		if m.cfg.Stop.Stopped() {
 			return Result{}, m.stopErr()
@@ -1240,7 +1119,7 @@ func (m *machine) finish() (Result, error) {
 		res.Spaces = append(res.Spaces, metrics.SpaceStats{
 			Block:          m.g.Blocks[s].Name,
 			Tags:           m.spaceTags[s],
-			PeakInUse:      m.peakInUse[s],
+			PeakInUse:      int(m.spaces[s].n),
 			Allocs:         m.allocCount[s],
 			PeakLiveTokens: m.peakByBlock[s],
 		})
@@ -1263,13 +1142,9 @@ func (m *machine) finish() (Result, error) {
 // starved and the leftover work cannot be a deadlock over tags.
 func (m *machine) deadlock(res *Result) error {
 	info := &DeadlockInfo{Cycle: m.cycle, LiveTokens: m.live}
-	allPending := append([][]fireRef{}, m.pending...)
-	for i := range m.kbRecs {
-		allPending = append(allPending, m.kbRecs[i].pending)
-	}
 	starved := make(map[dfg.BlockID]int)
-	for idx := range allPending {
-		for _, ref := range allPending[idx] {
+	for b := range m.budgets {
+		for _, ref := range m.budgets[b].pending {
 			ws := &m.stores[ref.node]
 			slot := ws.lookup(ref.tag)
 			if slot < 0 || !ws.parked(slot) {

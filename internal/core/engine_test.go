@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -351,15 +352,18 @@ func TestDeterminism(t *testing.T) {
 // directory pages than its nodes' peak occupancies add up to, since a page
 // in use names at least one record, or is the last page of a store that
 // held one; each directory's top level covers at most twice the indices
-// its space has handed out (its peak tags in use for a bounded list, whose
-// lowest free index goes out first); and once the run drains, every store
-// keeps at most its last page and the rest are back in the pool.
+// its space has handed out (its peak tags in use, since a list hands out
+// a new index only when every one is in use); and once the run drains,
+// every store keeps at most its last page and the rest are back in the
+// pool. k-bound, whose invocations take an index per iteration, makes no
+// more pages than unordered, whose spaces no budget bounds.
 func TestPooledStoreMemoryFollowsOccupancy(t *testing.T) {
 	app := apps.Dconv(28, 28, 5, 3)
 	g, err := app.Tagged()
 	if err != nil {
 		t.Fatal(err)
 	}
+	made := map[TagPolicy]int{}
 	for _, cfg := range []Config{
 		{Policy: PolicyTyr, TagsPerBlock: 65536},
 		{Policy: PolicyLocalNoGate, TagsPerBlock: 65536},
@@ -391,9 +395,6 @@ func TestPooledStoreMemoryFollowsOccupancy(t *testing.T) {
 				t.Errorf("%v: %q: arena of %d records for a peak of %d waiting instances", cfg.Policy, n.Label, arena, m.storePeak[nid])
 			}
 			handed := int(m.spaces[n.Block].n)
-			if m.spaces[n.Block].bounded {
-				handed = m.peakInUse[n.Block]
-			}
 			if limit := 2 * ((handed + wsPageSize - 1) / wsPageSize); cap(ws.dir) > limit {
 				t.Errorf("%v: %q: directory of %d pages for %d indices handed out", cfg.Policy, n.Label, cap(ws.dir), handed)
 			}
@@ -406,48 +407,67 @@ func TestPooledStoreMemoryFollowsOccupancy(t *testing.T) {
 			t.Errorf("%v: %d pages made, %d kept and %d back in the pool, for nodes whose peaks add up to %d instances",
 				cfg.Policy, m.pages.made, kept, len(m.pages.free), occupancy)
 		}
+		made[cfg.Policy] = m.pages.made
+	}
+	if kb, un := made[PolicyKBound], made[PolicyGlobalUnlimited]; kb > un {
+		t.Errorf("kbound made %d directory pages, unordered %d", kb, un)
 	}
 }
 
-// foreignTagGraph forges a token in the root block that carries the
-// first tag of block 1's pool (1<<32), which lies outside the root
-// block's pool.
-const foreignTagGraph = `graph "foreign"
+// forgedTagGraph forges a token in the root block that carries tag and
+// sends it to "victim", the root-block node decl declares. Block 1's
+// first tag is 1<<32.
+func forgedTagGraph(tag uint64, decl string) string {
+	return fmt.Sprintf(`graph "forged"
 block 1 loop parent=0 name="other"
 node 0 forward blk=0 nin=1 label="entry"
-node 1 changeTag blk=0 nin=2 const0=4294967296 label="forge"
-node 2 join blk=0 nin=2 label="victim"
+node 1 changeTag blk=0 nin=2 const0=%d label="forge"
+node 2 %s label="victim"
 node 3 free blk=0 nin=1 space=0 label="root.free"
 edge 0.0 -> 1.1
 edge 0.0 -> 3.0
 edge 1.0 -> 2.0
 inject 0.0 = 1
 rootfree 3
-`
+`, tag, decl)
+}
 
 // TestForeignTagFailsRun: every store indexes tags by pool index, so
 // under every policy a token whose tag lies outside its destination
-// block's space fails the run with an error naming the node and the tag,
-// instead of landing in another instance's slot.
+// block's space, or past every index that space has handed out, fails the
+// run with an error naming the node and the tag, instead of landing in
+// another instance's slot. The second case forges index 7 of the root's
+// pool of 8, while only the root's own tag, index 0, has gone out, and
+// sends it to a free, which must not take back an index its list never
+// handed out.
 func TestForeignTagFailsRun(t *testing.T) {
-	g, err := dfg.ParseGraph([]byte(foreignTagGraph))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []Config{
-		{Policy: PolicyTyr, TagsPerBlock: 8},
-		{Policy: PolicyLocalNoGate, TagsPerBlock: 8},
-		{Policy: PolicyGlobalUnlimited},
-		{Policy: PolicyGlobalBounded, GlobalTags: 8},
-		{Policy: PolicyKBound, TagsPerBlock: 8},
+	for _, c := range []struct {
+		name string
+		tag  uint64
+		decl string
+	}{
+		{"another space", 1 << 32, "join blk=0 nin=2"},
+		{"an index never handed out", 7, "free blk=0 nin=1 space=0"},
 	} {
-		_, err := Run(g, mem.NewImage(), cfg)
-		if err == nil {
-			t.Errorf("%v: a foreign tag ran without error", cfg.Policy)
-			continue
+		g, err := dfg.ParseGraph([]byte(forgedTagGraph(c.tag, c.decl)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if msg := err.Error(); !strings.Contains(msg, `"victim"`) || !strings.Contains(msg, "0x100000000") {
-			t.Errorf("%v: error does not name the node and the tag: %v", cfg.Policy, err)
+		for _, cfg := range []Config{
+			{Policy: PolicyTyr, TagsPerBlock: 8},
+			{Policy: PolicyLocalNoGate, TagsPerBlock: 8},
+			{Policy: PolicyGlobalUnlimited},
+			{Policy: PolicyGlobalBounded, GlobalTags: 8},
+			{Policy: PolicyKBound, TagsPerBlock: 8},
+		} {
+			res, err := Run(g, mem.NewImage(), cfg)
+			if err == nil {
+				t.Errorf("%s, %v: a forged tag ran without error (completed=%v)", c.name, cfg.Policy, res.Completed)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, `"victim"`) || !strings.Contains(msg, fmt.Sprintf("%#x,", c.tag)) {
+				t.Errorf("%s, %v: error does not name the node and the tag: %v", c.name, cfg.Policy, err)
+			}
 		}
 	}
 }

@@ -50,25 +50,51 @@ func TestSanitizeCleanRun(t *testing.T) {
 	}
 }
 
-// TestSanitizeDoubleFree frees a tag that was never granted: a changeTag
-// fabricates context 7 and routes it straight into a free. It runs under
-// tyr, whose root pool of 8 holds index 7; every store refuses a tag its
-// space's list does not hold, before any free could see it.
-func TestSanitizeDoubleFree(t *testing.T) {
-	g := dfg.NewGraph("dblfree")
-	fwd := g.AddNode(dfg.OpForward, 0, 1, "entry")
-	ct := g.AddNode(dfg.OpChangeTag, 0, 2, "forge")
-	g.SetConst(ct, 0, 7) // fabricated tag, never allocated
-	f2 := g.AddNode(dfg.OpFree, 0, 1, "bogus.free")
-	f1 := g.AddNode(dfg.OpFree, 0, 1, "root.free")
-	g.RootFree = f1
-	// Order matters: the changeTag consumes its token before root.free
-	// fires, so the only live token at the bogus free carries tag 7.
-	g.Connect(fwd, 0, ct, 1)
-	g.Connect(fwd, 0, f1, 0)
-	g.Connect(ct, dfg.CTDataOut, f2, 0)
-	g.Inject(dfg.Port{Node: fwd, In: 0}, 1)
+// retiredTagGraph hands out a tag of block "child" and retires it, then
+// reaches the retired context again. The root allocates the tag; "enter"
+// retags a token into the child context, whose free retires the tag; two
+// forwards later, "reenter" retags a second token with the same tag and
+// sends it to the child-block node "victim", which decl declares. A store
+// holds the token, since the index was handed out. reenter's control
+// output feeds the root free, so no token carrying the root's tag
+// outlives it.
+func retiredTagGraph(t *testing.T, decl string) *dfg.Graph {
+	t.Helper()
+	g, err := dfg.ParseGraph([]byte(`graph "retired"
+block 1 func parent=0 name="child"
+node 0 forward blk=0 nin=1 label="entry"
+node 1 allocate blk=0 nin=2 space=1 external label="child.alloc"
+node 2 changeTag blk=0 nin=2 label="enter"
+node 3 free blk=1 nin=1 space=1 label="child.free"
+node 4 forward blk=0 nin=1 label="delay1"
+node 5 forward blk=0 nin=1 label="delay2"
+node 6 changeTag blk=0 nin=2 label="reenter"
+node 7 ` + decl + ` label="victim"
+node 8 free blk=0 nin=1 space=0 label="root.free"
+edge 0.0 -> 1.0
+edge 0.0 -> 1.1
+edge 0.0 -> 2.1
+edge 0.0 -> 6.1
+edge 1.0 -> 2.0
+edge 1.0 -> 4.0
+edge 2.0 -> 3.0
+edge 4.0 -> 5.0
+edge 5.0 -> 6.0
+edge 6.0 -> 7.0
+edge 6.1 -> 8.0
+inject 0.0 = 1
+rootfree 8
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
 
+// TestSanitizeDoubleFree frees a tag its free has already retired: the
+// retired context's token reaches a second free of the child block.
+func TestSanitizeDoubleFree(t *testing.T) {
+	g := retiredTagGraph(t, "free blk=1 nin=1 space=1")
 	diags := sanDiag(t, g, Config{Policy: PolicyTyr, TagsPerBlock: 8})
 	if !hasDiag(diags, DiagDoubleFree) {
 		t.Fatalf("no double-free diagnostic: %v", diags)
@@ -95,26 +121,14 @@ func TestSanitizeFreeWithLiveTokens(t *testing.T) {
 	}
 }
 
-// TestSanitizeOrphansAtCompletion retags a token into a context that nobody
-// allocated, 9 of the root pool's 16 under tyr, and parks it at a
-// half-filled join. The root free still fires, so the machine quiesces
-// with a token left over and no allocate starved. With the sanitizer on,
-// its completion audit reports the orphans; without it, the run is an
-// orphan error, never a completion.
+// TestSanitizeOrphansAtCompletion parks the retired context's token at a
+// half-filled join of the child block. The root free still fires, so the
+// machine quiesces with a token left over and no allocate starved. With
+// the sanitizer on, its completion audit reports the orphans; without it,
+// the run is an orphan error, never a completion.
 func TestSanitizeOrphansAtCompletion(t *testing.T) {
-	g := dfg.NewGraph("orphan")
-	fwd := g.AddNode(dfg.OpForward, 0, 1, "entry")
-	ct := g.AddNode(dfg.OpChangeTag, 0, 2, "leak")
-	g.SetConst(ct, 0, 9)
-	b := g.AddNode(dfg.OpJoin, 0, 2, "stuck")
-	f1 := g.AddNode(dfg.OpFree, 0, 1, "root.free")
-	g.RootFree = f1
-	g.Connect(fwd, 0, ct, 1)
-	g.Connect(fwd, 0, f1, 0)
-	g.Connect(ct, dfg.CTDataOut, b, 0) // port 1 never fed
-	g.Inject(dfg.Port{Node: fwd, In: 0}, 1)
-
-	cfg := Config{Policy: PolicyTyr, TagsPerBlock: 16}
+	g := retiredTagGraph(t, "join blk=1 nin=2") // port 1 never fed
+	cfg := Config{Policy: PolicyTyr, TagsPerBlock: 8}
 	diags := sanDiag(t, g, cfg)
 	if !hasDiag(diags, DiagOrphanTokens) {
 		t.Errorf("no orphan-tokens diagnostic: %v", diags)

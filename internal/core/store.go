@@ -31,7 +31,7 @@ package core
 const (
 	wsPopped uint8 = 1 << iota // tag already popped; waiting for ready
 	wsQueued                   // in the ready queue
-	wsParked                   // starved of tags; waiting in a pending list
+	wsParked                   // starved of tags; waiting on its budget's pending list
 )
 
 // wsMinCap is the initial arena capacity.
