@@ -10,7 +10,8 @@
 // validated against the reference interpreter), a system, and the machine
 // parameters; Validate rejects malformed requests with field-level errors
 // before any simulation starts, and Request.Plan converts a valid request
-// into the harness configuration that all five engines consume.
+// into the harness configuration that the four engines behind the five
+// systems consume.
 package api
 
 import (
@@ -43,22 +44,14 @@ const MaxTracePoints = 65536
 // allocate as much memory as it declares.
 const MaxSourceWords = 1 << 20
 
-// MaxTagPoolWords is the largest number of tags an inline source may make
-// a tyr run hold in its pools: the program's concurrent blocks (one per
-// reachable function, one per loop) times the largest tag pool the
-// request sets. The engine fills every block's pool before the first
-// cycle, at 8 bytes a tag, so without a cap a source of many small loops
-// at a large tags value could allocate gigabytes. The cap is 32 MiB of
-// pools. The densest source that fits tyrd's 1 MiB body has 58,563
-// blocks (empty functions, each called once), so every source tyrd
-// admits stays under the cap at the default 64 tags.
-const MaxTagPoolWords = 1 << 22
-
 // MaxMachineSize is the largest accepted issue_width, tags, block_tags
-// value and global_tags. The engines size per-run state by these values
-// before the first cycle (the IPC histogram by issue width, each tag pool
-// by its tag count), so an unbounded value would let one request allocate
-// without limit. Every committed sweep stops at 512.
+// value and global_tags. The engines size the IPC histogram by the issue
+// width before the first cycle, so an unbounded width would let one
+// request allocate without limit. A tag count allocates nothing up front,
+// since every tag list grows as its tags go out: it bounds how many
+// contexts a block, or the machine under global_tags, holds at once, and
+// the cap keeps it within the 65,536 tags a block's memory is measured at
+// (DESIGN.md §6). Every committed sweep stops at 512.
 const MaxMachineSize = 1 << 16
 
 // Scales lists the accepted workload scales.
@@ -332,68 +325,6 @@ func checkSourceWords(p *prog.Program) error {
 	return nil
 }
 
-// checkTagPools rejects, on field tags, a tyr run of p whose tag pools
-// would hold more than MaxTagPoolWords tags. A pool above MaxMachineSize
-// is left to checkMachineSize.
-func checkTagPools(errs *[]FieldError, p *prog.Program, tags int, blockTags map[string]int) {
-	pool := tags
-	if pool <= 0 {
-		pool = 64 // the engine's default tags per block
-	}
-	for _, n := range blockTags {
-		pool = max(pool, n)
-	}
-	if pool > MaxMachineSize {
-		return
-	}
-	if blocks := concurrentBlocks(p); blocks > MaxTagPoolWords/pool {
-		*errs = append(*errs, FieldError{"tags", fmt.Sprintf(
-			"%d concurrent blocks x %d tags exceeds the %d-tag pool cap; lower tags or block_tags", blocks, pool, MaxTagPoolWords)})
-	}
-}
-
-// concurrentBlocks counts the concurrent blocks the tagged lowering gives
-// p, each with its own tag pool: one per function reachable from the
-// entry and one per loop in those functions.
-func concurrentBlocks(p *prog.Program) int {
-	funcs := make(map[string]*prog.Func, len(p.Funcs))
-	for _, f := range p.Funcs {
-		funcs[f.Name] = f // a duplicate name fails prog.Check before any run
-	}
-	n := 0
-	seen := map[string]bool{p.Entry: true}
-	work := []string{p.Entry}
-	for len(work) > 0 {
-		f := funcs[work[len(work)-1]]
-		work = work[:len(work)-1]
-		if f == nil {
-			continue
-		}
-		n += 1 + countLoops(f.Body)
-		for _, callee := range prog.CallsIn(f.Body, []prog.Expr{f.Ret}) {
-			if !seen[callee] {
-				seen[callee] = true
-				work = append(work, callee)
-			}
-		}
-	}
-	return n
-}
-
-// countLoops counts the loops in stmts, nested ones included.
-func countLoops(stmts []prog.Stmt) int {
-	n := 0
-	for _, st := range stmts {
-		switch st := st.(type) {
-		case prog.If:
-			n += countLoops(st.Then) + countLoops(st.Else)
-		case prog.While:
-			n += 1 + countLoops(st.Body)
-		}
-	}
-	return n
-}
-
 // retiredKnob is a request field whose feature was removed.
 type retiredKnob struct {
 	feature string // what was removed, named in the field error
@@ -469,9 +400,6 @@ func (r *Request) validate() (*prog.Program, error) {
 			errs = append(errs, FieldError{"source", err.Error()})
 		} else {
 			src = p
-			if r.System == harness.SysTyr {
-				checkTagPools(&errs, p, r.Tags, r.BlockTags)
-			}
 		}
 	}
 	fields := map[string]int64{

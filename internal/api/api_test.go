@@ -5,15 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/cancel"
-	"repro/internal/compile"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/prog"
@@ -604,129 +601,6 @@ func memSource(sizes ...int) string {
 	return b.String()
 }
 
-// loopSource returns a program whose main holds n one-line loops: n+1
-// concurrent blocks.
-func loopSource(n int) string {
-	var b strings.Builder
-	b.WriteString("program \"loops\" entry main\n\nfunc main() {\n")
-	for range n {
-		b.WriteString("  loop carry () while 0 {}\n")
-	}
-	b.WriteString("  return 0\n}\n")
-	return b.String()
-}
-
-// TestTagPoolCapAdmitsFullBody builds the inline source with the most
-// concurrent blocks that fits tyrd's 1 MiB body: empty functions with the
-// shortest free names, each called once from main (a loop costs more
-// source). At the default 64 tags it must stay under MaxTagPoolWords.
-func TestTagPoolCapAdmitsFullBody(t *testing.T) {
-	const body = 1 << 20
-	reserved := map[string]bool{"do": true, "if": true, "let": true, "mem": true, "min": true, "max": true}
-	const letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-	var names []string
-	for _, pattern := range []string{"?", "??", "???"} {
-		for _, name := range expandNames(pattern, letters) {
-			if !reserved[name] {
-				names = append(names, name)
-			}
-		}
-	}
-	src := func(n int) string {
-		var decls, calls strings.Builder
-		for i, name := range names[:n] {
-			decls.WriteString("func " + name + "(){}")
-			if i > 0 {
-				calls.WriteByte('+')
-			}
-			calls.WriteString(name + "()")
-		}
-		return "program \"wide\" entry main " + decls.String() + "func main(){do " + calls.String() + "}"
-	}
-	size := func(n int) int {
-		data, err := json.Marshal(Request{Source: src(n), System: "tyr"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(data)
-	}
-	// The largest function count whose request fits the body.
-	lo, hi := 0, len(names)
-	for lo < hi {
-		if mid := (lo + hi + 1) / 2; size(mid) <= body {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	if lo == len(names) {
-		t.Fatalf("%d names fill less than the %d-byte body", lo, body)
-	}
-	r := Request{Source: src(lo), System: "tyr"}
-	if err := r.Validate(); err != nil {
-		t.Fatalf("%d-function source in a %d-byte body: %v", lo, size(lo), err)
-	}
-	p, err := prog.Parse(r.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%d functions in a %d-byte body: %d blocks, %d tags at the default 64", lo, size(lo), lo+1, (lo+1)*64)
-	if got := concurrentBlocks(p); got != lo+1 || got*64 > MaxTagPoolWords {
-		t.Errorf("%d functions give %d blocks (%d tags at the default 64), want %d blocks under %d tags",
-			lo, got, got*64, lo+1, MaxTagPoolWords)
-	}
-}
-
-// expandNames replaces each '?' in pattern with every letter, in order.
-func expandNames(pattern, letters string) []string {
-	i := strings.IndexByte(pattern, '?')
-	if i < 0 {
-		return []string{pattern}
-	}
-	var out []string
-	for _, c := range letters {
-		out = append(out, expandNames(pattern[:i]+string(c)+pattern[i+1:], letters)...)
-	}
-	return out
-}
-
-// TestConcurrentBlocksMatchesCompiler pins concurrentBlocks, which sizes
-// the tag-pool cap at admission, to the blocks compile.Tagged builds for
-// every example program and every suite kernel.
-func TestConcurrentBlocksMatchesCompiler(t *testing.T) {
-	paths, err := filepath.Glob("../../examples/lang/*.tyr")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no example programs: %v", err)
-	}
-	progs := map[string]*prog.Program{}
-	args := map[string][]int64{}
-	for _, path := range paths {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := prog.Parse(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		progs[path] = p
-		args[path] = make([]int64, len(p.EntryFunc().Params))
-	}
-	for _, app := range SharedSuite(apps.ScaleTiny) {
-		progs[app.Name] = app.Prog
-		args[app.Name] = app.Args
-	}
-	for name, p := range progs {
-		g, err := compile.Tagged(p, compile.Options{EntryArgs: args[name]})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got, want := concurrentBlocks(p), len(g.Blocks); got != want {
-			t.Errorf("%s: concurrentBlocks = %d, compile.Tagged built %d blocks", name, got, want)
-		}
-	}
-}
-
 // TestAllocationCaps pins the admission caps on request-controlled
 // allocations: every capped field is accepted at its cap and is a field
 // error one above it.
@@ -747,11 +621,6 @@ func TestAllocationCaps(t *testing.T) {
 		{"source", MaxSourceWords, func(n int) validator { return &Request{Source: memSource(n/2, n-n/2, 0), System: "tyr"} }},
 		{"issue_width", MaxMachineSize, func(n int) validator { return &SweepRequest{IssueWidth: n} }},
 		{"tags", MaxMachineSize, func(n int) validator { return &SweepRequest{Tags: n} }},
-		// ceil(n / MaxMachineSize) blocks, the root and loops, each with
-		// a pool of MaxMachineSize tags.
-		{"tags", MaxTagPoolWords, func(n int) validator {
-			return &Request{Source: loopSource((n+MaxMachineSize-1)/MaxMachineSize - 1), System: "tyr", Tags: MaxMachineSize}
-		}},
 	} {
 		if err := tc.req(tc.max).Validate(); err != nil {
 			t.Errorf("%s at its cap %d: %v", tc.field, tc.max, err)
@@ -761,17 +630,6 @@ func TestAllocationCaps(t *testing.T) {
 		if !errors.As(err, &ve) || len(ve.Fields) != 1 || ve.Fields[0].Field != tc.field {
 			t.Errorf("%s at cap+1: err = %v, want a single %s field error", tc.field, err, tc.field)
 		}
-	}
-
-	// The pool is the largest the request sets, a block_tags value
-	// included, and only a tyr run fills pools.
-	over := Request{Source: loopSource(MaxTagPoolWords / MaxMachineSize), System: "tyr", Tags: 2, BlockTags: map[string]int{"L": MaxMachineSize}}
-	if err := over.Validate(); err == nil || !strings.Contains(err.Error(), "tags") {
-		t.Errorf("block_tags past the tag-pool cap: err = %v, want a tags field error", err)
-	}
-	over.System = "unordered"
-	if err := over.Validate(); err != nil {
-		t.Errorf("unordered run of a source past the tag-pool cap: %v", err)
 	}
 
 	// A size past int64 parses as the largest int; it must not overflow

@@ -12,9 +12,10 @@
 //     backedge (Sec. IV-A / Lemma 2). This bounds live state and provably
 //     avoids deadlock.
 //
-//   - PolicyGlobalUnlimited allocates unique tags from an inexhaustible
-//     global space: classic unordered dataflow (TTDA/Monsoon-style), whose
-//     live state explodes with parallelism.
+//   - PolicyGlobalUnlimited puts no bound on the tags out: each block's
+//     list reuses a freed index or hands out a new one, so every ready
+//     context gets a tag at once. This is classic unordered dataflow
+//     (TTDA/Monsoon-style), whose live state explodes with parallelism.
 //
 //   - PolicyGlobalBounded allocates from a single bounded global pool with
 //     no readiness protocol — the naive way to limit parallelism — and

@@ -71,50 +71,58 @@ type budget struct {
 	pending []fireRef
 }
 
-// A tag space's budget, when it is not an index into machine.budgets.
+// A tag space's budget (tagSpace.bud), or the budget an index was drawn
+// on (tagSpace.by), when it is not an index into machine.budgets.
 const (
 	noBudget  int32 = -1 // nothing bounds the space (unordered)
 	invBudget int32 = -2 // each live invocation has its own (k-bound's leaf loops)
+	notOut    int32 = -3 // tagSpace.by: the index is not out
 )
 
 // tagSpace is one tag space's free list of pool indices: every tag of
-// space s is s<<32 | i with i below n. The list hands out the index freed
-// last, or else index n, so n is always the space's peak tags in use.
+// space s is s<<32 | i with i below n = len(by). The list hands out the
+// index freed last, or else index n, so n is always the space's peak tags
+// in use, and n - len(free) its tags out.
 type tagSpace struct {
 	free []uint32 // freed indices, the one freed last on top
-	n    uint32   // indices handed out so far
+	// by[i] is the budget index i was drawn on (an index into
+	// machine.budgets, or noBudget), or notOut.
+	by []int32
 	// bud is the budget every allocate into the space draws on: an index
-	// into machine.budgets, noBudget or invBudget. Under invBudget, inv[i]
-	// is the budget of the invocation holding index i, or -1.
+	// into machine.budgets, noBudget or invBudget.
 	bud int32
-	inv []int32
 }
 
-// pop hands out a tag of space: the index freed last, or else index n.
+// pop hands out a tag of space, drawn on budget b: the index freed last,
+// or else index n.
 //
 //tyr:hotpath
-func (ts *tagSpace) pop(space dfg.BlockID) uint64 {
+func (ts *tagSpace) pop(space dfg.BlockID, b int32) uint64 {
 	var i uint32
 	if k := len(ts.free); k > 0 {
 		i = ts.free[k-1]
 		ts.free = ts.free[:k-1]
+		ts.by[i] = b
 	} else {
-		i = ts.n
-		ts.n++
+		i = uint32(len(ts.by))
+		ts.by = append(ts.by, b)
 	}
 	return uint64(space)<<32 | uint64(i)
 }
 
-// invocation returns the budget of the live invocation holding tag, a tag
-// of space, or -1 when none does.
+// drawnOn returns the budget tag, a tag of space, was drawn on, or notOut
+// when the space does not have it out.
 //
 //tyr:hotpath
-func (ts *tagSpace) invocation(space dfg.BlockID, tag uint64) int32 {
-	if i := tag - uint64(space)<<32; i < uint64(len(ts.inv)) {
-		return ts.inv[i]
+func (ts *tagSpace) drawnOn(space dfg.BlockID, tag uint64) int32 {
+	if i := tag - uint64(space)<<32; i < uint64(len(ts.by)) {
+		return ts.by[i]
 	}
-	return -1
+	return notOut
 }
+
+// out reports the space's tags out.
+func (ts *tagSpace) out() int { return len(ts.by) - len(ts.free) }
 
 type machine struct {
 	g   *dfg.Graph
@@ -137,7 +145,6 @@ type machine struct {
 	// spaces, and 0 for unbounded ones.
 	spaceTags []int
 
-	inUse        []int // tags currently allocated, per target space
 	allocCount   []int64
 	totalInUse   int
 	peakTags     int
@@ -320,7 +327,6 @@ func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
 	m.liveTrace = metrics.NewLiveTrace(cfg.TracePoints)
 	m.rec = cfg.Tracer
 
-	m.inUse = make([]int, nspaces)
 	m.allocCount = make([]int64, nspaces)
 	m.spaces = make([]tagSpace, nspaces)
 	m.spaceTags = make([]int, nspaces)
@@ -412,24 +418,21 @@ func constVals(n *dfg.Node) []int64 {
 // leaf loop.
 func (m *machine) allocRoot() uint64 {
 	ts := &m.spaces[0]
-	if b := ts.bud; b >= 0 {
+	b := ts.bud
+	if b >= 0 {
 		m.budgets[b].out++
 	}
-	tag := ts.pop(0)
-	if m.san != nil {
-		m.san.hold(tag)
-	}
+	tag := ts.pop(0, b)
 	m.noteAlloc(0)
 	if m.rec != nil {
 		m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindTagAlloc,
-			Node: trace.NoNode, Block: 0, Tag: tag, Val: int64(m.inUse[0])})
+			Node: trace.NoNode, Block: 0, Tag: tag, Val: int64(ts.out())})
 	}
 	return tag
 }
 
 //tyr:hotpath
 func (m *machine) noteAlloc(space dfg.BlockID) {
-	m.inUse[space]++
 	m.allocCount[space]++
 	m.totalInUse++
 	if m.totalInUse > m.peakTags {
@@ -452,36 +455,24 @@ func (m *machine) openInvocation(limit int) int32 {
 	return int32(len(m.budgets) - 1)
 }
 
-// enterInvocation records that invocation b holds index i of ts's space.
-func (ts *tagSpace) enterInvocation(i uint32, b int32) {
-	for uint32(len(ts.inv)) <= i {
-		ts.inv = append(ts.inv, -1)
-	}
-	ts.inv[i] = b
-}
-
-// freeTag returns a tag to its space's list and the tag to its budget,
-// then wakes the allocates parked on that budget. A tag the space never
-// handed out is a run error. A k-bound invocation whose last tag retires
-// leaves its budget idle for the next one.
+// freeTag returns a tag to its space's list and the tag to the budget it
+// was drawn on, then wakes the allocates parked on that budget. A free
+// (node nid) of a tag its space does not have out, never handed out or
+// already freed, is a run error. A k-bound invocation whose last tag
+// retires leaves its budget idle for the next one.
 //
 //tyr:hotpath
-func (m *machine) freeTag(space dfg.BlockID, tag uint64) error {
+func (m *machine) freeTag(nid dfg.NodeID, space dfg.BlockID, tag uint64) error {
 	ts := &m.spaces[space]
-	i := tag - uint64(space)<<32
-	if i >= uint64(ts.n) {
-		return fmt.Errorf("core: free of tag %#x, which space %q never handed out", tag, m.g.Blocks[space].Name)
+	b := ts.drawnOn(space, tag)
+	if b == notOut {
+		return fmt.Errorf("core: free %q of tag %#x, which space %q does not have out",
+			m.g.Nodes[nid].Label, tag, m.g.Blocks[space].Name)
 	}
-	b := ts.bud
-	if b == invBudget {
-		if b = ts.invocation(space, tag); b < 0 {
-			return fmt.Errorf("core: free of tag %#x outside every live invocation of %q", tag, m.g.Blocks[space].Name)
-		}
-		ts.inv[i] = -1
-	}
-	m.inUse[space]--
+	i := uint32(tag) // the pool index: drawnOn found it below n
+	ts.by[i] = notOut
 	m.totalInUse--
-	ts.free = append(ts.free, uint32(i))
+	ts.free = append(ts.free, i)
 	if b < 0 {
 		return nil
 	}
@@ -670,13 +661,13 @@ func (m *machine) deliver(t *token) error {
 	ws := &m.stores[nid]
 	slot := ws.lookup(t.tag)
 	if slot < 0 {
-		slot = ws.insert(t.tag, m.spaces[f.block].n)
+		slot = ws.insert(t.tag, uint32(len(m.spaces[f.block].by)))
 		if slot < 0 {
 			// A store has no slot for a tag from another space, or for
 			// one its block's list never handed out.
 			n := &m.g.Nodes[nid]
 			return fmt.Errorf("core: token for %s %q carries tag %#x, outside the %d tags block %q's list holds",
-				n.Op, n.Label, t.tag, m.spaces[n.Block].n, m.g.Blocks[n.Block].Name)
+				n.Op, n.Label, t.tag, len(m.spaces[n.Block].by), m.g.Blocks[n.Block].Name)
 		}
 		if occ := int32(ws.len()); occ > m.storePeak[nid] {
 			m.storePeak[nid] = occ
@@ -867,13 +858,13 @@ func (m *machine) fire(ref fireRef) (bool, error) {
 				return true, err
 			}
 		}
-		if err := m.freeTag(f.space, ref.tag); err != nil {
+		if err := m.freeTag(ref.node, f.space, ref.tag); err != nil {
 			return true, err
 		}
 		if m.rec != nil {
 			m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindTagFree,
 				Node: int32(ref.node), Block: int32(f.space), Tag: ref.tag,
-				Val: int64(m.inUse[f.space])})
+				Val: int64(m.spaces[f.space].out())})
 		}
 		if ref.node == m.g.RootFree {
 			m.done = true
@@ -908,7 +899,7 @@ func (m *machine) fireAllocate(ref fireRef, f *firing, slot int32) (bool, error)
 		// k-bounding does not solve parallelism explosion in general.
 		if f.external {
 			b = m.openInvocation(m.spaceTags[f.space])
-		} else if b = ts.invocation(f.space, ref.tag); b < 0 {
+		} else if b = ts.drawnOn(f.space, ref.tag); b < 0 {
 			return false, fmt.Errorf("core: allocate %q for tag %#x outside every live invocation of %q",
 				m.g.Nodes[ref.node].Label, ref.tag, m.g.Blocks[f.space].Name)
 		}
@@ -938,13 +929,9 @@ func (m *machine) fireAllocate(ref fireRef, f *firing, slot int32) (bool, error)
 		}
 		bu.out++
 	}
-	tag := ts.pop(f.space)
+	tag := ts.pop(f.space, b)
 	if ts.bud == invBudget {
-		ts.enterInvocation(uint32(tag), b)
 		m.kbPeakPerInv = max(m.kbPeakPerInv, m.budgets[b].out)
-	}
-	if m.san != nil {
-		m.san.hold(tag)
 	}
 	m.noteAlloc(f.space)
 	m.fired++
@@ -953,7 +940,7 @@ func (m *machine) fireAllocate(ref fireRef, f *firing, slot int32) (bool, error)
 			Node: int32(ref.node), Block: int32(f.block), Tag: ref.tag})
 		m.rec.Record(trace.Event{Cycle: m.cycle, Kind: trace.KindTagAlloc,
 			Node: int32(ref.node), Block: int32(f.space), Tag: tag,
-			Val: int64(m.inUse[f.space])})
+			Val: int64(ts.out())})
 	}
 	m.emitAll(ref.node, f, dfg.AllocTagOut, ref.tag, int64(tag))
 	m.consume(f.block, ref.tag, 1) // the request token
@@ -1119,7 +1106,7 @@ func (m *machine) finish() (Result, error) {
 		res.Spaces = append(res.Spaces, metrics.SpaceStats{
 			Block:          m.g.Blocks[s].Name,
 			Tags:           m.spaceTags[s],
-			PeakInUse:      int(m.spaces[s].n),
+			PeakInUse:      len(m.spaces[s].by),
 			Allocs:         m.allocCount[s],
 			PeakLiveTokens: m.peakByBlock[s],
 		})
@@ -1171,7 +1158,7 @@ func (m *machine) deadlock(res *Result) error {
 			Block:   blk.Name,
 			Kind:    blk.Kind.String(),
 			Tags:    m.spaceTags[s],
-			InUse:   m.inUse[s],
+			InUse:   m.spaces[s].out(),
 			Starved: count,
 		})
 	}

@@ -394,7 +394,7 @@ func TestPooledStoreMemoryFollowsOccupancy(t *testing.T) {
 			if arena, limit := len(ws.tags), max(wsMinCap, 2*int(m.storePeak[nid])); arena > limit {
 				t.Errorf("%v: %q: arena of %d records for a peak of %d waiting instances", cfg.Policy, n.Label, arena, m.storePeak[nid])
 			}
-			handed := int(m.spaces[n.Block].n)
+			handed := len(m.spaces[n.Block].by)
 			if limit := 2 * ((handed + wsPageSize - 1) / wsPageSize); cap(ws.dir) > limit {
 				t.Errorf("%v: %q: directory of %d pages for %d indices handed out", cfg.Policy, n.Label, cap(ws.dir), handed)
 			}
@@ -417,8 +417,9 @@ func TestPooledStoreMemoryFollowsOccupancy(t *testing.T) {
 // forgedTagGraph forges a token in the root block that carries tag and
 // sends it to "victim", the root-block node decl declares. Block 1's
 // first tag is 1<<32.
-func forgedTagGraph(tag uint64, decl string) string {
-	return fmt.Sprintf(`graph "forged"
+func forgedTagGraph(t *testing.T, tag uint64, decl string) *dfg.Graph {
+	t.Helper()
+	g, err := dfg.ParseGraph([]byte(fmt.Sprintf(`graph "forged"
 block 1 loop parent=0 name="other"
 node 0 forward blk=0 nin=1 label="entry"
 node 1 changeTag blk=0 nin=2 const0=%d label="forge"
@@ -429,30 +430,34 @@ edge 0.0 -> 3.0
 edge 1.0 -> 2.0
 inject 0.0 = 1
 rootfree 3
-`, tag, decl)
+`, tag, decl)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
-// TestForeignTagFailsRun: every store indexes tags by pool index, so
-// under every policy a token whose tag lies outside its destination
-// block's space, or past every index that space has handed out, fails the
-// run with an error naming the node and the tag, instead of landing in
-// another instance's slot. The second case forges index 7 of the root's
+// TestForeignTagFailsRun: every store indexes tags by pool index, and
+// every space records which of its indices are out, so under every policy
+// a token whose tag its destination cannot take fails the run with an
+// error naming the node and the tag, instead of landing in another
+// instance's slot or going back to a list twice. The first case sends a
+// tag of another space to a join. The second forges index 7 of the root's
 // pool of 8, while only the root's own tag, index 0, has gone out, and
 // sends it to a free, which must not take back an index its list never
-// handed out.
+// handed out. The third frees the child's retired tag a second time
+// (retiredTagGraph): the store takes it, since index 0 was handed out,
+// but the space no longer has it out.
 func TestForeignTagFailsRun(t *testing.T) {
 	for _, c := range []struct {
 		name string
+		g    *dfg.Graph
 		tag  uint64
-		decl string
 	}{
-		{"another space", 1 << 32, "join blk=0 nin=2"},
-		{"an index never handed out", 7, "free blk=0 nin=1 space=0"},
+		{"another space", forgedTagGraph(t, 1<<32, "join blk=0 nin=2"), 1 << 32},
+		{"an index never handed out", forgedTagGraph(t, 7, "free blk=0 nin=1 space=0"), 7},
+		{"a retired tag", retiredTagGraph(t, "free blk=1 nin=1 space=1"), 1 << 32},
 	} {
-		g, err := dfg.ParseGraph([]byte(forgedTagGraph(c.tag, c.decl)))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, cfg := range []Config{
 			{Policy: PolicyTyr, TagsPerBlock: 8},
 			{Policy: PolicyLocalNoGate, TagsPerBlock: 8},
@@ -460,7 +465,7 @@ func TestForeignTagFailsRun(t *testing.T) {
 			{Policy: PolicyGlobalBounded, GlobalTags: 8},
 			{Policy: PolicyKBound, TagsPerBlock: 8},
 		} {
-			res, err := Run(g, mem.NewImage(), cfg)
+			res, err := Run(c.g, mem.NewImage(), cfg)
 			if err == nil {
 				t.Errorf("%s, %v: a forged tag ran without error (completed=%v)", c.name, cfg.Policy, res.Completed)
 				continue

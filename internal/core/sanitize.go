@@ -118,39 +118,28 @@ func (e *SanitizeError) Error() string {
 	return b.String()
 }
 
-// sanitizer is the per-run check state. A tag is space<<32 | i, so both
-// its tables are per-space slices indexed by the pool index i.
+// sanitizer is the per-run check state. It reads which tags are out from
+// the machine's tag spaces (tagSpace.by).
 type sanitizer struct {
 	diags []Diagnostic
-	// held[s][i] marks tag s<<32 | i allocated, the root context's tag
-	// included.
-	held [][]bool
-	// live[s][i] counts the live tokens carrying tag s<<32 | i.
+	// live[s][i] counts the live tokens carrying tag s<<32 | i, a per-space
+	// slice indexed by the pool index i.
 	live [][]int64
 }
 
 func newSanitizer(nspaces int) *sanitizer {
-	return &sanitizer{held: make([][]bool, nspaces), live: make([][]int64, nspaces)}
+	return &sanitizer{live: make([][]int64, nspaces)}
 }
 
 // splitTag returns a tag's space and pool index.
 func splitTag(tag uint64) (int, int) { return int(tag >> 32), int(uint32(tag)) }
-
-// hold marks a granted tag allocated.
-func (s *sanitizer) hold(tag uint64) {
-	sp, i := splitTag(tag)
-	for len(s.held[sp]) <= i {
-		s.held[sp] = append(s.held[sp], false)
-	}
-	s.held[sp][i] = true
-}
 
 // count adds delta to the live tokens carrying tag. A tag past every
 // index its space has handed out is not counted: the store it is
 // delivered to refuses it and fails the run.
 func (s *sanitizer) count(m *machine, tag uint64, delta int64) {
 	sp, i := splitTag(tag)
-	if sp >= len(m.spaces) || i >= int(m.spaces[sp].n) {
+	if sp >= len(m.spaces) || i >= len(m.spaces[sp].by) {
 		return
 	}
 	for len(s.live[sp]) <= i {
@@ -182,8 +171,8 @@ func (s *sanitizer) checkFree(m *machine, n *dfg.Node, tag uint64) error {
 			Detail: fmt.Sprintf("tag %#x freed with %d live tokens still carrying it (free barrier does not cover the block)", tag, live),
 		})
 	}
-	sp, i := splitTag(tag)
-	if sp >= len(s.held) || i >= len(s.held[sp]) || !s.held[sp][i] {
+	sp, _ := splitTag(tag)
+	if sp >= len(m.spaces) || m.spaces[sp].drawnOn(dfg.BlockID(sp), tag) == notOut {
 		return s.fail(Diagnostic{
 			Kind: DiagDoubleFree, Cycle: m.cycle, Node: n.ID, Label: n.Label, Tag: tag, Event: m.evSeq(),
 			Detail: fmt.Sprintf("tag %#x is not allocated (freed twice, or never granted)", tag),
@@ -196,7 +185,6 @@ func (s *sanitizer) checkFree(m *machine, n *dfg.Node, tag uint64) error {
 				tag, m.g.Blocks[sp].Name, m.g.Blocks[n.Space].Name),
 		})
 	}
-	s.held[sp][i] = false
 	return nil
 }
 
@@ -205,9 +193,9 @@ func (s *sanitizer) checkFree(m *machine, n *dfg.Node, tag uint64) error {
 func (s *sanitizer) atCompletion(m *machine) error {
 	// Leaks come in tag order: space, then pool index.
 leaks:
-	for sp, held := range s.held {
-		for i, h := range held {
-			if !h {
+	for sp := range m.spaces {
+		for i, b := range m.spaces[sp].by {
+			if b == notOut {
 				continue
 			}
 			tag := uint64(sp)<<32 | uint64(i)
