@@ -16,7 +16,6 @@ package api
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -129,15 +128,8 @@ func (s *CacheSpec) Config() (*cache.Config, error) {
 
 // ExecSpec is the versioned execution block of a /v1/run or /v1/sweep
 // request: how the simulation is scheduled, as opposed to what machine it
-// models. Its one live knob is deadline_ms.
+// models. Its one knob is deadline_ms.
 type ExecSpec struct {
-	// Shards and Batch are retired: sharded execution (DESIGN.md §11) and
-	// lockstep batching (§12) were removed. Both still decode so old
-	// clients get a structured answer. 0 or 1, which always meant one
-	// solo run, is accepted and ignored; anything above 1 is a field
-	// error with a migration note.
-	Shards int `json:"shards,omitempty"`
-	Batch  int `json:"batch,omitempty"`
 	// DeadlineMS bounds the request's wall clock (a sweep's, all its
 	// cells included); the service cancels the engine at the deadline and
 	// reports 504. Zero means the server default.
@@ -154,17 +146,11 @@ func (e *ExecSpec) Deadline() int64 {
 }
 
 // check validates an exec block the same way on every endpoint.
-func (e *ExecSpec) check(errs *[]FieldError, notes *[]string) {
+func (e *ExecSpec) check(errs *[]FieldError) {
 	if e == nil {
 		return
 	}
-	checkNonNegative(errs, map[string]int64{
-		"exec.shards":      int64(e.Shards),
-		"exec.batch":       int64(e.Batch),
-		"exec.deadline_ms": e.DeadlineMS,
-	})
-	shardsRetired.check(errs, notes, "exec.shards", int64(e.Shards))
-	batchRetired.check(errs, notes, "exec.batch", int64(e.Batch))
+	checkNonNegative(errs, map[string]int64{"exec.deadline_ms": e.DeadlineMS})
 }
 
 // Request is one simulation: a workload on a system under a machine
@@ -208,31 +194,9 @@ type Request struct {
 	// MaxCycles overrides the engine's runaway budget.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 
-	// Exec holds the scheduling knob deadline_ms (plus the retired
-	// shards and batch, which decode only to answer old clients).
+	// Exec holds the scheduling knob deadline_ms.
 	Exec *ExecSpec `json:"exec,omitempty"`
-
-	// Shards is the old top-level spelling of exec.shards, retired with
-	// it under the same rules.
-	Shards int `json:"shards,omitempty"`
-	// TimeoutMS is the retired top-level spelling of exec.deadline_ms. It
-	// decodes only so an old client gets a structured answer: 0 is
-	// ignored, anything else is a field error with a migration note.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
-
-// The migration notes a 400 carries when a request still asks for more
-// than one shard or batch instance, or for a sweep cell range.
-const (
-	shardsRemovedNote = `exec.shards is retired: sharded execution ran slower than one goroutine and was removed; ` +
-		`drop the field (every run uses one goroutine, and tyrd runs requests in parallel across its worker pool)`
-	batchRemovedNote = `exec.batch is retired: lockstep batching never beat solo runs on served traffic and was removed; ` +
-		`drop the field (every run is a solo run, and tyrd runs requests in parallel across its worker pool)`
-	cellRangeRemovedNote = `cell_start and cell_count are retired: the fleet coordinator that sent them was removed; ` +
-		`drop both fields (one tyrd fans a sweep's cells out over its own workers)`
-	timeoutRemovedNote = `top-level timeout_ms is retired: the deadline is spelled exec.deadline_ms on /v1/run and /v1/sweep; ` +
-		`move the value there ({"exec":{"deadline_ms":N}})`
-)
 
 // RunResult is the outcome of one /v1/run request: the uniform
 // tyr-telemetry/v1 record of the run.
@@ -254,11 +218,9 @@ type FieldError struct {
 func (e FieldError) Error() string { return e.Field + ": " + e.Message }
 
 // ValidationError aggregates every invalid field of a request, so a client
-// sees all problems at once. Notes carry non-fatal advisories (deprecated
-// spellings) that ride along on the structured 400 body.
+// sees all problems at once.
 type ValidationError struct {
 	Fields []FieldError `json:"fields"`
-	Notes  []string     `json:"notes,omitempty"`
 }
 
 func (e *ValidationError) Error() string {
@@ -325,37 +287,6 @@ func checkSourceWords(p *prog.Program) error {
 	return nil
 }
 
-// retiredKnob is a request field whose feature was removed.
-type retiredKnob struct {
-	feature string // what was removed, named in the field error
-	note    string // the migration note the 400 carries
-	max     int64  // the largest value accepted and ignored: 0 or 1
-}
-
-var (
-	shardsRetired    = retiredKnob{"sharded execution", shardsRemovedNote, 1}
-	batchRetired     = retiredKnob{"lockstep batching", batchRemovedNote, 1}
-	cellRangeRetired = retiredKnob{"the fleet", cellRangeRemovedNote, 0}
-	timeoutRetired   = retiredKnob{"the top-level deadline spelling", timeoutRemovedNote, 0}
-)
-
-// check rejects a value above the knob's max on field with a field error
-// and the knob's migration note, added once however many spellings
-// tripped it. Negative values are left to checkNonNegative.
-func (k retiredKnob) check(errs *[]FieldError, notes *[]string, field string, n int64) {
-	if n <= k.max {
-		return
-	}
-	accepted := "0 or 1"
-	if k.max == 0 {
-		accepted = "0"
-	}
-	*errs = append(*errs, FieldError{field, fmt.Sprintf("%s was removed; only %s is accepted (got %d)", k.feature, accepted, n)})
-	if !slices.Contains(*notes, k.note) {
-		*notes = append(*notes, k.note)
-	}
-}
-
 // KnownSystem reports whether name is one of the five simulated systems.
 func KnownSystem(name string) bool {
 	for _, s := range harness.Systems {
@@ -408,9 +339,7 @@ func (r *Request) validate() (*prog.Program, error) {
 		"global_tags":  int64(r.GlobalTags),
 		"queue_cap":    int64(r.QueueCap),
 		"load_latency": int64(r.LoadLatency),
-		"shards":       int64(r.Shards),
 		"max_cycles":   r.MaxCycles,
-		"timeout_ms":   r.TimeoutMS,
 	}
 	checkNonNegative(&errs, fields)
 	checkMachineSize(&errs, "issue_width", r.IssueWidth)
@@ -420,15 +349,12 @@ func (r *Request) validate() (*prog.Program, error) {
 	if r.TracePoints > MaxTracePoints {
 		errs = append(errs, FieldError{"trace_points", fmt.Sprintf("must be <= %d (got %d)", MaxTracePoints, r.TracePoints)})
 	}
-	var notes []string
-	shardsRetired.check(&errs, &notes, "shards", int64(r.Shards))
-	r.Exec.check(&errs, &notes)
-	timeoutRetired.check(&errs, &notes, "timeout_ms", r.TimeoutMS)
+	r.Exec.check(&errs)
 	if _, err := r.Cache.Config(); err != nil {
 		errs = append(errs, FieldError{"cache", err.Error()})
 	}
 	if len(errs) > 0 {
-		return nil, &ValidationError{Fields: errs, Notes: notes}
+		return nil, &ValidationError{Fields: errs}
 	}
 	return src, nil
 }
@@ -546,17 +472,6 @@ type SweepRequest struct {
 	// Exec is validated exactly like Request.Exec; its deadline_ms bounds
 	// the whole sweep's wall clock.
 	Exec *ExecSpec `json:"exec,omitempty"`
-	// TimeoutMS is the retired top-level spelling of exec.deadline_ms,
-	// retired as on Request.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-
-	// CellStart and CellCount are retired: they addressed the cell range a
-	// fleet coordinator sent a peer, and the fleet was removed (DESIGN.md
-	// §10). Both still decode so old clients get a structured answer: 0 is
-	// accepted and ignored, anything above is a field error with a
-	// migration note.
-	CellStart int `json:"cell_start,omitempty"`
-	CellCount int `json:"cell_count,omitempty"`
 }
 
 // Validate checks the sweep shape without running anything.
@@ -582,22 +497,15 @@ func (r *SweepRequest) Validate() error {
 	checkNonNegative(&errs, map[string]int64{
 		"issue_width": int64(r.IssueWidth),
 		"tags":        int64(r.Tags),
-		"timeout_ms":  r.TimeoutMS,
-		"cell_start":  int64(r.CellStart),
-		"cell_count":  int64(r.CellCount),
 	})
 	checkMachineSize(&errs, "issue_width", r.IssueWidth)
 	checkMachineSize(&errs, "tags", r.Tags)
-	var notes []string
-	r.Exec.check(&errs, &notes)
-	timeoutRetired.check(&errs, &notes, "timeout_ms", r.TimeoutMS)
-	cellRangeRetired.check(&errs, &notes, "cell_start", int64(r.CellStart))
-	cellRangeRetired.check(&errs, &notes, "cell_count", int64(r.CellCount))
+	r.Exec.check(&errs)
 	if _, err := r.Cache.Config(); err != nil {
 		errs = append(errs, FieldError{"cache", err.Error()})
 	}
 	if len(errs) > 0 {
-		return &ValidationError{Fields: errs, Notes: notes}
+		return &ValidationError{Fields: errs}
 	}
 	return nil
 }
@@ -755,7 +663,4 @@ type ErrorBody struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Fields carries per-field detail for validation failures.
 	Fields []FieldError `json:"fields,omitempty"`
-	// Notes carries non-fatal advisories (e.g. deprecated request
-	// spellings) alongside a validation failure.
-	Notes []string `json:"notes,omitempty"`
 }

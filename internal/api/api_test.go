@@ -41,7 +41,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		Cache:       &CacheSpec{L1: "sets=16,ways=2,line=4,lat=1", MSHRs: 4, Passthrough: true},
 		TracePoints: -1,
 		Sanitize:    true,
-		Exec:        &ExecSpec{Batch: 8, DeadlineMS: 5000},
+		Exec:        &ExecSpec{DeadlineMS: 5000},
 		MaxCycles:   1 << 20,
 	}
 	data, err := json.Marshal(in)
@@ -94,8 +94,8 @@ func TestValidateCollectsAllFieldErrors(t *testing.T) {
 		Scale:      "huge",
 		App:        "dmv",
 		IssueWidth: -1,
-		Shards:     -2,
-		TimeoutMS:  -5,
+		MaxCycles:  -2,
+		Exec:       &ExecSpec{DeadlineMS: -5},
 		Cache:      &CacheSpec{L1: "sets=banana"},
 	}
 	err := r.Validate()
@@ -103,7 +103,7 @@ func TestValidateCollectsAllFieldErrors(t *testing.T) {
 	if !errors.As(err, &ve) {
 		t.Fatalf("err = %v, want *ValidationError", err)
 	}
-	want := []string{"version", "system", "scale", "issue_width", "shards", "timeout_ms", "cache"}
+	want := []string{"version", "system", "scale", "issue_width", "max_cycles", "exec.deadline_ms", "cache"}
 	got := map[string]bool{}
 	for _, f := range ve.Fields {
 		got[f.Field] = true
@@ -198,61 +198,13 @@ func TestTracePointsOptIn(t *testing.T) {
 	}
 }
 
-// TestTimeoutMSRetired pins the retired top-level timeout_ms on both
-// endpoints: 0 is ignored, and any other value is a 400 on timeout_ms
-// carrying one note that names exec.deadline_ms, whatever the exec block
-// says. The exec block's deadline is the plan's.
-func TestTimeoutMSRetired(t *testing.T) {
-	validate := map[string]func(body string) error{
-		"/v1/run": func(body string) error {
-			r := decodeDmv(t, body)
-			return r.Validate()
-		},
-		"/v1/sweep": func(body string) error {
-			var r SweepRequest
-			if err := json.Unmarshal([]byte(`{"scale":"tiny",`+body+`}`), &r); err != nil {
-				t.Fatalf("%s: %v", body, err)
-			}
-			return r.Validate()
-		},
-	}
-	for ep, v := range validate {
-		if err := v(`"timeout_ms":0,"exec":{"deadline_ms":100}`); err != nil {
-			t.Errorf("%s: timeout_ms 0 must be ignored: %v", ep, err)
-		}
-		for _, body := range []string{`"timeout_ms":100`, `"timeout_ms":100,"exec":{"deadline_ms":100}`} {
-			var ve *ValidationError
-			if err := v(body); !errors.As(err, &ve) {
-				t.Errorf("%s %s: err = %v, want *ValidationError", ep, body, err)
-				continue
-			}
-			if len(ve.Fields) != 1 || ve.Fields[0].Field != "timeout_ms" {
-				t.Errorf("%s %s: want a single timeout_ms error, got %v", ep, body, ve)
-			}
-			if len(ve.Notes) != 1 || !strings.Contains(ve.Notes[0], "exec.deadline_ms") {
-				t.Errorf("%s %s: notes %q, want one naming exec.deadline_ms", ep, body, ve.Notes)
-			}
-		}
-	}
-	r := decodeDmv(t, `"exec":{"deadline_ms":100}`)
-	plan, err := r.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.DeadlineMS != 100 {
-		t.Errorf("exec.deadline_ms did not resolve: deadline=%d", plan.DeadlineMS)
-	}
-}
-
 // TestSweepExecMatchesRun checks that /v1/sweep validates its exec block
-// exactly as /v1/run does: the same field errors and the same notes.
+// exactly as /v1/run does: the same field errors.
 func TestSweepExecMatchesRun(t *testing.T) {
 	for _, exec := range []string{
+		`{}`,
 		`{"deadline_ms":50}`,
-		`{"shards":1,"batch":1}`,
-		`{"shards":2}`,
-		`{"batch":4,"deadline_ms":-1}`,
-		`{"shards":3,"batch":-2}`,
+		`{"deadline_ms":-1}`,
 	} {
 		var sweep SweepRequest
 		if err := json.Unmarshal([]byte(`{"scale":"tiny","exec":`+exec+`}`), &sweep); err != nil {
@@ -277,38 +229,6 @@ func TestSweepExecMatchesRun(t *testing.T) {
 	}
 }
 
-// TestShardsRetired pins the answer old clients get now that sharded
-// execution is gone: both spellings still decode, 0 or 1 stays valid, a
-// count above 1 is a field error carrying the migration note, and a
-// negative count still fails the >= 0 check.
-func TestShardsRetired(t *testing.T) {
-	for _, body := range []string{`"exec":{"shards":1}`, `"exec":{"shards":0}`, `"shards":0`, `"shards":1`} {
-		r := decodeDmv(t, body)
-		if _, err := r.Plan(); err != nil {
-			t.Errorf("%s: one goroutine must stay valid: %v", body, err)
-		}
-	}
-	for _, tc := range []struct{ body, field, msg string }{
-		{`"exec":{"shards":2}`, "exec.shards", "removed"},
-		{`"shards":2`, "shards", "removed"},
-		{`"exec":{"shards":-1}`, "exec.shards", ">= 0"},
-		{`"shards":-3`, "shards", ">= 0"},
-	} {
-		r := decodeDmv(t, tc.body)
-		var ve *ValidationError
-		if err := r.Validate(); !errors.As(err, &ve) {
-			t.Fatalf("%s: err = %v, want *ValidationError", tc.body, err)
-		}
-		if len(ve.Fields) != 1 || ve.Fields[0].Field != tc.field || !strings.Contains(ve.Fields[0].Message, tc.msg) {
-			t.Errorf("%s: want a single %s error mentioning %q, got %v", tc.body, tc.field, tc.msg, ve)
-		}
-		wantNote := tc.msg == "removed"
-		if gotNote := len(ve.Notes) == 1 && ve.Notes[0] == shardsRemovedNote; gotNote != wantNote {
-			t.Errorf("%s: migration note present = %v, want %v (notes %q)", tc.body, gotNote, wantNote, ve.Notes)
-		}
-	}
-}
-
 // decodeDmv decodes a tyr/dmv request carrying the extra JSON members in
 // body.
 func decodeDmv(t *testing.T, body string) Request {
@@ -318,104 +238,6 @@ func decodeDmv(t *testing.T, body string) Request {
 		t.Fatalf("%s: %v", body, err)
 	}
 	return r
-}
-
-// TestBatchRetired pins the answer old clients get now that lockstep
-// batching is gone: exec.batch still decodes, 0 or 1 plans cleanly, a
-// width above 1 is a field error carrying the batch migration note, a
-// negative width still fails the >= 0 check, and a request tripping both
-// retired knobs gets both errors with each note once.
-func TestBatchRetired(t *testing.T) {
-	for _, body := range []string{`"exec":{"batch":0}`, `"exec":{"batch":1}`} {
-		r := decodeDmv(t, body)
-		if _, err := r.Plan(); err != nil {
-			t.Errorf("%s: one solo run must stay valid: %v", body, err)
-		}
-	}
-	for _, tc := range []struct {
-		body   string
-		fields []string // every field error, in order
-		msg    string   // in the exec.batch field error
-		notes  []string
-	}{
-		{`"exec":{"batch":4}`, []string{"exec.batch"}, "lockstep batching was removed", []string{batchRemovedNote}},
-		{`"exec":{"batch":-1}`, []string{"exec.batch"}, ">= 0", nil},
-		{`"shards":3,"exec":{"shards":2,"batch":16}`,
-			[]string{"shards", "exec.shards", "exec.batch"}, "removed",
-			[]string{shardsRemovedNote, batchRemovedNote}},
-	} {
-		r := decodeDmv(t, tc.body)
-		var ve *ValidationError
-		if err := r.Validate(); !errors.As(err, &ve) {
-			t.Fatalf("%s: err = %v, want *ValidationError", tc.body, err)
-		}
-		var fields []string
-		for _, f := range ve.Fields {
-			fields = append(fields, f.Field)
-			if f.Field == "exec.batch" && !strings.Contains(f.Message, tc.msg) {
-				t.Errorf("%s: exec.batch error %q does not mention %q", tc.body, f.Message, tc.msg)
-			}
-		}
-		if !reflect.DeepEqual(fields, tc.fields) {
-			t.Errorf("%s: field errors on %q, want %q", tc.body, fields, tc.fields)
-		}
-		if !reflect.DeepEqual(ve.Notes, tc.notes) {
-			t.Errorf("%s: notes %q, want %q", tc.body, ve.Notes, tc.notes)
-		}
-	}
-}
-
-// TestCellRangeRetired pins the answer old clients get now that the fleet
-// is gone: cell_start and cell_count still decode, 0 validates, a value
-// above 0 is a field error carrying the fleet migration note (once,
-// however many fields tripped it), and a negative value still fails the
-// >= 0 check.
-func TestCellRangeRetired(t *testing.T) {
-	decode := func(body string) SweepRequest {
-		t.Helper()
-		var r SweepRequest
-		if err := json.Unmarshal([]byte(`{"scale":"tiny",`+body+`}`), &r); err != nil {
-			t.Fatalf("%s: %v", body, err)
-		}
-		return r
-	}
-	for _, body := range []string{`"cell_start":0`, `"cell_count":0`, `"cell_start":0,"cell_count":0`} {
-		r := decode(body)
-		if err := r.Validate(); err != nil {
-			t.Errorf("%s: zero must stay valid: %v", body, err)
-		}
-	}
-	for _, tc := range []struct {
-		body   string
-		fields []string
-		msg    string
-	}{
-		{`"cell_start":1`, []string{"cell_start"}, "removed"},
-		{`"cell_count":9`, []string{"cell_count"}, "removed"},
-		{`"cell_start":1,"cell_count":9223372036854775807`, []string{"cell_start", "cell_count"}, "removed"},
-		{`"cell_start":-1`, []string{"cell_start"}, ">= 0"},
-		{`"cell_count":-3`, []string{"cell_count"}, ">= 0"},
-	} {
-		r := decode(tc.body)
-		var ve *ValidationError
-		if err := r.Validate(); !errors.As(err, &ve) {
-			t.Fatalf("%s: err = %v, want *ValidationError", tc.body, err)
-		}
-		var fields []string
-		for _, f := range ve.Fields {
-			fields = append(fields, f.Field)
-			if !strings.Contains(f.Message, tc.msg) {
-				t.Errorf("%s: %s error %q does not mention %q", tc.body, f.Field, f.Message, tc.msg)
-			}
-		}
-		if !reflect.DeepEqual(fields, tc.fields) {
-			t.Errorf("%s: field errors on %v, want %v", tc.body, fields, tc.fields)
-		}
-		wantNote := tc.msg == "removed"
-		if gotNote := len(ve.Notes) == 1 && ve.Notes[0] == cellRangeRemovedNote; gotNote != wantNote {
-			t.Errorf("%s: migration note present = %v, want %v (notes %q)", tc.body, gotNote, wantNote, ve.Notes)
-		}
-	}
 }
 
 func TestResolveAppSuiteKernel(t *testing.T) {
@@ -641,11 +463,11 @@ func TestAllocationCaps(t *testing.T) {
 }
 
 func TestValidationErrorMentionsEveryField(t *testing.T) {
-	err := (&SweepRequest{Systems: []string{"nope"}, Apps: []string{"nope"}, TimeoutMS: -1}).Validate()
+	err := (&SweepRequest{Systems: []string{"nope"}, Apps: []string{"nope"}, Exec: &ExecSpec{DeadlineMS: -1}}).Validate()
 	if err == nil {
 		t.Fatal("bad sweep accepted")
 	}
-	for _, frag := range []string{"systems", "apps", "timeout_ms"} {
+	for _, frag := range []string{"systems", "apps", "exec.deadline_ms"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("error %q does not mention %s", err, frag)
 		}

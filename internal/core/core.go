@@ -29,7 +29,7 @@
 // Timing model: all instructions execute in a single cycle, up to
 // Config.IssueWidth firings per cycle (multiple dynamic instances of the
 // same static instruction may fire together), and tokens produced in cycle
-// c become visible in cycle c+1. Config.LoadLatency optionally models
+// c become visible in cycle c+1. Config.Memory optionally models
 // multi-cycle memory (results return after the latency, with idle cycles
 // burned when nothing else is ready). Live state is the number of
 // in-flight tokens, sampled every cycle.
@@ -107,16 +107,13 @@ type Config struct {
 	// GlobalTags sizes the pool under PolicyGlobalBounded.
 	GlobalTags int
 
-	// LoadLatency is the number of cycles a load takes to return its
-	// value (0 or 1 = the paper's idealized single-cycle memory). Larger
-	// values model unpredictable-latency memory, the setting that
-	// motivates tagged dataflow for irregular workloads (Sec. II-C).
-	LoadLatency int
-
-	// Memory, when non-nil, is the memory-hierarchy timing model every
-	// load and store is routed through (see internal/cache). The returned
-	// per-access latency delays the load result / store completion token,
-	// superseding the fixed LoadLatency. Nil keeps the ideal flat memory.
+	// Memory, when non-nil, is the memory timing model every load and
+	// store is routed through: a fixed load latency (mem.LoadLatency) or
+	// the hierarchy of internal/cache. The returned per-access latency
+	// delays the load result / store completion token; long latencies
+	// model unpredictable-latency memory, the setting that motivates
+	// tagged dataflow for irregular workloads (Sec. II-C). Nil keeps the
+	// paper's idealized single-cycle memory.
 	Memory mem.AccessModel
 
 	// MaxCycles aborts runaway simulations. Zero selects a large default.

@@ -162,8 +162,8 @@ type machine struct {
 	outbox      []token
 	outboxSpare []token
 
-	// delayed holds load results completing in future cycles when
-	// Config.LoadLatency > 1, bucketed by absolute due cycle.
+	// delayed holds load results and store completions due in future
+	// cycles under Config.Memory, bucketed by absolute due cycle.
 	delayed cq.Queue[token]
 
 	live int64
@@ -559,11 +559,6 @@ func (m *machine) recordEmit(src dfg.NodeID, d dest, tag uint64, val int64) {
 //tyr:hotpath
 func (m *machine) emitAll(src dfg.NodeID, f *firing, out int, tag uint64, val int64) {
 	ds := m.dests[f.outs[out]:f.outs[out+1]]
-	if out == dfg.CTDataOut && (f.op == dfg.OpChangeTag || f.op == dfg.OpChangeTagDyn) {
-		m.crossTokens += int64(len(ds))
-	} else {
-		m.frameTokens += int64(len(ds))
-	}
 	for _, d := range ds {
 		m.push(src, d, tag, val)
 	}
@@ -576,16 +571,21 @@ func (m *machine) emitAll(src dfg.NodeID, f *firing, out int, tag uint64, val in
 }
 
 // chargePort counts the tokens just produced on output port out, to
-// destinations ds, as live. A port whose destinations share a block is
-// charged its fan-out at once: nothing decrements between its tokens, so
-// the block's peak comes out as if they were charged one by one. Every
-// token on a port carries one tag, so the sanitizer's count for it rises
-// by the fan-out.
+// destinations ds, as live, and as frame or cross-context traffic. A port
+// whose destinations share a block is charged its fan-out at once:
+// nothing decrements between its tokens, so the block's peak comes out as
+// if they were charged one by one. Every token on a port carries one tag,
+// so the sanitizer's count for it rises by the fan-out.
 //
 //tyr:hotpath
 func (m *machine) chargePort(f *firing, out int, ds []dest, tag uint64) {
 	if len(ds) == 0 {
 		return
+	}
+	if out == dfg.CTDataOut && (f.op == dfg.OpChangeTag || f.op == dfg.OpChangeTagDyn) {
+		m.crossTokens += int64(len(ds))
+	} else {
+		m.frameTokens += int64(len(ds))
 	}
 	if m.san != nil {
 		m.san.count(m, tag, int64(len(ds)))
@@ -600,17 +600,13 @@ func (m *machine) chargePort(f *firing, out int, ds []dest, tag uint64) {
 }
 
 // memLatency resolves the latency of one memory access to image region
-// region: the attached hierarchy model when configured, else the fixed
-// LoadLatency for loads (stores complete in a cycle on the ideal flat
-// memory, as in the seed).
+// region: the attached timing model when configured, else one cycle (the
+// ideal flat memory).
 //
 //tyr:hotpath
 func (m *machine) memLatency(kind mem.AccessKind, region int32, addr int64) int64 {
 	if m.cfg.Memory != nil {
 		return m.cfg.Memory.Access(m.cycle, kind, int(region), addr)
-	}
-	if kind == mem.AccessLoad {
-		return int64(m.cfg.LoadLatency)
 	}
 	return 1
 }

@@ -21,7 +21,7 @@ func TestLoadLatencyPreservesResults(t *testing.T) {
 	for i, lat := range []int{1, 3, 17} {
 		im := app.NewImage()
 		res, err := Run(g, im, Config{
-			Policy: PolicyTyr, TagsPerBlock: 8, LoadLatency: lat, Sanitize: true,
+			Policy: PolicyTyr, TagsPerBlock: 8, Memory: mem.LoadLatency(lat), Sanitize: true,
 		})
 		if err != nil {
 			t.Fatalf("latency %d: %v", lat, err)
@@ -50,7 +50,7 @@ func TestLoadLatencyTaggedHidesBetterThanNarrowTags(t *testing.T) {
 	}
 	run := func(tags int) int64 {
 		res, err := Run(g, app.NewImage(), Config{
-			Policy: PolicyTyr, TagsPerBlock: tags, LoadLatency: 32,
+			Policy: PolicyTyr, TagsPerBlock: tags, Memory: mem.LoadLatency(32),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +74,7 @@ func TestLoadLatencyIdleCyclesCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, app.NewImage(), Config{Policy: PolicyTyr, TagsPerBlock: 4, LoadLatency: 20})
+	res, err := Run(g, app.NewImage(), Config{Policy: PolicyTyr, TagsPerBlock: 4, Memory: mem.LoadLatency(20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestLoadLatencyOrderedPreservesResults(t *testing.T) {
 	var base int64
 	for i, lat := range []int{1, 8, 32} {
 		im := app.NewImage()
-		res, err := ordered.Run(g, im, ordered.Config{LoadLatency: lat})
+		res, err := ordered.Run(g, im, ordered.Config{Memory: mem.LoadLatency(lat)})
 		if err != nil {
 			t.Fatalf("latency %d: %v", lat, err)
 		}
@@ -118,7 +118,7 @@ func TestLoadLatencyFreeBarrierStillHolds(t *testing.T) {
 	// checks on, any premature free would be caught as a token leak.
 	g := compileNested(t, 12, 12)
 	res, err := Run(g, mem.NewImage(), Config{
-		Policy: PolicyTyr, TagsPerBlock: 2, LoadLatency: 25, Sanitize: true,
+		Policy: PolicyTyr, TagsPerBlock: 2, Memory: mem.LoadLatency(25), Sanitize: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,7 @@ func TestLatencyProperty(t *testing.T) {
 		res, err := Run(g, im, Config{
 			Policy:       PolicyTyr,
 			TagsPerBlock: 4,
-			LoadLatency:  int(latRaw % 50),
+			Memory:       mem.LoadLatency(latRaw % 50),
 			Sanitize:     true,
 		})
 		if err != nil || !res.Completed {

@@ -34,7 +34,7 @@ const (
 	wsParked                   // starved of tags; waiting on its budget's pending list
 )
 
-// wsMinCap is the initial arena capacity.
+// wsMinCap is the arena capacity a store takes on its first insert.
 const wsMinCap = 8
 
 // Directory pages: wsPageSize pool indices each.
@@ -104,7 +104,8 @@ type waitStore struct {
 // init sets the store up for a node with nIn operand ports whose tags are
 // base|i. consts holds the constant operands, written into every record
 // when it is allocated; the caller never writes a const-bound port, so
-// they stay put. pages is the machine's page pool.
+// they stay put. pages is the machine's page pool. The store holds no
+// record until its first insert, so a node no token reaches costs none.
 func (ws *waitStore) init(nIn, words int, needInit int32, consts []int64, base uint64, pages *pagePool) {
 	ws.nIn = nIn
 	ws.words = words
@@ -113,8 +114,6 @@ func (ws *waitStore) init(nIn, words int, needInit int32, consts []int64, base u
 	ws.base = base
 	ws.pages = pages
 	ws.free = -1
-	ws.alloc(wsMinCap)
-	ws.link(0)
 }
 
 // alloc replaces the records with capacity empty ones, constant operands
@@ -207,10 +206,11 @@ func (ws *waitStore) growDir(hi uint64) {
 	ws.dir = dir
 }
 
-// growArena doubles the records once every one is occupied.
+// growArena doubles the records once every one is occupied, starting at
+// wsMinCap.
 func (ws *waitStore) growArena() {
 	old := *ws
-	ws.alloc(2 * len(old.tags))
+	ws.alloc(max(wsMinCap, 2*len(old.tags)))
 	copy(ws.tags, old.tags)
 	copy(ws.need, old.need)
 	copy(ws.flags, old.flags)

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/compile"
+	"repro/internal/mem"
 	"repro/internal/prog"
 )
 
@@ -60,7 +61,7 @@ func TestStoreMemoryFollowsOccupancy(t *testing.T) {
 		{Policy: PolicyGlobalBounded, GlobalTags: 65536},
 		{Policy: PolicyKBound},
 	} {
-		cfg.LoadLatency, cfg.TracePoints = 4000, -1
+		cfg.Memory, cfg.TracePoints = mem.LoadLatency(4000), -1
 		m, err := newMachine(g, prog.DefaultImage(p), cfg.withDefaults())
 		if err != nil {
 			t.Fatal(err)
@@ -86,5 +87,69 @@ func TestStoreMemoryFollowsOccupancy(t *testing.T) {
 		if 4*dir > records {
 			t.Errorf("%v: directories of %d B outweigh a quarter of the %d B of records", cfg.Policy, dir, records)
 		}
+	}
+}
+
+// neverEnteredMachine builds a tyr machine for a program whose one loop is
+// never entered.
+func neverEnteredMachine(t *testing.T) *machine {
+	t.Helper()
+	p := prog.MustParse(`program "skip" entry main
+
+func main() {
+  loop "never" carry (i = 0, s = 0) while i < 0 {
+    s = s + i
+    i = i + 1
+  }
+  return s
+}
+`)
+	g, err := compile.Tagged(p, compile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := newMachine(g, prog.DefaultImage(p), Config{Policy: PolicyTyr}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestStoresEmptyBeforeFirstCycle: a store takes its records on its first
+// insert, so none holds one when the machine is built.
+func TestStoresEmptyBeforeFirstCycle(t *testing.T) {
+	m := neverEnteredMachine(t)
+	for i := range m.stores {
+		if n := len(m.stores[i].tags); n != 0 {
+			t.Errorf("node %q holds %d records before the first cycle", m.g.Nodes[i].Label, n)
+		}
+	}
+}
+
+// TestUnreachedStoresHoldNoRecords: after a run, only the stores of nodes
+// a token reached hold records, so the body of a loop that is never
+// entered holds none.
+func TestUnreachedStoresHoldNoRecords(t *testing.T) {
+	m := neverEnteredMachine(t)
+	res, err := m.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || res.ResultValue != 0 {
+		t.Fatalf("completed=%v result=%d, want a completed run returning 0", res.Completed, res.ResultValue)
+	}
+	unreached := 0
+	for i := range m.stores {
+		n := &m.g.Nodes[i]
+		reached := m.storePeak[i] > 0
+		if held := len(m.stores[i].tags); (held > 0) != reached {
+			t.Errorf("node %q (reached %v) holds %d records", n.Label, reached, held)
+		}
+		if !reached && m.g.Blocks[n.Block].Name == "never" {
+			unreached++
+		}
+	}
+	if unreached == 0 {
+		t.Error("a token reached every node of the loop that is never entered")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cache"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 )
 
 // TestCacheDisabledBitIdentical is the default-off guard for the memory
@@ -90,6 +91,43 @@ func TestCacheEnabledStillCorrect(t *testing.T) {
 					t.Errorf("AMAT = %v, want >= 1", rs.Cache.AMAT)
 				}
 			})
+		}
+	}
+}
+
+// TestTokenSplitIndependentOfMemory: the frame/cross split classifies
+// tokens by the port that produced them, so memory timing must not move
+// it. Every tiny kernel on both tagged machines fires the same
+// instructions under flat memory, a fixed load latency and the cache
+// model, and must report the same FrameTokens and CrossTokens under each.
+func TestTokenSplitIndependentOfMemory(t *testing.T) {
+	cc := cache.DefaultConfig()
+	memories := []struct {
+		name string
+		cfg  SysConfig
+	}{
+		{"flat", SysConfig{Tags: 8}},
+		{"lat=4", SysConfig{Tags: 8, LoadLatency: 4}},
+		{"cache", SysConfig{Tags: 8, Cache: &cc}},
+	}
+	for _, app := range apps.Suite(apps.ScaleTiny) {
+		for _, sys := range []string{SysUnordered, SysTyr} {
+			var flat metrics.RunStats
+			for i, m := range memories {
+				rs, err := Run(app, sys, m.cfg)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", app.Name, sys, m.name, err)
+				}
+				if i == 0 {
+					flat = rs
+					continue
+				}
+				if rs.Fired != flat.Fired || rs.FrameTokens != flat.FrameTokens || rs.CrossTokens != flat.CrossTokens {
+					t.Errorf("%s/%s: %s fires %d with %d frame and %d cross tokens, flat memory %d with %d and %d",
+						app.Name, sys, m.name, rs.Fired, rs.FrameTokens, rs.CrossTokens,
+						flat.Fired, flat.FrameTokens, flat.CrossTokens)
+				}
+			}
 		}
 	}
 }

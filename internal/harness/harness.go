@@ -51,8 +51,10 @@ type SysConfig struct {
 	BlockTags  map[string]int
 	GlobalTags int // >0 runs "unordered" with a bounded global pool
 	QueueCap   int // ordered dataflow FIFO depth, default 4 (paper)
-	// LoadLatency models multi-cycle memory on every machine (0 or 1 =
-	// the paper's single-cycle memory).
+	// LoadLatency models multi-cycle memory on every machine: above 1,
+	// every load takes that many cycles (mem.LoadLatency). 0 or 1 is the
+	// paper's single-cycle memory. A configured Cache times every access
+	// instead.
 	LoadLatency int
 	// Cache, when non-nil, routes every load and store through a fresh
 	// memory hierarchy built from this config (internal/cache), and the
@@ -196,16 +198,19 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 	// A nil *cache.Hierarchy must stay a nil interface: the engines test
 	// Memory against nil to pick the flat-memory path.
 	var memory mem.AccessModel
-	if hier != nil {
+	switch {
+	case hier != nil:
 		memory = hier
+	case cfg.LoadLatency > 1:
+		memory = mem.LoadLatency(cfg.LoadLatency)
 	}
 
 	var ret int64
 	switch system {
 	case SysVN:
 		res, err := vn.Run(app.Prog, im, vn.Config{
-			Args: app.Args, MaxSteps: cfg.MaxCycles, LoadLatency: cfg.LoadLatency,
-			Memory: memory, TracePoints: cfg.TracePoints, Tracer: cfg.Tracer, Stop: cfg.Stop,
+			Args: app.Args, MaxSteps: cfg.MaxCycles, Memory: memory,
+			TracePoints: cfg.TracePoints, Tracer: cfg.Tracer, Stop: cfg.Stop,
 		})
 		if err != nil {
 			return rs, err
@@ -216,8 +221,7 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 	case SysSeqDF:
 		res, err := seqdf.Run(app.Prog, im, seqdf.Config{
 			Args: app.Args, MaxSteps: cfg.MaxCycles, IssueWidth: cfg.IssueWidth,
-			LoadLatency: int64(cfg.LoadLatency), Memory: memory, TracePoints: cfg.TracePoints,
-			Tracer: cfg.Tracer, Stop: cfg.Stop,
+			Memory: memory, TracePoints: cfg.TracePoints, Tracer: cfg.Tracer, Stop: cfg.Stop,
 		})
 		if err != nil {
 			return rs, err
@@ -227,9 +231,8 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 		rs.PeakLive, rs.MeanLive, rs.IPCHist, rs.Trace = res.PeakLive, res.MeanLive, res.IPCHist, res.Trace
 	case SysOrdered:
 		res, err := ordered.Run(g, im, ordered.Config{
-			IssueWidth: cfg.IssueWidth, QueueCap: cfg.QueueCap, LoadLatency: cfg.LoadLatency,
-			Memory: memory, MaxCycles: cfg.MaxCycles, TracePoints: cfg.TracePoints,
-			Tracer: cfg.Tracer, Stop: cfg.Stop,
+			IssueWidth: cfg.IssueWidth, QueueCap: cfg.QueueCap, Memory: memory,
+			MaxCycles: cfg.MaxCycles, TracePoints: cfg.TracePoints, Tracer: cfg.Tracer, Stop: cfg.Stop,
 		})
 		if err != nil {
 			return rs, err
@@ -266,11 +269,11 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 
 // coreConfigFor translates the harness config into the tagged engine's
 // config for a system (tyr, unordered or an ablation scheme), minus the
-// per-run memory hierarchy (which is built against each run's own image).
+// per-run memory model (a hierarchy is built against each run's own
+// image).
 func coreConfigFor(system string, cfg SysConfig) core.Config {
 	ecfg := core.Config{
 		IssueWidth:  cfg.IssueWidth,
-		LoadLatency: cfg.LoadLatency,
 		MaxCycles:   cfg.MaxCycles,
 		TracePoints: cfg.TracePoints,
 		Sanitize:    cfg.Sanitize,

@@ -41,6 +41,18 @@ type AccessModel interface {
 	Access(cycle int64, kind AccessKind, region int, addr int64) int64
 }
 
+// LoadLatency is the fixed-latency memory: every load takes that many
+// cycles (at least one) and every store one, whatever the address.
+type LoadLatency int64
+
+// Access implements AccessModel.
+func (n LoadLatency) Access(_ int64, kind AccessKind, _ int, _ int64) int64 {
+	if kind == AccessLoad && n > 1 {
+		return int64(n)
+	}
+	return 1
+}
+
 // Region is a single named array of words.
 type Region struct {
 	Name  string

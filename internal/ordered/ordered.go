@@ -30,12 +30,10 @@ type Config struct {
 	IssueWidth int
 	// QueueCap is the per-edge FIFO capacity (paper default: 4).
 	QueueCap int
-	// LoadLatency is the cycles a load takes to return (0 or 1 = the
-	// paper's single-cycle memory).
-	LoadLatency int
-	// Memory, when non-nil, is the memory-hierarchy timing model loads and
-	// stores route through (see internal/cache); its per-access latency
-	// supersedes LoadLatency. Nil keeps the ideal flat memory.
+	// Memory, when non-nil, is the memory timing model loads and stores
+	// route through: a fixed load latency (mem.LoadLatency) or the
+	// hierarchy of internal/cache. Nil keeps the paper's single-cycle
+	// memory.
 	Memory mem.AccessModel
 	// MaxCycles aborts runaway simulations.
 	MaxCycles int64
@@ -383,17 +381,13 @@ func (m *machine) emit(n *dfg.Node, out int, val int64) {
 	}
 }
 
-// memLatency resolves one memory access's latency: the attached hierarchy
-// model when configured, else the fixed LoadLatency for loads (stores
-// complete in a cycle on the ideal flat memory, as in the seed).
+// memLatency resolves one memory access's latency: the attached timing
+// model when configured, else one cycle (the ideal flat memory).
 //
 //tyr:hotpath
 func (m *machine) memLatency(kind mem.AccessKind, region int, addr int64) int64 {
 	if m.cfg.Memory != nil {
 		return m.cfg.Memory.Access(m.cycle, kind, m.memIdx[region], addr)
-	}
-	if kind == mem.AccessLoad {
-		return int64(m.cfg.LoadLatency)
 	}
 	return 1
 }

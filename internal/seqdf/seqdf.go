@@ -60,12 +60,11 @@ type Config struct {
 	Args       []int64
 	MaxSteps   int64
 	IssueWidth int // default 128
-	// LoadLatency is the cycles a load takes (sequential dataflow hides
-	// it only within the current block's window).
-	LoadLatency int64
-	// Memory, when non-nil, routes every load and store through a
-	// memory-hierarchy timing model (see internal/cache); its per-access
-	// latency supersedes LoadLatency. Nil keeps the ideal flat memory.
+	// Memory, when non-nil, routes every load and store through a memory
+	// timing model: a fixed load latency (mem.LoadLatency) or the
+	// hierarchy of internal/cache. Sequential dataflow hides an access's
+	// latency only within the current block's window. Nil keeps
+	// single-cycle memory.
 	Memory mem.AccessModel
 	// TracePoints caps the live-state trace length (0 =
 	// metrics.DefaultTracePoints, negative = off).
@@ -82,10 +81,9 @@ type Config struct {
 }
 
 type model struct {
-	width   int64
-	loadLat int64
+	width int64
 
-	// memory is the attached hierarchy model; pendingMem holds the latency
+	// memory is the attached timing model; pendingMem holds the latency
 	// of the access announced via Mem, consumed by the next Instr call.
 	memory     mem.AccessModel
 	pendingMem int64
@@ -128,8 +126,6 @@ func (m *model) Instr(class prog.InstrClass, ready int64) int64 {
 			r += m.pendingMem - 1
 		}
 		m.pendingMem = 0
-	} else if class == prog.ClassLoad && m.loadLat > 1 {
-		r += m.loadLat - 1
 	}
 	m.n++
 	m.instrs++
@@ -148,7 +144,7 @@ func (m *model) Instr(class prog.InstrClass, ready int64) int64 {
 }
 
 // Mem (prog.MemModel) routes the upcoming load/store through the attached
-// hierarchy; the resulting latency is charged by the following Instr call.
+// model; the resulting latency is charged by the following Instr call.
 //
 //tyr:hotpath
 func (m *model) Mem(kind mem.AccessKind, region int, addr int64) {
@@ -231,7 +227,6 @@ func Run(p *prog.Program, im *mem.Image, cfg Config) (Result, error) {
 	}
 	m := &model{
 		width:     width,
-		loadLat:   cfg.LoadLatency,
 		memory:    cfg.Memory,
 		ipcHist:   make([]int64, width+1),
 		liveTrace: metrics.NewLiveTrace(cfg.TracePoints),

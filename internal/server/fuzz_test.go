@@ -54,8 +54,9 @@ func FuzzServeSweep(f *testing.F) {
 	})
 }
 
-// overflowSweep names a cell range whose end overflows an int. The fields
-// are retired, so it is a 400 on cell_start like any other cell range.
+// overflowSweep names a cell range whose end overflows an int, in the
+// fields a fleet coordinator once sent. The API no longer has them, so
+// the strict decoder answers it with a 400 naming cell_start.
 const overflowSweep = `{"scale":"tiny","apps":["dmv"],"systems":["vN","tyr"],"cell_start":1,"cell_count":9223372036854775807}`
 
 // fuzzServe posts each fuzzed body to path on a one-worker server with a

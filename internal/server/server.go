@@ -231,18 +231,13 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, code int, er
 	var ve *api.ValidationError
 	if errors.As(err, &ve) {
 		body.Fields = ve.Fields
-		// Migration notes (e.g. the retired top-level timeout_ms or
-		// exec.shards) ride the structured error body so clients
-		// migrating the API surface see the guidance on the same 400
-		// that rejected them.
-		body.Notes = ve.Notes
 	}
 	writeJSON(w, code, body)
 }
 
 // decode reads a JSON body strictly: unknown fields and trailing garbage are
-// 400s, so typos in field names fail loudly instead of silently selecting
-// defaults.
+// 400s, so typos in field names, and fields the API no longer has, fail
+// loudly instead of silently selecting defaults.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
@@ -291,36 +286,20 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, res)
 		return
 	}
-	var g interface {
-		MarshalText() ([]byte, error)
-		Dot() string
-	}
-	opts := compile.Options{EntryArgs: req.Args}
-	comp := t.StartSpan("compile", obs.RootSpan)
+	lower := compile.Tagged
 	if req.Lowering == "ordered" {
-		g2, err := compile.Ordered(p, opts)
-		if err != nil {
-			s.endStage(t, comp, "compile")
-			s.writeError(w, r, http.StatusUnprocessableEntity, err)
-			return
-		}
-		g = g2
-		st := g2.ComputeStats()
-		res.Nodes, res.Blocks, res.TagOps, res.MemOps, res.Edges =
-			st.Nodes, st.Blocks, st.TagOps, st.MemOps, st.EdgeCnt
-	} else {
-		g2, err := compile.Tagged(p, opts)
-		if err != nil {
-			s.endStage(t, comp, "compile")
-			s.writeError(w, r, http.StatusUnprocessableEntity, err)
-			return
-		}
-		g = g2
-		st := g2.ComputeStats()
-		res.Nodes, res.Blocks, res.TagOps, res.MemOps, res.Edges =
-			st.Nodes, st.Blocks, st.TagOps, st.MemOps, st.EdgeCnt
+		lower = compile.Ordered
 	}
+	comp := t.StartSpan("compile", obs.RootSpan)
+	g, err := lower(p, compile.Options{EntryArgs: req.Args})
 	s.endStage(t, comp, "compile")
+	if err != nil {
+		s.writeError(w, r, http.StatusUnprocessableEntity, err)
+		return
+	}
+	st := g.ComputeStats()
+	res.Nodes, res.Blocks, res.TagOps, res.MemOps, res.Edges =
+		st.Nodes, st.Blocks, st.TagOps, st.MemOps, st.EdgeCnt
 	if req.Emit == "dot" {
 		res.Listing = g.Dot()
 	} else {
@@ -432,8 +411,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	plan, err := req.Plan()
 	if err != nil {
-		// Validation failures (including the deprecation-note-carrying
-		// exec conflicts) are 400s; anything else Plan rejects is a
+		// Validation failures are 400s; anything else Plan rejects is a
 		// well-formed but unbuildable request, a 422.
 		code := http.StatusUnprocessableEntity
 		var ve *api.ValidationError

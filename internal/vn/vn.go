@@ -47,12 +47,10 @@ func (r Result) IPC() float64 {
 type Config struct {
 	Args     []int64
 	MaxSteps int64
-	// LoadLatency adds stall cycles per load (a sequential machine
-	// cannot hide memory latency; 0 or 1 = single-cycle memory).
-	LoadLatency int
-	// Memory, when non-nil, routes every load and store through a
-	// memory-hierarchy timing model (see internal/cache); its per-access
-	// latency supersedes LoadLatency. Nil keeps the ideal flat memory.
+	// Memory, when non-nil, routes every load and store through a memory
+	// timing model: a fixed load latency (mem.LoadLatency) or the
+	// hierarchy of internal/cache. Every cycle of an access beyond the
+	// first stalls the machine. Nil keeps single-cycle memory.
 	Memory mem.AccessModel
 	// TracePoints caps the live-state trace length (0 =
 	// metrics.DefaultTracePoints, negative = off).
@@ -70,11 +68,10 @@ type Config struct {
 
 // model implements prog.CostModel with vN cost semantics.
 type model struct {
-	instrs  int64
-	stalls  int64
-	loadLat int64
+	instrs int64
+	stalls int64
 
-	// memory is the attached hierarchy model; pendingMem holds the latency
+	// memory is the attached timing model; pendingMem holds the latency
 	// of the access announced via Mem, consumed by the next Instr call.
 	memory     mem.AccessModel
 	pendingMem int64
@@ -105,14 +102,12 @@ func (m *model) Instr(class prog.InstrClass, _ int64) int64 {
 			m.stalls += m.pendingMem - 1
 		}
 		m.pendingMem = 0
-	} else if class == prog.ClassLoad && m.loadLat > 1 {
-		m.stalls += m.loadLat - 1
 	}
 	return 0
 }
 
 // Mem (prog.MemModel) routes the upcoming load/store through the attached
-// hierarchy; the resulting latency is charged by the following Instr call.
+// model; the resulting latency is charged by the following Instr call.
 //
 //tyr:hotpath
 func (m *model) Mem(kind mem.AccessKind, region int, addr int64) {
@@ -139,7 +134,7 @@ func (m *model) Boundary(_ prog.BoundaryKind, live int) {
 
 // Run executes the program under the vN cost model.
 func Run(p *prog.Program, im *mem.Image, cfg Config) (Result, error) {
-	m := &model{liveTrace: metrics.NewLiveTrace(cfg.TracePoints), loadLat: int64(cfg.LoadLatency), memory: cfg.Memory, rec: cfg.Tracer}
+	m := &model{liveTrace: metrics.NewLiveTrace(cfg.TracePoints), memory: cfg.Memory, rec: cfg.Tracer}
 	res, err := prog.Run(p, im, prog.RunConfig{Args: cfg.Args, MaxSteps: cfg.MaxSteps, Model: m, Stop: cfg.Stop})
 	if err != nil {
 		return Result{}, err
